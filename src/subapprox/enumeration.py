@@ -1,13 +1,29 @@
 """Exhaustive-by-height enumeration of rational subspaces and record scans.
 
-The enumerator sweeps e-tuples of primitive integer vectors whose norms obey
-the Minkowski second-theorem product bound, reduces each wedge to its
-primitive Plucker vector and dedups on the canonical key.  For e <= 3 the
-successive minima of a lattice are attained by a basis, so the product
-bound lam_1 ... lam_e <= (2^e / V_e) H gives a complete sweep; completeness
-for (n, e) = (4, 2) is additionally cross-checked against an independent
-sweep of primitive Plucker vectors on the quadric (see
-:func:`plucker_sweep_count_4_2`).
+One sharded core sweeps e-tuples of primitive, sign-canonical integer
+vectors, each vector strictly later than the one before in (norm^2,
+lexicographic) order, for e <= 3 and e <= n - e.  A tuple is kept only when
+its wedge has gcd 1, i.e. it is a basis of a saturated lattice, so the wedge
+already is the primitive Plucker vector; lattices that are not saturated are
+found through the basis of their saturation.
+
+* Planes: only Lagrange-Gauss reduced pairs are swept, |v1| <= |v2| and
+  2 |<v1, v2>| <= |v1|^2.  Every saturated rank-2 lattice has such a basis,
+  and H^2 = |v1|^2 |v2|^2 - <v1, v2>^2 >= 3/4 |v1|^2 |v2|^2 bounds the
+  sweep.  Each plane is emitted about once; only ties on the boundary of the
+  reduction conditions emit it twice.
+* 3-subspaces (n >= 6): for e <= 3 the successive minima of a lattice are
+  attained by a basis, so Minkowski's product bound
+  lam_1 lam_2 lam_3 <= (6 / pi) H makes the sweep complete.
+* e > n - e: the Hodge star maps a saturated lattice to its orthogonal
+  complement, which has the same height, so the (n, e) subspaces are the
+  (n, n - e) ones with every Plucker row reversed and twisted by Laplace
+  signs.
+
+Duplicates are dropped by first occurrence over the shards in order, which
+also names the shard a subspace is cached under.  Completeness for
+(n, e) = (4, 2) is cross-checked against an independent sweep of primitive
+Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
 Scanning a real target over an enumeration produces the strictly-improving
 record sequence of (height, psi_j) observations; a least-squares fit of
@@ -16,7 +32,8 @@ log psi_j against log height estimates the approximation exponent.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,12 +45,15 @@ import numpy as np
 from mpmath import mp
 
 from .angles import RealSubspace, canonical_angles
-from .exact import IntMat, PluckerVec, laplace_sign, normalize_plucker, subsets, wedge_plucker
+from .exact import (IntMat, PluckerVec, laplace_sign, normalize_plucker, subset_index, subsets,
+                    wedge_plucker)
 from .grassmann import RationalSubspace, from_plucker, plucker_relations, real_view
 
-# squared Minkowski constants (2^e / V_e)^2 for the product of successive minima
+# squared Minkowski constants (2^e / V_e)^2; the product bound of the reference sweep
 _MINK_SQ = {1: 1.0, 2: 16.0 / math.pi ** 2, 3: 36.0 / math.pi ** 2}
-_SHARD_SIZE = 192  # first-vector candidates per shard; fixed so cache layout is stable
+_SHARD_SIZE = 64  # first-vector candidates per shard; fixed so cache layout is stable
+# names the shard layout above; a partial cache of another layout is rebuilt, not resumed
+_CACHE_VERSION = "v2"
 
 
 class CacheCorruption(ValueError):
@@ -90,25 +110,6 @@ def _canonical_sign_rows(W: np.ndarray) -> np.ndarray:
     return W * s[:, None]
 
 
-def _pack_rows(W: np.ndarray, bound: int) -> np.ndarray:
-    base = 2 * bound + 1
-    if base ** W.shape[1] >= 2 ** 62:
-        raise OverflowError("key packing overflow")
-    p = np.zeros(len(W), dtype=np.int64)
-    for k in range(W.shape[1]):
-        p = p * base + (W[:, k] + bound)
-    return p
-
-
-def _unpack_rows(p: np.ndarray, ncols: int, bound: int) -> np.ndarray:
-    base = 2 * bound + 1
-    out = np.zeros((len(p), ncols), dtype=np.int64)
-    for k in range(ncols - 1, -1, -1):
-        out[:, k] = p % base - bound
-        p = p // base
-    return out
-
-
 @dataclass
 class Enumeration:
     """The set of rational subspaces of dimension e and height <= height_max.
@@ -158,46 +159,18 @@ class Enumeration:
                            truncated=self.truncated, pair_count=self.pair_count)
 
 
+def _unique_sorted(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of P sorted by (norm^2, lexicographic), and the index
+    in P of each one's first occurrence (the sort is stable)."""
+    order = np.lexsort(tuple(P[:, c] for c in range(P.shape[1] - 1, -1, -1)) + ((P * P).sum(1),))
+    S = P[order]
+    first = np.ones(len(S), dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    return S[first], order[first]
+
+
 def _sort_pluckers(P: np.ndarray) -> np.ndarray:
-    if len(P) == 0:
-        return P
-    n2 = (P * P).sum(1)
-    order = np.lexsort(tuple(P[:, c] for c in range(P.shape[1] - 1, -1, -1)) + (n2,))
-    return P[order]
-
-
-def _sweep_shard_e2(V, n2, lo_idx, hi_idx, prod_cap, hmax_sq, combs):
-    """Process first-vector candidates V[lo_idx:hi_idx]; returns packed keys."""
-    bound = math.isqrt(hmax_sq)
-    packs = []
-    pairs = 0
-    for a in range(lo_idx, hi_idx):
-        v1 = V[a]
-        k1 = int(n2[a])
-        lo = np.searchsorted(n2, k1, side="left")
-        hi = np.searchsorted(n2, prod_cap // k1, side="right")
-        if hi <= lo:
-            continue
-        W = V[lo:hi]
-        pairs += len(W)
-        cols = [v1[i] * W[:, j] - v1[j] * W[:, i] for (i, j) in combs]
-        Wg = np.stack(cols, axis=1)
-        g = np.gcd.reduce(np.abs(Wg), axis=1)
-        ok = g > 0
-        Wg = Wg[ok]
-        g = g[ok]
-        Wr = Wg // g[:, None]
-        nn = (Wr * Wr).sum(1)
-        Wr = Wr[nn <= hmax_sq]
-        if len(Wr):
-            Wr = _canonical_sign_rows(Wr)
-            packs.append(np.unique(_pack_rows(Wr, bound)))
-    packed = np.unique(np.concatenate(packs)) if packs else np.zeros(0, dtype=np.int64)
-    return packed, pairs
-
-
-def _enumerate_e1(n: int, hmax_sq: int) -> np.ndarray:
-    return _integer_ball(n, hmax_sq)
+    return _unique_sorted(P)[0]
 
 
 def _enumerate_generic(n: int, e: int, hmax_sq: int):
@@ -233,247 +206,168 @@ def _enumerate_generic(n: int, e: int, hmax_sq: int):
     return P, pairs
 
 
-def _enumerate_e3(n: int, hmax_sq: int, max_pairs=None):
-    """Triple sweep with the innermost vector vectorized: the wedge of
-    (v1, v2, v3) is linear in v3 once the pair minors of (v1, v2) are known."""
-    prod_cap = int(_MINK_SQ[3] * hmax_sq * (1 + 1e-9)) + 1
-    V = _integer_ball(n, prod_cap)
+def _product_cap(e: int, hmax_sq: int) -> int:
+    """Exact bound on |v_1|^2 ... |v_e|^2 over the bases the sweep needs.
+
+    The product of squared norms is an integer, so flooring the rational
+    bound loses nothing.
+    """
+    if e == 2:
+        # reduced pair, |v1| <= |v2| and 2 |<v1, v2>| <= |v1|^2:
+        # H^2 = |v1|^2 |v2|^2 - <v1, v2>^2 >= |v1|^2 |v2|^2 - |v1|^4 / 4 >= 3/4 |v1|^2 |v2|^2
+        return 4 * hmax_sq // 3
+    # Minkowski's second theorem: prod lam_i^2 <= (2^3 / V_3)^2 H^2 = (36 / pi^2) H^2,
+    # and 36 / pi^2 < 73 / 20 because pi^2 > 9.8696 > 720 / 73 = 9.8630...
+    return 73 * hmax_sq // 20
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_terms(n: int, e: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (x, T, sign, S) of the terms sign * x[x] * w[S] that make up
+    (w ^ x)_T = sum_pos (-1)^(e-1-pos) x[T[pos]] w[T without T[pos]], where
+    w is the Plucker vector of an (e-1)-blade and T runs over the e-subsets."""
+    lower = subset_index(n, e - 1)
+    terms = [(t, col, (-1) ** (e - 1 - pos), lower[T[:pos] + T[pos + 1:]])
+             for col, T in enumerate(subsets(n, e)) for pos, t in enumerate(T)]
+    return tuple(np.array(c) for c in zip(*terms))
+
+
+def _wedge_matrix(w: np.ndarray, n: int, e: int) -> np.ndarray:
+    """M with x @ M = w ^ x: the wedge is linear in its last vector."""
+    x_at, col, sign, src = _wedge_terms(n, e)
+    M = np.zeros((n, math.comb(n, e)), dtype=np.int64)
+    M[x_at, col] = sign * w[src]
+    return M
+
+
+def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
+    """Canonical rows of the subspaces with a swept basis whose first vector
+    is V[a], lo <= a < hi, and the number of e-tuples wedged.
+
+    Each later vector comes strictly later in V, so every set of vectors is
+    tried once; the last one is vectorised.
+    """
+    n = V.shape[1]
+    out, pairs = [], 0
+    for a in range(lo, hi):
+        v1, k1 = V[a], int(n2[a])
+        if e == 2:
+            prefixes = [(v1, a, k1)]
+        else:  # v3 is no shorter than v2, so k1 k2^2 <= prod_cap
+            stop = int(np.searchsorted(n2, math.isqrt(prod_cap // k1), side="right"))
+            minors = V[a + 1:stop] @ _wedge_matrix(v1, n, 2)
+            prefixes = [(minors[b - a - 1], b, k1 * int(n2[b])) for b in range(a + 1, stop)]
+        for w, last, prod in prefixes:
+            X = V[last + 1:int(np.searchsorted(n2, prod_cap // prod, side="right"))]
+            if e == 2:  # Lagrange-Gauss reduced
+                X = X[2 * np.abs(X @ v1) <= k1]
+            pairs += len(X)
+            W = X @ _wedge_matrix(w, n, e)
+            W = W[(W * W).sum(1) <= hmax_sq]
+            out.append(W[np.gcd.reduce(np.abs(W), axis=1) == 1])
+    rows = np.concatenate(out) if out else np.zeros((0, math.comb(n, e)), dtype=np.int64)
+    return _canonical_sign_rows(rows), pairs
+
+
+def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
+    """One call per shard of the (n, e) sweep, e <= n - e; each returns
+    (rows, tuples wedged).  Lines and the zero subspace are one shard."""
+    if e == 0:
+        return [lambda: (np.ones((1, 1), dtype=np.int64), 0)]
+    if e == 1:
+        def lines():
+            V = _integer_ball(n, hmax_sq)
+            return V, len(V)
+        return [lines]
+    cap = _product_cap(e, hmax_sq)
+    V = _integer_ball(n, cap)
     n2 = (V * V).sum(1)
-    bound = math.isqrt(hmax_sq)
-    pair_idx = {(i, j): k for k, (i, j) in enumerate(itertools.combinations(range(n), 2))}
-    triples = list(itertools.combinations(range(n), 3))
-    packs = []
-    raw_keys: set | None = None
-    count = 0
-    truncated = False
-    for a in range(len(V)):
-        k1 = int(n2[a])
-        if k1 ** 3 > prod_cap:
-            break
-        v1 = V[a]
-        for b in range(a, len(V)):
-            k2 = int(n2[b])
-            if k1 * k2 * k2 > prod_cap:
+    m = int(np.count_nonzero(n2 ** e <= cap))  # candidates for the shortest basis vector
+    return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), e, cap, hmax_sq)
+            for lo in range(0, m, _SHARD_SIZE)]
+
+
+def _run_shards(jobs, workers, max_pairs):
+    """Results of the jobs in order, stopping after the one that exceeds max_pairs."""
+    rows, pairs = [], 0
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        for P, p in (pool.map(lambda job: job(), jobs) if workers > 1 else (job() for job in jobs)):
+            rows.append(P)
+            pairs += p
+            if max_pairs is not None and pairs > max_pairs:
+                pool.shutdown(cancel_futures=True)
                 break
-            v2 = V[b]
-            w = {}
-            for (i, j), k in pair_idx.items():
-                w[(i, j)] = int(v1[i] * v2[j] - v1[j] * v2[i])
-            if all(x == 0 for x in w.values()):
-                continue
-            lo = np.searchsorted(n2, k2, side="left")
-            hi = np.searchsorted(n2, prod_cap // (k1 * k2), side="right")
-            if hi <= lo:
-                continue
-            W3 = V[lo:hi]
-            count += len(W3)
-            cols = []
-            for (t1, t2, t3) in triples:
-                cols.append(W3[:, t1] * w[(t2, t3)]
-                            - W3[:, t2] * w[(t1, t3)]
-                            + W3[:, t3] * w[(t1, t2)])
-            Wg = np.stack(cols, axis=1)
-            g = np.gcd.reduce(np.abs(Wg), axis=1)
-            ok = g > 0
-            Wg = Wg[ok]
-            g = g[ok]
-            Wr = Wg // g[:, None]
-            nn = (Wr * Wr).sum(1)
-            Wr = Wr[nn <= hmax_sq]
-            if len(Wr) == 0:
-                continue
-            Wr = _canonical_sign_rows(Wr)
-            if raw_keys is None:
-                try:
-                    packs.append(np.unique(_pack_rows(Wr, bound)))
-                except OverflowError:
-                    raw_keys = set()
-                    for arr in packs:
-                        for row in _unpack_rows(arr, len(triples), bound):
-                            raw_keys.add(tuple(int(x) for x in row))
-                    packs = []
-            if raw_keys is not None:
-                raw_keys.update(map(tuple, Wr.tolist()))
-            if max_pairs is not None and count > max_pairs:
-                truncated = True
-                break
-        if truncated:
-            break
-    if raw_keys is not None:
-        P = np.array(sorted(raw_keys), dtype=np.int64) if raw_keys else \
-            np.zeros((0, len(triples)), dtype=np.int64)
-    else:
-        merged = np.unique(np.concatenate(packs)) if packs else np.zeros(0, dtype=np.int64)
-        P = _unpack_rows(merged, len(triples), bound)
-    return P, count, truncated
+    return rows, pairs
+
+
+def _hodge_star(P: np.ndarray, n: int, e: int) -> np.ndarray:
+    """Canonical (n, e) rows of the orthogonal complements of the (n, n - e)
+    subspaces P: the complement of the i-th (n - e)-subset is the (N-1-i)-th
+    e-subset, twisted by its Laplace sign."""
+    return _canonical_sign_rows(P[:, ::-1] * _laplace_eps(n, e))
 
 
 def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = None,
                         workers: int = 1, max_pairs: int | None = None) -> Enumeration:
     """Every rational subspace of dimension e in R^n with height <= height_max.
 
-    Dedup is by canonical Plucker key; the result is sorted by
-    (height^2, lexicographic key), so downstream consumers are independent
-    of enumeration order.  ``max_pairs`` bounds the candidate sweep; when it
-    is exhausted the result carries ``truncated=True`` (never silent).
+    Needs min(e, n - e) <= 3.  Dedup is by canonical Plucker key; the result
+    is sorted by (height^2, lexicographic key), so downstream consumers are
+    independent of enumeration order.  ``max_pairs`` bounds the sweep: no
+    shard starts once more than that many tuples have been wedged, and a
+    result with a shard left unswept carries ``truncated=True`` (never
+    silent).  With ``cache_path`` a complete cache is loaded, a partial one
+    resumed from its last completed shard.
     """
     if not (1 <= e <= n):
         raise ValueError("need 1 <= e <= n")
-    if e > 3:
-        raise ValueError("enumeration supports e <= 3 (desk scale)")
+    f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
+    if f > 3:
+        raise ValueError("enumeration supports min(e, n - e) <= 3 (desk scale)")
     hmax_sq = _height_cap_sq(height_max)
 
+    nshards, done, complete = None, [], False
     if cache_path is not None and os.path.exists(cache_path):
-        cached = _load_cache(cache_path, n, e, hmax_sq)
-        if cached is not None:
-            return cached
+        nshards, done, complete = _load_cache(cache_path, n, e, hmax_sq)
+        if complete:
+            return Enumeration(n, e, hmax_sq, _sort_pluckers(np.concatenate(done)))
 
-    if e == 1:
-        P = _enumerate_e1(n, hmax_sq)
-        enum = Enumeration(n, e, hmax_sq, _sort_pluckers(P), pair_count=len(P))
-    elif e == 2:
-        enum = _enumerate_e2(n, hmax_sq, workers=workers, max_pairs=max_pairs,
-                             cache_path=cache_path)
-    else:
-        P, pairs, truncated = _enumerate_e3(n, hmax_sq, max_pairs=max_pairs)
-        enum = Enumeration(n, e, hmax_sq, _sort_pluckers(P), pair_count=pairs,
-                           truncated=truncated)
-
-    if cache_path is not None and (e != 2 or not os.path.exists(cache_path)):
-        _write_cache_full(cache_path, enum)
-    return enum
-
-
-def _enumerate_e2(n, hmax_sq, *, workers=1, max_pairs=None, cache_path=None) -> Enumeration:
-    prod_cap = int(_MINK_SQ[2] * hmax_sq * (1 + 1e-9)) + 1
-    v1_cap = math.isqrt(prod_cap)
-    V = _integer_ball(n, prod_cap)
-    n2 = (V * V).sum(1)
-    m = int(np.searchsorted(n2, v1_cap, side="right"))
-    combs = list(itertools.combinations(range(n), 2))
-    shards = [(s, min(s + _SHARD_SIZE, m)) for s in range(0, m, _SHARD_SIZE)]
-
-    done_shards: dict[int, np.ndarray] = {}
-    resume_from = 0
-    if cache_path is not None and os.path.exists(cache_path):
-        loaded = _load_cache_partial(cache_path, n, 2, hmax_sq, len(shards))
-        done_shards, resume_from = loaded
-
-    results: dict[int, np.ndarray] = dict(done_shards)
-    pair_total = 0
-    truncated = False
-    todo = [i for i in range(resume_from, len(shards))]
-
-    def job(i):
-        lo, hi = shards[i]
-        return i, _sweep_shard_e2(V, n2, lo, hi, prod_cap, hmax_sq, combs)
-
-    if todo:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for i, (packed, pairs) in pool.map(job, todo):
-                    results[i] = packed
-                    pair_total += pairs
-                    if max_pairs is not None and pair_total > max_pairs:
-                        truncated = True
-                        break
-        else:
-            for i in todo:
-                _, (packed, pairs) = job(i)
-                results[i] = packed
-                pair_total += pairs
-                if max_pairs is not None and pair_total > max_pairs:
-                    truncated = True
-                    break
-
-    # deterministic merge in shard order; a key belongs to the first shard
-    # that produced it
-    seen = np.zeros(0, dtype=np.int64)
-    per_shard_new: list[np.ndarray] = []
-    complete_upto = 0
-    for i in range(len(shards)):
-        if i not in results:
-            truncated = True
-            break
-        new = np.setdiff1d(results[i], seen, assume_unique=True)
-        per_shard_new.append(new)
-        seen = np.union1d(seen, new)
-        complete_upto = i + 1
-
-    bound = math.isqrt(hmax_sq)
-    P = _unpack_rows(seen, math.comb(n, 2), bound)
-    enum = Enumeration(n, 2, hmax_sq, _sort_pluckers(P),
-                       truncated=truncated, pair_count=pair_total)
+    jobs = _shard_jobs(n, f, hmax_sq)
+    if nshards != len(jobs):
+        done = []
+    swept, pairs = _run_shards(jobs[len(done):], workers, max_pairs)
+    if f != e:
+        swept = [_hodge_star(P, n, e) for P in swept]
+    shards = done + swept
+    rows, first = _unique_sorted(np.concatenate(shards))
+    shard_of = np.searchsorted(np.cumsum([len(P) for P in shards]), first, side="right")
     if cache_path is not None:
-        _write_cache_shards(cache_path, n, 2, hmax_sq, len(shards), per_shard_new,
-                            complete_upto, bound, already=len(done_shards))
-    return enum
+        _write_cache(cache_path, n, e, hmax_sq, len(jobs), rows, shard_of, len(done), len(shards))
+    return Enumeration(n, e, hmax_sq, rows, truncated=len(shards) < len(jobs), pair_count=pairs)
 
 
 # ---------------------------------------------------------------------------
 # cache format: one line per subspace `n e : p_1 ... p_N`, appended per
-# completed shard, each shard closed by a `# shard <i> done` marker.
+# completed shard, each shard closed by a `# shard <i> done` marker and the
+# file by `# end` once every shard is in.
 # ---------------------------------------------------------------------------
 
-def _cache_header(n, e, hmax_sq, nshards) -> str:
-    return "# subapprox-cache v1 n=%d e=%d hmax_sq=%d shards=%d" % (n, e, hmax_sq, nshards)
-
-
-def _write_cache_full(path, enum: Enumeration):
-    with open(path, "w") as fh:
-        fh.write(_cache_header(enum.n, enum.e, enum.height_max_sq, 1) + "\n")
-        for i in range(len(enum)):
-            fh.write(enum.key_at(i) + "\n")
-        fh.write("# shard 0 done\n")
-        if not enum.truncated:
-            fh.write("# end\n")
-
-
-def _write_cache_shards(path, n, e, hmax_sq, nshards, per_shard_new, complete_upto,
-                        bound, already=0):
-    mode = "a" if already else "w"
-    with open(path, mode) as fh:
-        if not already:
-            fh.write(_cache_header(n, e, hmax_sq, nshards) + "\n")
-        for i in range(already, complete_upto):
-            rows = _sort_pluckers(_unpack_rows(per_shard_new[i], math.comb(n, 2), bound))
-            for r in rows:
-                fh.write("%d %d : %s\n" % (n, e, " ".join(str(int(x)) for x in r)))
+def _write_cache(path, n, e, hmax_sq, nshards, rows, shard_of, start, stop):
+    """Append shards start..stop-1 of the sorted rows, starting the file afresh
+    when start is 0; shard_of names each row's shard."""
+    order = np.argsort(shard_of, kind="stable")  # keeps the rows' order within a shard
+    bounds = np.searchsorted(shard_of[order], np.arange(stop + 1))
+    prefix = "%d %d : " % (n, e)
+    with open(path, "a" if start else "w") as fh:
+        if not start:
+            fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
+                     % (_CACHE_VERSION, n, e, hmax_sq, nshards))
+        for i in range(start, stop):
+            part = rows[order[bounds[i]:bounds[i + 1]]].tolist()
+            fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in part)
             fh.write("# shard %d done\n" % i)
-        if complete_upto == nshards:
+        if stop == nshards:
             fh.write("# end\n")
-
-
-def _parse_cache(path, n, e, hmax_sq):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(p.split("=") for p in header.split()[3:]) if header.startswith("# subapprox-cache") else None
-        if parts is None:
-            raise CacheCorruption("not a subapprox cache: %s" % path)
-        if (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
-            return None, None, None
-        nshards = int(parts["shards"])
-        shard_rows: list[list[list[int]]] = [[]]
-        done = []
-        complete = False
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# shard"):
-                done.append(int(line.split()[2]))
-                shard_rows.append([])
-            elif line == "# end":
-                complete = True
-            else:
-                head, _, tail = line.partition(":")
-                hn, he = map(int, head.split())
-                if (hn, he) != (n, e):
-                    raise CacheCorruption("mixed dimensions in cache %s" % path)
-                shard_rows[-1].append([int(x) for x in tail.split()])
-        if done != list(range(len(done))):
-            raise CacheCorruption("non-contiguous shard markers in %s" % path)
-        return (nshards, complete, (done, shard_rows))
 
 
 def _validate_rows(rows: np.ndarray, n, e, hmax_sq):
@@ -482,51 +376,57 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq):
     h2 = (rows * rows).sum(1)
     if h2.max(initial=0) > hmax_sq or h2.min(initial=1) < 1:
         raise CacheCorruption("cached subspace out of height range")
-    if e == 2 and n == 4:
-        bad = rows[:, 0] * rows[:, 5] - rows[:, 1] * rows[:, 4] + rows[:, 2] * rows[:, 3]
-        if np.any(bad != 0):
-            raise CacheCorruption("cached vector fails the Plucker relation")
-    else:
-        rels = plucker_relations(n, e)
-        for rel in rels:
-            acc = np.zeros(len(rows), dtype=np.int64)
-            for c, i, j in rel:
-                acc += c * rows[:, i] * rows[:, j]
-            if np.any(acc != 0):
-                raise CacheCorruption("cached vector fails the Plucker relations")
+    for rel in plucker_relations(n, e):
+        acc = np.zeros(len(rows), dtype=np.int64)
+        for c, i, j in rel:
+            acc += c * rows[:, i] * rows[:, j]
+        if np.any(acc != 0):
+            raise CacheCorruption("cached vector fails the Plucker relations")
     g = np.gcd.reduce(np.abs(rows), axis=1)
     if np.any(g != 1):
         raise CacheCorruption("cached vector is not primitive")
 
 
 def _load_cache(path, n, e, hmax_sq):
-    parsed = _parse_cache(path, n, e, hmax_sq)
-    if parsed[0] is None:
-        return None
-    nshards, complete, (done, shard_rows) = parsed
-    if not complete:
-        return None
-    rows = [r for chunk in shard_rows for r in chunk]
-    P = np.array(rows, dtype=np.int64) if rows else np.zeros((0, math.comb(n, e)), dtype=np.int64)
-    _validate_rows(P, n, e, hmax_sq)
-    return Enumeration(n, e, hmax_sq, _sort_pluckers(P), truncated=False)
-
-
-def _load_cache_partial(path, n, e, hmax_sq, nshards_expected):
-    parsed = _parse_cache(path, n, e, hmax_sq)
-    if parsed[0] is None:
-        return {}, 0
-    nshards, complete, (done, shard_rows) = parsed
-    if nshards != nshards_expected:
-        return {}, 0
-    bound = math.isqrt(hmax_sq)
-    out = {}
-    for i in done:
-        rows = np.array(shard_rows[i], dtype=np.int64) if shard_rows[i] else \
-            np.zeros((0, math.comb(n, e)), dtype=np.int64)
-        _validate_rows(rows, n, e, hmax_sq)
-        out[i] = np.sort(_pack_rows(rows, bound)) if len(rows) else np.zeros(0, dtype=np.int64)
-    return out, len(done)
+    """(shard count, validated rows of each completed shard, complete) of the
+    cache at path; (None, [], False) when it holds another enumeration, or is
+    a partial cache of another shard layout."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if header[:2] != ["#", "subapprox-cache"]:
+            raise CacheCorruption("not a subapprox cache: %s" % path)
+        parts = dict(p.split("=") for p in header[3:])
+        if (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
+            return None, [], False
+        shards: list[list[str]] = []
+        rows: list[str] = []
+        heads = set()
+        complete = False
+        for line in fh:
+            if line.startswith("# shard"):
+                if int(line.split()[2]) != len(shards):
+                    raise CacheCorruption("non-contiguous shard markers in %s" % path)
+                shards.append(rows)
+                rows = []
+            elif line.strip() == "# end":
+                complete = True
+            elif line.strip():
+                head, _, tail = line.partition(":")
+                heads.add(head)
+                rows.append(tail)
+    if any(tuple(map(int, h.split())) != (n, e) for h in heads):
+        raise CacheCorruption("mixed dimensions in cache %s" % path)
+    nshards = int(parts["shards"])
+    if complete and len(shards) != nshards:
+        raise CacheCorruption("cache %s ends before its last shard" % path)
+    if not complete and header[2] != _CACHE_VERSION:
+        return None, [], False
+    ncols = math.comb(n, e)
+    arrays = [np.loadtxt(io.StringIO("".join(r)), dtype=np.int64, ndmin=2).reshape(len(r), ncols)
+              if r else np.zeros((0, ncols), dtype=np.int64) for r in shards]
+    if arrays:
+        _validate_rows(np.concatenate(arrays), n, e, hmax_sq)
+    return nshards, arrays, complete
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +497,8 @@ def plucker_sweep_count_4_2(height_max) -> int:
         if mu[k]:
             total += int(mu[k]) * _quadric_solutions_4_2(hmax_sq // (k * k))
         k += 1
-    assert total % 2 == 0
+    if total % 2:
+        raise ArithmeticError("odd count of sign representatives: %d" % total)
     return total // 2
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from subapprox.enumeration import (
     scan_target,
     ApproximationRecord,
 )
-from subapprox.grassmann import plucker_relations_check
+from subapprox.exact import kernel_int, laplace_sign, subsets
+from subapprox.grassmann import from_generators, plucker_relations_check
 
 
 def test_lines_in_plane_height_1():
@@ -119,6 +121,56 @@ def test_enumeration_e3_duality_with_planes():
     assert np.array_equal(np.sort(e53.heights_sq), np.sort(e52.heights_sq))
 
 
+@pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (5, 2, 3), (6, 2, 2), (6, 3, 1)])
+def test_sweep_matches_reference_sweep(n, e, hmax):
+    # the reduced plane sweep and the e=3 sweep, row for row against the oracle
+    from subapprox.enumeration import _enumerate_generic, _sort_pluckers
+
+    fast = enumerate_subspaces(n, e, hmax)
+    ref, _ = _enumerate_generic(n, e, hmax * hmax)
+    assert np.array_equal(fast.pluckers, _sort_pluckers(ref))
+
+
+def _hodge_duals(enum):
+    """Canonical coordinates of the Hodge duals of an enumeration's rows: the
+    reversed Plucker vector twisted by the Laplace signs of the (n-e)-subsets."""
+    eps = [laplace_sign(s) for s in subsets(enum.n, enum.n - enum.e)]
+    out = set()
+    for i in range(len(enum)):
+        d = [s * c for s, c in zip(eps, reversed(enum.coords_at(i)))]
+        lead = next(x for x in d if x)
+        out.add(tuple(x if lead > 0 else -x for x in d))
+    return out
+
+
+def test_enumeration_6_3_closed_under_hodge_star():
+    enum = enumerate_subspaces(6, 3, 2)
+    assert len(enum) == 1280
+    assert _hodge_duals(enum) == {enum.coords_at(i) for i in range(len(enum))}
+
+
+def test_hyperplanes_are_complements_of_lines():
+    # (5,4) comes from the lines through the Hodge star; check it against
+    # the exact integer orthogonal complement of every line
+    lines = enumerate_subspaces(5, 1, 2)
+    hyper = enumerate_subspaces(5, 4, 2)
+    want = {from_generators(kernel_int([lines.coords_at(i)])).plucker.coords
+            for i in range(len(lines))}
+    assert len(hyper) == len(lines)
+    assert {hyper.coords_at(i) for i in range(len(hyper))} == want
+    assert _hodge_duals(lines) == want
+
+
+def test_budget_spent_by_last_shard_is_not_truncation(tmp_path):
+    # truncated means some shard was left unswept, whatever the shard layout
+    full = enumerate_subspaces(4, 2, 6)
+    path = str(tmp_path / "c42.cache")
+    enum = enumerate_subspaces(4, 2, 6, max_pairs=full.pair_count - 1, cache_path=path)
+    assert not enum.truncated
+    assert np.array_equal(enum.pluckers, full.pluckers)
+    assert open(path).read().strip().endswith("# end")
+
+
 def test_workers_and_order_invariance():
     e1 = enumerate_subspaces(4, 2, 6, workers=1)
     e2 = enumerate_subspaces(4, 2, 6, workers=4)
@@ -174,6 +226,43 @@ def test_cache_resume_from_truncation(tmp_path):
     fresh = enumerate_subspaces(4, 2, 8)
     assert np.array_equal(full.pluckers, fresh.pluckers)
     assert open(path).read().strip().endswith("# end")
+
+
+@pytest.mark.parametrize("pattern, repl", [(r"shards=\d+", "shards=999"), (r" v\d+ ", " v1 ")])
+def test_partial_cache_of_another_layout_is_rebuilt(tmp_path, pattern, repl):
+    # a partial cache with another shard count, or written before the
+    # reduced sweep (v1), holds other shards: resuming it would lose the rows
+    # left out of its shard 0 here
+    path = str(tmp_path / "c42.cache")
+    assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
+    header, *lines = open(path).read().splitlines()
+    rows = [ln for ln in lines if not ln.startswith("#")][:3]
+    open(path, "w").write("\n".join([re.sub(pattern, repl, header)] + rows + ["# shard 0 done"]) + "\n")
+    full = enumerate_subspaces(4, 2, 8, cache_path=path)
+    assert not full.truncated
+    assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8).pluckers)
+    assert open(path).read().strip().endswith("# end")
+
+
+def test_complete_v1_cache_loads(tmp_path):
+    path = str(tmp_path / "c42.cache")
+    fresh = enumerate_subspaces(4, 2, 6, cache_path=path)
+    text = open(path).read()
+    open(path, "w").write(re.sub(r" v\d+ ", " v1 ", text, count=1))
+    loaded = enumerate_subspaces(4, 2, 6, cache_path=path)
+    assert loaded.pair_count == 0  # read back, not swept again
+    assert np.array_equal(loaded.pluckers, fresh.pluckers)
+
+
+def test_dual_cache_resume_from_truncation(tmp_path):
+    path = str(tmp_path / "c53.cache")
+    assert enumerate_subspaces(5, 3, 3, max_pairs=100, cache_path=path).truncated
+    full = enumerate_subspaces(5, 3, 3, cache_path=path)
+    assert not full.truncated and full.pair_count > 0
+    assert np.array_equal(full.pluckers, enumerate_subspaces(5, 3, 3).pluckers)
+    text = open(path).read()
+    assert text.strip().endswith("# end")
+    assert len([ln for ln in text.splitlines() if ln.startswith("5 3 :")]) == len(full)
 
 
 def rnd_plane(seed, n=4, d=2, prec=128):
