@@ -127,7 +127,8 @@ class AngleProfile:
 
     def __post_init__(self):
         for a, b in zip(self.sines, self.sines[1:]):
-            assert a <= b + self.err
+            if a > b + self.err:
+                raise ValueError("sines must be ascending within err")
 
 
 def sin_angle(x: Sequence, y: Sequence, precision_bits: int = 128):

@@ -21,6 +21,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, canonical_angles, principal_pairs, sin_angle
+from .enumeration import _GENERIC_LIMIT, _U, _float_psi_delta, _float_psi_generic, _refine_psi
 from .exact import (
     IntMat,
     PluckerVec,
@@ -29,7 +30,7 @@ from .exact import (
     normalize_plucker,
     wedge_plucker,
 )
-from .grassmann import RationalSubspace, from_generators, from_plucker, real_view
+from .grassmann import RationalSubspace, from_generators, from_plucker
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,8 @@ class DirichletApproximant:
 
     def __post_init__(self):
         g = math.gcd(self.q, *self.p) if self.p else self.q
-        assert g == 1, "approximant must be primitive"
+        if g != 1:
+            raise ValueError("approximant must be primitive (gcd %d)" % g)
 
 
 def simultaneous_approx(x: Sequence, q_max: int, *, precision_bits: int = 128,
@@ -535,30 +537,47 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     if not heights:
         raise ValueError("no extension found (all candidates degenerate)")
 
-    best = None  # (score, key, psi, height_sq)
+    keys = sorted(heights)
+    if weight:
+        keys = _screen_candidates(a, keys, heights, n, e + 1, j, weight)
+    else:  # the score is H(C): decide it in integers, refine only the winner
+        keys = [min(keys, key=lambda k: (heights[k], k))]
+    scored = []  # (score, key, psi)
     with mp.workprec(prec):
-        for key in sorted(heights):
-            hsq = heights[key]
-            psi = _psi_of_coords(a, key, n, e + 1, j, prec)
-            score = mp.sqrt(mp.mpf(hsq)) * psi ** mp.mpf(weight) if weight else mp.sqrt(mp.mpf(hsq))
-            if best is None or score < best[0] or (score == best[0] and key < best[1]):
-                best = (score, key, psi, hsq)
+        for key in keys:
+            psi = _refine_psi(a, key, n, e + 1, j, prec)[0]
+            scored.append((mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight), key, psi))
+    best = min(scored, key=lambda s: s[:2])  # exact score ties keep the lex-smaller key
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
     contained = all(lattice_contains(c_sub.lattice_basis, col) for col in basis_cols)
     with mp.workprec(prec):
-        psi_before = _psi_of_rational(a, b, j, prec)
+        psi_before = _refine_psi(a, b.plucker.coords, n, e, j, prec)[0]
         expo = mp.mpf(n - e - 1) / (n - e)
         ratio = float(mp.sqrt(mp.mpf(c_sub.height_sq)) / mp.mpf(b.height_sq) ** (expo / 2))
     return GoingUpResult(c_sub, psi_before, best[2], ratio, candidates, contained)
 
 
-def _psi_of_rational(a, b, j, prec):
-    prof = canonical_angles(a, real_view(b, prec), precision_bits=prec)
-    return prof.sines[j - 1]
+def _screen_candidates(a, keys, heights, n, e, j, weight):
+    """The keys, in order, whose score H(C) psi_j(A, C)^weight can still be
+    the minimum, judged from a float64 psi within delta of the exact one.
 
-
-def _psi_of_coords(a, coords, n, e, j, prec):
-    sub = from_plucker(PluckerVec(n, e, coords))
-    prof = canonical_angles(a, real_view(sub, prec), precision_bits=prec)
-    return prof.sines[j - 1]
+    psi_j lies in [psi - delta, psi + delta] cut to [0, 1], so the score lies
+    in H times the image of that interval under psi -> psi^weight.  A key is
+    dropped only when its lowest possible score exceeds the highest possible
+    score of some key, so it cannot be the minimum or tie with it.
+    """
+    etas = np.array(keys, dtype=np.float64)  # Python ints convert directly: no int64 overflow
+    psi = np.concatenate([_float_psi_generic(a, etas[i:i + _GENERIC_LIMIT], n, e, j)
+                          for i in range(0, len(etas), _GENERIC_LIMIT)])
+    delta = _float_psi_delta(n, e)
+    h = np.sqrt(np.array([heights[k] for k in keys], dtype=np.float64))
+    with np.errstate(divide="ignore"):  # 0 ** (weight < 0) is an infinite score
+        ends = [h * np.clip(psi + s, 0, 1) ** weight for s in (-delta, delta)]
+    lo, hi = ends if weight > 0 else ends[::-1]
+    # relative rounding of the float score: the subtraction feeding the power
+    # (|weight| u), the power (within 4 ulp), sqrt, the conversion of H^2 and the
+    # product (u each), and the mp score it is compared with (below u)
+    slack = (abs(weight) + 8) * _U
+    keep = lo * (1 - slack) <= (hi * (1 + slack)).min()
+    return [k for k, kept in zip(keys, keep) if kept]

@@ -583,14 +583,51 @@ def _refine_psi(a: RealSubspace, coords: tuple[int, ...], n, e, j, precision_bit
 
 _SCREEN_MARGIN = 1e-6
 _GENERIC_LIMIT = 500_000
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _float_psi_generic(a: RealSubspace, enum: Enumeration, j: int) -> np.ndarray:
-    """Batched float64 screen of psi_j for every enumerated subspace."""
-    n, e = enum.n, enum.e
+def _float_psi_delta(n: int, e: int) -> float:
+    """Absolute bound on |psi - psi_j(A, B)| for psi from :func:`_float_psi_generic`
+    on an (n, e) subspace B; at most 1e-12 for n <= 7.
+
+    With u = 2^-53, m = C(n, e + 1) rows in the annihilator x -> x ^ eta and
+    d = dim A <= n:
+
+    * eta is decomposable, so x -> x ^ eta is |eta| times an isometry on B^perp
+      and 0 on B: its nonzero singular values all equal |eta|.
+    * Rounding eta to float64 moves the map by at most sqrt(n - e) u |eta|
+      (each eta_S sits in n - e rows).  The Householder-based SVD is backward
+      stable: it returns the exact SVD of a matrix within p u |eta|, with
+      right singular vectors orthonormal within p u, where p = 4 m n (the
+      gamma~_mn of Higham, ch. 19, with its constant taken as 4).
+    * Wedin's sin-Theta theorem with the gap |eta| - (sqrt(n - e) + p) u |eta|
+      >= |eta| / 2 puts the computed kernel B' within ||P_B - P_B'|| <=
+      2 (sqrt(n - e) + p) u of B, whatever the conditioning of B's bases.
+    * The sines of the principal angles are the singular values of
+      P_A^perp P_B.  By Weyl's inequality they move by at most
+      ||P_B - P_B'||, by the p u orthonormality error of the kernel basis Y,
+      and by ||X^T X - P_A|| <= 3 sqrt(d) u for A's basis X rounded to float64.
+    * G = Y X^T and S = Y - G X are sums of at most n products, within
+      (2 gamma_n + u) sqrt(e d) of exact in norm (Higham, ch. 3); the two small
+      SVDs add 4 e n u each.  The cosine branch sqrt(1 - c^2) is taken only
+      for c^2 < 1/2, where it is 1-Lipschitz in c, and sorting the sines is
+      1-Lipschitz in the max norm.
+
+    With a few u for sqrt and clipping, and sqrt(n - e), d and e bounded by
+    n >= 3, the sum is at most K u with K = 3 p + 13 n^2.  Doubling it covers
+    the second-order terms while K u <= 1/4, and the 2^-prec error of the mp
+    value it is compared with.  The line route of :func:`_float_psi_generic`
+    (no SVD) stays inside the same bound.
+    """
+    p = 4 * math.comb(n, e + 1) * n
+    return 2 * (3 * p + 13 * n * n) * _U
+
+
+def _float_psi_generic(a: RealSubspace, etas: np.ndarray, n: int, e: int, j: int) -> np.ndarray:
+    """Batched float64 psi_j(A, B) for the (n, e) subspaces with Plucker rows
+    ``etas``, within :func:`_float_psi_delta` of the exact value."""
     d = a.dim
     t = min(d, e)
-    etas = enum.pluckers
     count = len(etas)
     if count == 0:
         return np.zeros(0)
@@ -645,7 +682,7 @@ def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int) -> np.ndarray:
         s = np.abs((bhat[:, ::-1] * eps[None, :]) @ apl)
         psi1, psi2 = _psi12_pairing(c, s)
         return psi1 if j == 1 else psi2
-    return _float_psi_generic(a, enum, j)
+    return _float_psi_generic(a, enum.pluckers, enum.n, enum.e, j)
 
 
 def scan_target(a: RealSubspace, e: int, j: int, height_max, *,

@@ -126,7 +126,8 @@ def gram_det_sq(mat: IntMat) -> int:
         raise ValueError("more columns than rows: %d x %d" % (mat.rows, e))
     gram = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
     d = det_int(gram)
-    assert d >= 0
+    if d < 0:
+        raise ArithmeticError("negative Gram determinant %d" % d)
     return d
 
 
@@ -271,7 +272,8 @@ def kernel_int(rows: Sequence[Sequence[int]], width: int | None = None) -> list[
     tr = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
     H, R, _, rank = _row_reduce_unimodular(tr)
     res = [tuple(R[i]) for i in range(len(H)) if all(x == 0 for x in H[i])]
-    assert len(res) == n - rank
+    if len(res) != n - rank:
+        raise ArithmeticError("kernel has %d vectors, rank %d of %d columns" % (len(res), rank, n))
     if not res:
         return []
     return hnf_rows(res)

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from subapprox.angles import (
+    AngleProfile,
     RealSubspace,
     canonical_angles,
     phi,
@@ -174,6 +175,12 @@ def test_phi_via_det_dimension_guard():
     b = from_generators([(0, 0, 1), (0, 1, 0)])
     with pytest.raises(ValueError):
         phi_via_det(a, b.lattice_basis)
+
+
+def test_angle_profile_rejects_descending_sines():
+    AngleProfile((0.1, 0.5), 0.05, 0.0)
+    with pytest.raises(ValueError):
+        AngleProfile((0.5, 0.1), 0.05, 0.0)
 
 
 def test_principal_pairs_biorthogonal():

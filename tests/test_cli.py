@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from subapprox.cli import main
 
@@ -148,6 +151,22 @@ def test_goingup_json(capsys):
     data = json.loads(out)
     assert data["contained"]
     assert data["exponent"] == 2 / 3
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--n", "4", "--seed", "7", "--gens", "3 1 4 1"),  # the README example
+     "8c94ad582fb9fb3631621d35c597bcf77e593173e4f61d04682e457f60f7d496"),
+    (("--n", "5", "--seed", "11", "--gens", "2 -1 3 0 1; 0 1 1 -2 1"),
+     "88044abc74ad1e916b88d75fefec55d7c4ddaecc92abf963a6c711b411c2fa92"),
+    (("--n", "6", "--seed", "13", "--gens", "3 1 -2 0 1 2"),
+     "49d5a9a6bfc252010d40123b1be332e94eaf2129cb5bfda5378faef8e24af46f"),
+])
+def test_goingup_json_pinned(tmp_path, argv, digest):
+    # sha256 of the JSON from the search that refined every candidate in mp
+    out = tmp_path / "c.json"
+    assert main(["goingup", "--target", "random:2", *argv, "--budget", "2",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_props_passes(capsys):

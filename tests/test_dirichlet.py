@@ -7,6 +7,7 @@ from mpmath import mp
 
 from subapprox.angles import RealSubspace, canonical_angles
 from subapprox.dirichlet import (
+    DirichletApproximant,
     build_approximant,
     direct_sum_angle_bound,
     flag_basis,
@@ -112,6 +113,12 @@ def test_simultaneous_approx_exhaustive_oracle():
                 if float(err * mp.mpf(q) ** mp.mpf(1.5)) <= 1:
                     expect.append((q, tuple(p)))
     assert [(r.q, r.p) for r in recs] == expect
+
+
+def test_approximant_must_be_primitive():
+    DirichletApproximant(3, (2, 1), 0, 0)
+    with pytest.raises(ValueError):
+        DirichletApproximant(2, (4, 6), 0, 0)
 
 
 def test_lll_reduce_shortens():
@@ -314,3 +321,118 @@ def test_exponent_transfer_under_chained_going_up():
                 best = p
         est_c = estimate_exponent(chain)
         assert est_c.beta_hat >= 1.5 * est_b.beta_hat - 0.3
+
+
+# ------------------------------------- going up: screened against exhaustive
+
+def _exhaustive_table(a, b, j, budget, prec=128):
+    """Every going-up candidate key of (A, B), with its squared height and its
+    psi_j refined in mp: the search with no float screen."""
+    from itertools import product
+
+    from subapprox.dirichlet import _lll_gram, _projected_gram
+    from subapprox.exact import (IntMat, PluckerVec, complete_to_unimodular,
+                                 normalize_plucker, wedge_plucker)
+    from subapprox.grassmann import from_plucker
+
+    n, e = b.n, b.e
+    cols = list(b.basis_vectors())
+    extras = complete_to_unimodular(b.lattice_basis)
+    U = _lll_gram(_projected_gram(cols, extras))
+    reduced = [tuple(sum(c * u[i] for c, u in zip(row, extras)) for i in range(n)) for row in U]
+    heights = {}
+    for coeffs in product(range(-budget, budget + 1), repeat=len(reduced)):
+        if not any(coeffs) or next(c for c in coeffs if c) < 0:
+            continue
+        v = tuple(sum(c * r[i] for c, r in zip(coeffs, reduced)) for i in range(n))
+        try:
+            raw = wedge_plucker(IntMat.from_columns(cols + [v]))
+        except ValueError:
+            continue
+        pl = normalize_plucker(raw, n, e + 1)
+        heights.setdefault(pl.coords, pl.norm_sq)
+    table = {}
+    for key in sorted(heights):
+        c = real_view(from_plucker(PluckerVec(n, e + 1, key)), prec)
+        table[key] = (heights[key], canonical_angles(a, c, precision_bits=prec).sines[j - 1])
+    psi_before = canonical_angles(a, real_view(b, prec), precision_bits=prec).sines[j - 1]
+    return table, psi_before
+
+
+def _exhaustive_pick(table, weight, prec=128):
+    """The minimal (score, key) over the whole table, score = H psi^weight."""
+    best = None
+    with mp.workprec(prec):
+        for key, (hsq, psi) in table.items():
+            score = mp.sqrt(mp.mpf(hsq)) * psi ** mp.mpf(weight) if weight else mp.sqrt(mp.mpf(hsq))
+            if best is None or score < best[0] or (score == best[0] and key < best[1]):
+                best = (score, key, psi)
+    return best
+
+
+def _assert_screen_matches_exhaustive(a, b, j, budget, weights=(0, 0.5, 1, 2)):
+    table, psi_before = _exhaustive_table(a, b, j, budget)
+    picks = []
+    for w in weights:
+        _, key, psi = _exhaustive_pick(table, w)
+        res = going_up_search(a, b, j, budget=budget, weight=w)
+        assert res.c.plucker.coords == key, (w, res.c.key, key)
+        assert res.psi_after == psi  # mpf equality: bit for bit
+        assert res.psi_before == psi_before
+        picks.append(key)
+    return table, picks
+
+
+@pytest.mark.parametrize("n,e,j,budget", [
+    (4, 1, 1, 2), (4, 2, 1, 2), (4, 2, 2, 2),
+    (5, 1, 1, 1), (5, 2, 1, 2), (5, 2, 2, 2),
+    (6, 1, 1, 1), (6, 2, 1, 1), (6, 2, 2, 1),
+])
+def test_going_up_screen_matches_exhaustive(n, e, j, budget):
+    rng = random.Random(1000 * n + 100 * e + j)
+    a = rnd_subspace(rng.randint(0, 10 ** 6), n, 2)
+    while True:
+        try:
+            b = from_generators([[rng.randint(-6, 6) for _ in range(n)] for _ in range(e)])
+            break
+        except ValueError:
+            continue
+    _assert_screen_matches_exhaustive(a, b, j, budget)
+
+
+def test_going_up_screen_rational_line_in_target():
+    # every C contains B, a rational line of A, so every psi_1 is 0 up to mp
+    # rounding and no candidate may be screened out
+    with mp.workprec(128):
+        a = RealSubspace.from_vectors([(1, 2, 0, 1), (0, mp.sqrt(2), 1, 0)])
+    b = from_generators([(1, 2, 0, 1)])
+    table, _ = _assert_screen_matches_exhaustive(a, b, 1, 2)
+    assert max(float(psi) for _, psi in table.values()) < 1e-30
+
+
+def test_going_up_screen_symmetric_ties_keep_smaller_key():
+    # A is fixed by swapping x1 and x2 and contains the rational line e4, so
+    # several extensions of B = <e1 + e2> meet A and score exactly 0
+    with mp.workprec(128):
+        a = RealSubspace.from_vectors([(1, 1, mp.sqrt(2), 0), (0, 0, 0, 1)])
+    b = from_generators([(1, 1, 0, 0)])
+    table, picks = _assert_screen_matches_exhaustive(a, b, 1, 2, weights=(0.5, 1, 2))
+    tied = sorted(k for k, (_, psi) in table.items() if psi == 0)
+    assert len(tied) > 1
+    assert picks == [tied[0]] * 3
+
+
+def test_going_up_screen_chunks_below_the_scan_limit(monkeypatch):
+    # more candidates than the generic screen takes at once: screened in
+    # chunks, never refused like an oversized scan
+    import subapprox.dirichlet as dirichlet
+    import subapprox.enumeration as enumeration
+
+    a = rnd_subspace(3, 5, 2)
+    b = from_generators([(2, -1, 3, 0, 1)])
+    want = going_up_search(a, b, 1, budget=1)
+    monkeypatch.setattr(enumeration, "_GENERIC_LIMIT", 7)
+    monkeypatch.setattr(dirichlet, "_GENERIC_LIMIT", 7)
+    got = going_up_search(a, b, 1, budget=1)
+    assert got.candidates > 7
+    assert (got.c.key, got.psi_after) == (want.c.key, want.psi_after)

@@ -353,3 +353,46 @@ def test_estimate_exponent_flat():
 def test_estimate_exponent_needs_two():
     with pytest.raises(ValueError):
         estimate_exponent([ApproximationRecord("k", mp.mpf(2), mp.mpf("0.5"), mp.mpf("0.5"), 1)])
+
+
+def test_float_psi_delta_is_sound(capsys):
+    # |psi_float - psi_mp| <= delta over 1,024 subspaces of four shapes, for
+    # random targets and a target within 1e-12 of a rational plane
+    from subapprox.angles import canonical_angles
+    from subapprox.enumeration import _float_psi_delta, _float_psi_generic
+    from subapprox.grassmann import real_view
+
+    rng = random.Random(2024)
+    worst = 0.0
+    for n, e in ((4, 2), (5, 2), (5, 3), (6, 2)):
+        plane = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+        with mp.workprec(128):
+            tilt = [[x + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** -12 for x in row]
+                    for row in plane]
+        targets = [RealSubspace.from_vectors(tilt)] + [
+            RealSubspace.from_vectors([[rng.gauss(0, 1) for _ in range(n)] for _ in range(2)])
+            for _ in range(3)]
+        # the first subspace contains the rational plane the first target is near
+        subspaces = [from_generators(plane + [[rng.randint(-3, 3) for _ in range(n)]
+                                              for _ in range(e - 2)])]
+        while len(subspaces) < 256:
+            bound = rng.choice((2, 9, 10 ** 4))
+            try:
+                subspaces.append(from_generators(
+                    [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(e)]))
+            except ValueError:
+                continue
+        delta = _float_psi_delta(n, e)
+        for t, a in enumerate(targets):
+            mine = subspaces[t::len(targets)]
+            etas = np.array([b.plucker.coords for b in mine], dtype=np.float64)
+            exact = [canonical_angles(a, real_view(b, 128)).sines for b in mine]
+            if t == 0:
+                assert float(exact[0][1]) < 1e-11
+            for j in (1, 2):
+                psi = _float_psi_generic(a, etas, n, e, j)
+                err = np.abs(psi - np.array([float(s[j - 1]) for s in exact]))
+                assert err.max() <= delta, (n, e, j, err.max(), delta)
+                worst = max(worst, err.max() / delta)
+    with capsys.disabled():
+        print("\nfloat psi screen: largest |psi_float - psi_mp| / delta = %.3g" % worst)

@@ -41,6 +41,13 @@ def test_gram_det_dimension_mismatch():
         gram_det_sq(cols((1, 0), (0, 1), (1, 1)))
 
 
+def test_gram_det_negative_determinant_raises(monkeypatch):
+    # the check survives python -O, unlike the assert it replaces
+    monkeypatch.setattr("subapprox.exact.det_int", lambda m: -1)
+    with pytest.raises(ArithmeticError):
+        gram_det_sq(cols((1, 0), (0, 1)))
+
+
 def test_wedge_identity_minors():
     assert wedge_plucker(cols((1, 0, 0, 0), (0, 1, 0, 0))) == (1, 0, 0, 0, 0, 0)
 
@@ -131,6 +138,20 @@ def test_kernel_int_simple():
 def test_kernel_int_is_saturated():
     # kernel of (2, -4): contains (2,1), saturated basis must be (2,1) itself
     assert kernel_int([(2, -4)], width=2) == [(2, 1)]
+
+
+def test_kernel_int_rank_mismatch_raises(monkeypatch):
+    import subapprox.exact as exact
+
+    real = exact._row_reduce_unimodular
+
+    def off_by_one(rows):
+        H, R, Rinv, rank = real(rows)
+        return H, R, Rinv, rank + 1
+
+    monkeypatch.setattr(exact, "_row_reduce_unimodular", off_by_one)
+    with pytest.raises(ArithmeticError):
+        kernel_int([(1, 0, 0)], width=3)
 
 
 def test_laplace_expansion_identity():
