@@ -21,7 +21,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, canonical_angles, principal_pairs, sin_angle
-from .enumeration import _GENERIC_LIMIT, _U, _float_psi_delta, _float_psi_generic, _refine_psi
+from .enumeration import _U, _float_psi_delta, _float_psi_generic, _refine_psi
 from .exact import (
     IntMat,
     PluckerVec,
@@ -537,11 +537,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     if not heights:
         raise ValueError("no extension found (all candidates degenerate)")
 
-    keys = sorted(heights)
-    if weight:
-        keys = _screen_candidates(a, keys, heights, n, e + 1, j, weight)
-    else:  # the score is H(C): decide it in integers, refine only the winner
-        keys = [min(keys, key=lambda k: (heights[k], k))]
+    keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight)
     scored = []  # (score, key, psi)
     with mp.workprec(prec):
         for key in keys:
@@ -565,19 +561,22 @@ def _screen_candidates(a, keys, heights, n, e, j, weight):
     psi_j lies in [psi - delta, psi + delta] cut to [0, 1], so the score lies
     in H times the image of that interval under psi -> psi^weight.  A key is
     dropped only when its lowest possible score exceeds the highest possible
-    score of some key, so it cannot be the minimum or tie with it.
+    score of some key, so it cannot be the minimum or tie with it.  Scores
+    are compared as logs, log H + weight log psi, so no power underflows;
+    psi = 0 gives log psi = -inf, and weight 0 gives the score H.
     """
-    etas = np.array(keys, dtype=np.float64)  # Python ints convert directly: no int64 overflow
-    psi = np.concatenate([_float_psi_generic(a, etas[i:i + _GENERIC_LIMIT], n, e, j)
-                          for i in range(0, len(etas), _GENERIC_LIMIT)])
+    psi = _float_psi_generic(a, np.array(keys, dtype=np.float64), n, e, j)  # no int64 cast
     delta = _float_psi_delta(n, e)
-    h = np.sqrt(np.array([heights[k] for k in keys], dtype=np.float64))
-    with np.errstate(divide="ignore"):  # 0 ** (weight < 0) is an infinite score
-        ends = [h * np.clip(psi + s, 0, 1) ** weight for s in (-delta, delta)]
-    lo, hi = ends if weight > 0 else ends[::-1]
-    # relative rounding of the float score: the subtraction feeding the power
-    # (|weight| u), the power (within 4 ulp), sqrt, the conversion of H^2 and the
-    # product (u each), and the mp score it is compared with (below u)
-    slack = (abs(weight) + 8) * _U
-    keep = lo * (1 - slack) <= (hi * (1 + slack)).min()
+    log_h = 0.5 * np.log(np.array([heights[k] for k in keys], dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = [weight * np.log(np.clip(psi + s, 0, 1)) for s in (-delta, delta)]
+    terms = [np.where(np.isnan(t), 0.0, t) for t in terms]  # 0 * log 0 is psi^0 = 1
+    if weight < 0:
+        terms.reverse()
+    # absolute error of a float log score: H^2's conversion and log, psi +- delta's
+    # rounding (|weight| u), its log (within 4 ulp), the product and the sum
+    # (u each), and the rounding of the mp score it stands for (below 4 u)
+    lo, hi = (log_h + t + sign * 8 * _U * (1 + abs(weight) + np.abs(log_h) + np.abs(t))
+              for t, sign in zip(terms, (-1, 1)))
+    keep = lo <= hi.min()
     return [k for k, kept in zip(keys, keep) if kept]

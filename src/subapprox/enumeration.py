@@ -582,7 +582,11 @@ def _refine_psi(a: RealSubspace, coords: tuple[int, ...], n, e, j, precision_bit
 
 
 _SCREEN_MARGIN = 1e-6
-_GENERIC_LIMIT = 500_000
+_GENERIC_LIMIT = 500_000  # largest scan the generic float screen accepts
+# working set of one batch of :func:`_float_psi_generic`: the stacked
+# annihilator matrices and their full SVD; a speed-neutral size, since LAPACK
+# works one matrix at a time either way
+_GENERIC_BATCH_BYTES = 1 << 22
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -598,8 +602,12 @@ def _float_psi_delta(n: int, e: int) -> float:
     * Rounding eta to float64 moves the map by at most sqrt(n - e) u |eta|
       (each eta_S sits in n - e rows).  The Householder-based SVD is backward
       stable: it returns the exact SVD of a matrix within p u |eta|, with
-      right singular vectors orthonormal within p u, where p = 4 m n (the
-      gamma~_mn of Higham, ch. 19, with its constant taken as 4).
+      right singular vectors orthonormal within p u, where p = 4 m n.  This is
+      the gamma~_mn of Higham, ch. 19, whose constant the literature (and
+      LAPACK's p(m, n)) leaves unspecified; it is assumed to be 4 here, for
+      the divide-and-conquer gesdd that numpy calls.  The assumption is
+      checked empirically: ``test_float_psi_delta_is_sound`` measures errors
+      below 5% of the resulting bound.
     * Wedin's sin-Theta theorem with the gap |eta| - (sqrt(n - e) + p) u |eta|
       >= |eta| / 2 puts the computed kernel B' within ||P_B - P_B'|| <=
       2 (sqrt(n - e) + p) u of B, whatever the conditioning of B's bases.
@@ -614,9 +622,9 @@ def _float_psi_delta(n: int, e: int) -> float:
       1-Lipschitz in the max norm.
 
     With a few u for sqrt and clipping, and sqrt(n - e), d and e bounded by
-    n >= 3, the sum is at most K u with K = 3 p + 13 n^2.  Doubling it covers
-    the second-order terms while K u <= 1/4, and the 2^-prec error of the mp
-    value it is compared with.  The line route of :func:`_float_psi_generic`
+    n >= 3, the sum is at most K u with K = 3 p + 13 n^2, given the assumed
+    SVD constant.  Doubling it covers the second-order terms while
+    K u <= 1/4, and the 2^-prec error of the mp value it is compared with.  The line route of :func:`_float_psi_generic`
     (no SVD) stays inside the same bound.
     """
     p = 4 * math.comb(n, e + 1) * n
@@ -642,8 +650,6 @@ def _float_psi_generic(a: RealSubspace, etas: np.ndarray, n: int, e: int, j: int
         sines = np.linalg.norm(S, axis=1)
         return np.where(cosv * cosv >= 0.5, sines,
                         np.sqrt(np.clip(1 - np.clip(cosv, 0, 1) ** 2, 0, 1)))
-    if count > _GENERIC_LIMIT:
-        raise ValueError("scan too large for the generic path (%d subspaces)" % count)
     # bases from the annihilator kernel x -> x wedge eta, batched
     idx = {s: i for i, s in enumerate(subsets(n, e))}
     rows_ids, col_ids, signs, srcs = [], [], [], []
@@ -654,21 +660,27 @@ def _float_psi_generic(a: RealSubspace, etas: np.ndarray, n: int, e: int, j: int
             col_ids.append(k)
             signs.append((-1) ** pos)
             srcs.append(idx[rest])
+    signs = np.array(signs, dtype=np.float64)
     R = len(subsets(n, e + 1))
-    A = np.zeros((count, R, n))
-    A[:, rows_ids, col_ids] = np.array(signs, dtype=np.float64) * etas[:, srcs]
-    _, sv, Vh = np.linalg.svd(A)
-    Y = Vh[:, n - e:, :]  # orthonormal kernel bases, (count, e, n)
-    G = Y @ X.T  # (count, e, d)
-    cosv = np.linalg.svd(G, compute_uv=False)  # descending, t values
-    S = Y - G @ X  # component of B off A
-    sines_all = np.sort(np.linalg.svd(S, compute_uv=False), axis=1)
-    sines = sines_all[:, :t]
-    cosv = np.clip(cosv[:, :t], 0, 1)
-    alt = np.sqrt(np.clip(1 - cosv * cosv, 0, 1))
-    psi = np.where(cosv * cosv >= 0.5, sines, alt)
-    psi = np.sort(psi, axis=1)
-    return psi[:, j - 1]
+    # per row: the R x n matrix, its R x R and n x n singular vectors, n values
+    batch = max(1, _GENERIC_BATCH_BYTES // (8 * (R * n + R * R + n * n + n)))
+    out = np.empty(count)
+    for lo in range(0, count, batch):
+        chunk = etas[lo:lo + batch]
+        A = np.zeros((len(chunk), R, n))
+        A[:, rows_ids, col_ids] = signs * chunk[:, srcs]
+        _, _, Vh = np.linalg.svd(A)
+        Y = Vh[:, n - e:, :]  # orthonormal kernel bases, (batch, e, n)
+        G = Y @ X.T  # (batch, e, d)
+        cosv = np.linalg.svd(G, compute_uv=False)  # descending, t values
+        S = Y - G @ X  # component of B off A
+        sines_all = np.sort(np.linalg.svd(S, compute_uv=False), axis=1)
+        sines = sines_all[:, :t]
+        cosv = np.clip(cosv[:, :t], 0, 1)
+        alt = np.sqrt(np.clip(1 - cosv * cosv, 0, 1))
+        psi = np.where(cosv * cosv >= 0.5, sines, alt)
+        out[lo:lo + batch] = np.sort(psi, axis=1)[:, j - 1]
+    return out
 
 
 def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int) -> np.ndarray:
@@ -682,6 +694,8 @@ def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int) -> np.ndarray:
         s = np.abs((bhat[:, ::-1] * eps[None, :]) @ apl)
         psi1, psi2 = _psi12_pairing(c, s)
         return psi1 if j == 1 else psi2
+    if enum.e > 1 and len(enum) > _GENERIC_LIMIT:
+        raise ValueError("scan too large for the generic path (%d subspaces)" % len(enum))
     return _float_psi_generic(a, enum.pluckers, enum.n, enum.e, j)
 
 

@@ -422,17 +422,43 @@ def test_going_up_screen_symmetric_ties_keep_smaller_key():
     assert picks == [tied[0]] * 3
 
 
-def test_going_up_screen_chunks_below_the_scan_limit(monkeypatch):
-    # more candidates than the generic screen takes at once: screened in
-    # chunks, never refused like an oversized scan
-    import subapprox.dirichlet as dirichlet
+def test_going_up_screen_is_not_refused_like_a_large_scan(monkeypatch):
+    # going-up screens more candidates than a scan may hold, in batches of a
+    # few rows, and picks the same C as with one batch
     import subapprox.enumeration as enumeration
 
     a = rnd_subspace(3, 5, 2)
     b = from_generators([(2, -1, 3, 0, 1)])
     want = going_up_search(a, b, 1, budget=1)
     monkeypatch.setattr(enumeration, "_GENERIC_LIMIT", 7)
-    monkeypatch.setattr(dirichlet, "_GENERIC_LIMIT", 7)
+    monkeypatch.setattr(enumeration, "_GENERIC_BATCH_BYTES", 3000)
     got = going_up_search(a, b, 1, budget=1)
     assert got.candidates > 7
     assert (got.c.key, got.psi_after) == (want.c.key, want.psi_after)
+
+
+def test_going_up_screen_scores_in_the_underflow_range(monkeypatch):
+    # Float psi 0.5 at H = 1 and 0.499 at H = 100: with weight 1074 the scores
+    # are about 4.9e-324 and 5.7e-323, but 0.499^1074 alone underflows to 0;
+    # with weight -1074 both overflow.  Compared as logs, the smaller score is
+    # kept and the larger one dropped.
+    import numpy as np
+
+    import subapprox.dirichlet as dirichlet
+
+    keys = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    heights = {keys[0]: 1, keys[1]: 100 ** 2}
+    monkeypatch.setattr(dirichlet, "_float_psi_generic",
+                        lambda *args: np.array([0.5, 0.499]))
+    a = rnd_subspace(0, 4, 2)
+    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1074.0) == keys[:1]
+    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1074.0) == keys[:1]
+
+
+def test_going_up_screen_matches_exhaustive_at_huge_weight():
+    # weights at which the least scores H psi^weight, about 2e-348 and 3e-872,
+    # lie below the float range
+    rng = random.Random(5201)
+    a = rnd_subspace(rng.randint(0, 10 ** 6), 5, 2)
+    b = from_generators([(3, -1, 4, 1, -5), (0, 2, -6, 5, 3)])
+    _assert_screen_matches_exhaustive(a, b, 1, 2, weights=(160, 400))

@@ -396,3 +396,33 @@ def test_float_psi_delta_is_sound(capsys):
                 worst = max(worst, err.max() / delta)
     with capsys.disabled():
         print("\nfloat psi screen: largest |psi_float - psi_mp| / delta = %.3g" % worst)
+
+
+def test_float_psi_generic_is_independent_of_the_batch(monkeypatch):
+    # the batched SVD treats each matrix alone: batches of 2 rows give the
+    # same floats, bit for bit, as one batch, and no SVD sees more rows
+    import subapprox.enumeration as enumeration
+
+    enum = enumerate_subspaces(5, 2, 3)
+    a = RealSubspace.from_vectors([[1, 0.5, -2, 0.25, 3], [0, 1, 1.5, -1, 0.75]])
+    one = enumeration._float_psi_generic(a, enum.pluckers, 5, 2, 1)
+    svd, stacks = np.linalg.svd, []
+
+    def recording_svd(m, *args, **kwargs):
+        stacks.append(len(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(enumeration, "_GENERIC_BATCH_BYTES", 2 * 8 * (10 * 5 + 100 + 25 + 5))
+    assert np.array_equal(enumeration._float_psi_generic(a, enum.pluckers, 5, 2, 1), one)
+    assert len(enum) > 2 and max(stacks) == 2
+
+
+def test_generic_scan_refuses_more_than_the_limit(monkeypatch):
+    import subapprox.enumeration as enumeration
+
+    enum = enumerate_subspaces(5, 2, 2)
+    a = RealSubspace.from_vectors([[1, 0.5, -2, 0.25, 3], [0, 1, 1.5, -1, 0.75]])
+    monkeypatch.setattr(enumeration, "_GENERIC_LIMIT", len(enum) - 1)
+    with pytest.raises(ValueError, match="too large"):
+        scan_target(a, 2, 1, 2, enumeration=enum)
