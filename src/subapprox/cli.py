@@ -1,7 +1,8 @@
 """Batch experiment driver.
 
 Subcommands: height, scan, witness, dirichlet, goingup, props.
-Exit codes: 0 success, 2 certificate failure, 3 parse error,
+Exit codes: 0 success, 2 certificate failure, 3 bad input (parse errors,
+refused arguments, precision failures; mapped in :func:`main` only),
 4 truncated-but-partial output.
 All randomness flows from --seed, and reals are printed with enough digits
 to round-trip at the working precision, so identical (config, seed) runs
@@ -15,13 +16,12 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
 from . import __version__
-from .angles import RealSubspace, canonical_angles, phi_via_det
+from .angles import PrecisionError, RealSubspace, canonical_angles, phi_via_det
 from .dirichlet import build_approximant, flag_basis, going_up_search, simultaneous_approx
 from .enumeration import enumerate_subspaces, estimate_exponent, scan_target
 from .exact import gram_det_sq
@@ -50,29 +50,6 @@ class ParseError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are parse errors, not cert failures
         self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
-
-
-@dataclass
-class ExperimentConfig:
-    n: int
-    d: int
-    e: int
-    j: int
-    height_max: float
-    precision_bits: int = 128
-    cache_dir: str | None = None
-    seed: int = 0
-    output_format: str = "csv"
-
-    def __post_init__(self):
-        if self.d + self.e > self.n:
-            raise ParseError("need d + e <= n (got d=%d e=%d n=%d)" % (self.d, self.e, self.n))
-        if not (1 <= self.j <= min(self.d, self.e)):
-            raise ParseError("need 1 <= j <= min(d, e)")
-        if self.precision_bits < 64:
-            raise ParseError("precision must be >= 64 bits")
-        if self.output_format not in ("csv", "json"):
-            raise ParseError("format must be csv or json")
 
 
 def _digits(prec: int) -> int:
@@ -119,12 +96,7 @@ def parse_target(spec: str, *, n: int | None, d: int | None, prec: int, seed: in
         _, sub = witness_r5(tok, precision_bits=prec)
         return sub, "r5:%s" % tok, False
     if kind == "gens":
-        rows = parse_gens(arg)
-        try:
-            sub = RealSubspace.from_vectors(rows, precision_bits=prec)
-        except ValueError as exc:
-            raise ParseError(str(exc))
-        return sub, "gens", True
+        return RealSubspace.from_vectors(parse_gens(arg), precision_bits=prec), "gens", True
     if kind == "random":
         try:
             dd = int(arg) if arg else d
@@ -149,19 +121,12 @@ def _emit(text: str, out: str | None):
 # ------------------------------------------------------------------- height
 
 def cmd_height(args) -> int:
-    try:
-        if args.gens:
-            b = from_generators(parse_gens(args.gens))
-        elif args.plucker:
-            b = from_plucker(parse_key(args.plucker))
-        else:
-            raise ParseError("height needs --gens or --plucker")
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return EXIT_PARSE
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_PARSE
+    if args.gens:
+        b = from_generators(parse_gens(args.gens))
+    elif args.plucker:
+        b = from_plucker(parse_key(args.plucker))
+    else:
+        raise ParseError("height needs --gens or --plucker")
     payload = {
         "n": b.n,
         "e": b.e,
@@ -184,20 +149,15 @@ def cmd_height(args) -> int:
 # --------------------------------------------------------------------- scan
 
 def cmd_scan(args) -> int:
-    try:
-        target, label, _ = parse_target(args.target, n=args.n, d=args.d,
-                                        prec=args.prec, seed=args.seed)
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return EXIT_PARSE
-    n = target.n
-    try:
-        cfg = ExperimentConfig(n=n, d=target.dim, e=args.e, j=args.j,
-                               height_max=args.hmax, precision_bits=args.prec,
-                               seed=args.seed, output_format=args.format)
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return EXIT_PARSE
+    target, label, _ = parse_target(args.target, n=args.n, d=args.d,
+                                    prec=args.prec, seed=args.seed)
+    n, d = target.n, target.dim
+    if d + args.e > n:
+        raise ParseError("need d + e <= n (got d=%d e=%d n=%d)" % (d, args.e, n))
+    if not (1 <= args.j <= min(d, args.e)):
+        raise ParseError("need 1 <= j <= min(d, e)")
+    if args.prec < 64:
+        raise ParseError("precision must be >= 64 bits")
     enum = enumerate_subspaces(n, args.e, args.hmax, cache_path=args.cache,
                                workers=args.workers, max_pairs=args.max_pairs)
     res = scan_target(target, args.e, args.j, args.hmax, enumeration=enum,
@@ -205,7 +165,7 @@ def cmd_scan(args) -> int:
     prec = args.prec
     lines = [
         "# scan n=%d d=%d e=%d j=%d hmax=%s prec=%d seed=%d target=%s"
-        % (n, target.dim, args.e, args.j, args.hmax, prec, args.seed, label),
+        % (n, d, args.e, args.j, args.hmax, prec, args.seed, label),
         "# truncated=%s rational_target=%s scanned=%d"
         % (str(res.truncated).lower(), str(res.rational_target).lower(), res.scanned),
         "height,psi_j,phi,key",
@@ -229,62 +189,58 @@ def cmd_witness(args) -> int:
     prec = args.prec
     report: dict = {"kind": args.kind, "precision_bits": prec}
     passed = True
-    try:
-        if args.kind == "r4":
-            tok = args.xi
-            report["param"] = tok
-            spec4 = witness_r4_spec(tok, precision_bits=prec)
-            sub = witness_r4(tok, precision_bits=prec)
-            report["spanning_vectors"] = [[fmt_mpf(x, prec) for x in v]
-                                          for v in spec4.derived]
-            if args.mod4 or args.search_bound:
-                cert = r4_irrationality_certificate(args.search_bound or 50)
-                report["irrationality"] = cert
-                passed = passed and cert["passed"]
-        else:
-            tok = args.zeta3
-            report["param"] = tok
-            spec, sub = witness_r5(tok, precision_bits=prec)
-            if args.residuals:
-                res = r5_relation_residuals(r5_plucker_coords(tok, prec),
-                                            precision_bits=4 * prec)
-                with mp.workprec(4 * prec):
-                    tol = mp.mpf(2) ** (-prec + 16) * max(
-                        mp.mpf(1), max(abs(c) for c in spec.derived) ** 2)
-                    ok = max(abs(r) for r in res) <= tol
-                report["residuals"] = {
-                    "values": [fmt_mpf(r, prec) for r in res],
-                    "tolerance": fmt_mpf(tol, prec),
-                    "annihilator_residual": fmt_mpf(spec.annihilator_residual, prec),
-                    "passed": bool(ok),
-                }
-                passed = passed and ok
-            if args.search_bound:
-                cert = r5_trivial_solution_search(args.search_bound)
-                report["trivial_solutions"] = cert
-                passed = passed and cert["passed"]
-        if args.lower_bound:
-            e = sub.n - sub.dim
-            enum = enumerate_subspaces(sub.n, e, args.hmax, cache_path=args.cache,
-                                       workers=args.workers)
-            rep = lower_bound_check(sub, e, args.exponent, args.hmax,
-                                    enumeration=enum, claimed_c=args.claimed_c,
-                                    precision_bits=prec)
-            report["lower_bound"] = {
-                "exponent": rep.exponent,
-                "count": rep.count,
-                "c_min": fmt_mpf(rep.c_min, prec),
-                "claimed_c": rep.claimed_c,
-                "argmin": rep.argmin_key,
-                "quantiles": {str(k): v for k, v in rep.quantiles.items()},
-                "truncated": rep.truncated,
-                "rational_target": rep.rational_target,
-                "passed": rep.passed(),
+    if args.kind == "r4":
+        tok = args.xi
+        report["param"] = tok
+        spec4 = witness_r4_spec(tok, precision_bits=prec)
+        sub = witness_r4(tok, precision_bits=prec)
+        report["spanning_vectors"] = [[fmt_mpf(x, prec) for x in v]
+                                      for v in spec4.derived]
+        if args.mod4 or args.search_bound:
+            cert = r4_irrationality_certificate(args.search_bound or 50)
+            report["irrationality"] = cert
+            passed = passed and cert["passed"]
+    else:
+        tok = args.zeta3
+        report["param"] = tok
+        spec, sub = witness_r5(tok, precision_bits=prec)
+        if args.residuals:
+            res = r5_relation_residuals(r5_plucker_coords(tok, prec),
+                                        precision_bits=4 * prec)
+            with mp.workprec(4 * prec):
+                tol = mp.mpf(2) ** (-prec + 16) * max(
+                    mp.mpf(1), max(abs(c) for c in spec.derived) ** 2)
+                ok = max(abs(r) for r in res) <= tol
+            report["residuals"] = {
+                "values": [fmt_mpf(r, prec) for r in res],
+                "tolerance": fmt_mpf(tol, prec),
+                "annihilator_residual": fmt_mpf(spec.annihilator_residual, prec),
+                "passed": bool(ok),
             }
-            passed = passed and rep.passed()
-    except (ParseError, ValueError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_PARSE
+            passed = passed and ok
+        if args.search_bound:
+            cert = r5_trivial_solution_search(args.search_bound)
+            report["trivial_solutions"] = cert
+            passed = passed and cert["passed"]
+    if args.lower_bound:
+        e = sub.n - sub.dim
+        enum = enumerate_subspaces(sub.n, e, args.hmax, cache_path=args.cache,
+                                   workers=args.workers)
+        rep = lower_bound_check(sub, e, args.exponent, args.hmax,
+                                enumeration=enum, claimed_c=args.claimed_c,
+                                precision_bits=prec)
+        report["lower_bound"] = {
+            "exponent": rep.exponent,
+            "count": rep.count,
+            "c_min": fmt_mpf(rep.c_min, prec),
+            "claimed_c": rep.claimed_c,
+            "argmin": rep.argmin_key,
+            "quantiles": {str(k): v for k, v in rep.quantiles.items()},
+            "truncated": rep.truncated,
+            "rational_target": rep.rational_target,
+            "passed": rep.passed(),
+        }
+        passed = passed and rep.passed()
     report["passed"] = bool(passed)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if passed else EXIT_CERT
@@ -293,18 +249,10 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------- dirichlet
 
 def cmd_dirichlet(args) -> int:
-    try:
-        target, label, _ = parse_target(args.target, n=args.n, d=args.d,
-                                        prec=args.prec, seed=args.seed)
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return EXIT_PARSE
+    target, label, _ = parse_target(args.target, n=args.n, d=args.d,
+                                    prec=args.prec, seed=args.seed)
     j = args.j
-    try:
-        fb = flag_basis(target, j)
-    except (ValueError, ArithmeticError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_PARSE
+    fb = flag_basis(target, j)
     x = fb.approximation_vector()
     big_n = fb.total_retained
     expo = (big_n + 1) / (j * big_n)
@@ -346,22 +294,11 @@ def cmd_dirichlet(args) -> int:
 # ------------------------------------------------------------------ goingup
 
 def cmd_goingup(args) -> int:
-    try:
-        target, label, _ = parse_target(args.target, n=args.n, d=args.d,
-                                        prec=args.prec, seed=args.seed)
-        b = from_generators(parse_gens(args.gens))
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return EXIT_PARSE
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_PARSE
-    try:
-        res = going_up_search(target, b, args.j, budget=args.budget, weight=args.weight,
-                              precision_bits=args.prec)
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_CERT
+    target, label, _ = parse_target(args.target, n=args.n, d=args.d,
+                                    prec=args.prec, seed=args.seed)
+    b = from_generators(parse_gens(args.gens))
+    res = going_up_search(target, b, args.j, budget=args.budget, weight=args.weight,
+                          precision_bits=args.prec)
     prec = args.prec
     n, e = b.n, b.e
     payload = {
@@ -555,11 +492,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input of any kind (a ParseError, which is a
+    ValueError, or a PrecisionError) is reported on one line and exits 3."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
+    except (ValueError, PrecisionError) as exc:
+        sys.stderr.write("%s: %s\n" % ("parse error" if isinstance(exc, ParseError) else "error", exc))
         return EXIT_PARSE
 
 

@@ -11,6 +11,7 @@ B whose height grows like q^j while psi_j(F, B) decays like q^-(N+1)/N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,14 +22,13 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, canonical_angles, principal_pairs, sin_angle
-from .enumeration import _U, _float_psi_delta, _float_psi_generic, _refine_psi
+from .enumeration import _U, _float_psi_delta, _float_psi_generic, _refine_psi, _wedge_matrix
 from .exact import (
-    IntMat,
     PluckerVec,
     complete_to_unimodular,
     lattice_contains,
     normalize_plucker,
-    wedge_plucker,
+    solve_fraction,
 )
 from .grassmann import RationalSubspace, from_generators, from_plucker
 
@@ -238,43 +238,12 @@ def _record_candidates_lll(xv, q_max, prec):
     return sorted(qs)
 
 
-def lll_reduce(basis: list[list[Fraction]], delta: Fraction = Fraction(99, 100)):
-    """Textbook LLL over exact rationals.  Returns (reduced_basis, transform)."""
+def lll_reduce(basis: list[list[Fraction]]):
+    """LLL over exact rationals, run by :func:`_lll_gram` on the Gram matrix.
+    Returns (reduced_basis, transform)."""
     b = [list(map(Fraction, row)) for row in basis]
-    k_dim = len(b)
-    U = [[Fraction(1 if i == j else 0) for j in range(k_dim)] for i in range(k_dim)]
-
-    def dot(u, v):
-        return sum(a * c for a, c in zip(u, v))
-
-    def gso():
-        star = []
-        mu = [[Fraction(0)] * k_dim for _ in range(k_dim)]
-        for i in range(k_dim):
-            v = list(b[i])
-            for j in range(i):
-                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
-                v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
-            star.append(v)
-        return star, mu
-
-    star, mu = gso()
-    k = 1
-    while k < k_dim:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                U[k] = [a - q * c for a, c in zip(U[k], U[j])]
-                star, mu = gso()
-        if dot(star[k], star[k]) >= (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1]):
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            U[k], U[k - 1] = U[k - 1], U[k]
-            star, mu = gso()
-            k = max(k - 1, 1)
-    return b, U
+    U = _lll_gram([[sum(x * y for x, y in zip(u, v)) for v in b] for u in b])
+    return [[sum(c * row[i] for c, row in zip(u, b)) for i in range(len(b[0]))] for u in U], U
 
 
 def build_approximant(flag: FlagBasis, approximant: DirichletApproximant):
@@ -414,39 +383,21 @@ class GoingUpResult:
 
 
 def _projected_gram(basis_cols, extras):
-    """Exact Gram matrix of the completion vectors projected off span(B)."""
-    e = len(basis_cols)
-    gram_b = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in basis_cols] for u in basis_cols]
-    # solve G c = <u, b_j> for the projection coefficients of each extra
-    def solve(rhs):
-        a = [row[:] + [rhs[i]] for i, row in enumerate(gram_b)]
-        for c in range(e):
-            piv = next(r for r in range(c, e) if a[r][c] != 0)
-            a[c], a[piv] = a[piv], a[c]
-            inv = Fraction(1) / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(e):
-                if r != c and a[r][c] != 0:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return [a[i][e] for i in range(e)]
+    """Exact Gram matrix of the completion vectors projected off span(B):
+    <u_i, u_j> - <c_i, (<u_j, b_a>)_a>, where G c_i = (<u_i, b_a>)_a for B's Gram matrix G."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
 
-    coeffs = []
-    for u in extras:
-        rhs = [Fraction(sum(a * b for a, b in zip(u, v))) for v in basis_cols]
-        coeffs.append(solve(rhs))
-    m = len(extras)
-    gram = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            raw = Fraction(sum(a * b for a, b in zip(extras[i], extras[j])))
-            corr = sum(coeffs[i][a] * coeffs[j][b] * gram_b[a][b]
-                       for a in range(e) for b in range(e))
-            gram[i][j] = raw - corr
-    return gram
+    gram_b = [[dot(u, v) for v in basis_cols] for u in basis_cols]
+    rhs = [[dot(u, v) for v in basis_cols] for u in extras]
+    coeffs = [solve_fraction(gram_b, r) for r in rhs]  # G is symmetric: its rows are its columns
+    return [[dot(u, w) - dot(c, r) for w, r in zip(extras, rhs)] for u, c in zip(extras, coeffs)]
 
 
-def _lll_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
+_LLL_DELTA = Fraction(99, 100)
+
+
+def _lll_gram(gram: list[list[Fraction]]):
     """LLL on a lattice given only by its Gram matrix; returns the transform."""
     m = len(gram)
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -483,7 +434,7 @@ def _lll_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
             if q:
                 apply_addmul(k, j, q)
                 mu, norm = gso()
-        if norm[k] >= (delta - mu[k][k - 1] ** 2) * norm[k - 1]:
+        if norm[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norm[k - 1]:
             k += 1
         else:
             apply_swap(k, k - 1)
@@ -500,6 +451,8 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     Candidates sweep a coefficient box over an LLL-reduced basis of the
     quotient lattice Z^n / (B cap Z^n), so the short extensions the height
     bound H(C) <= kappa H(B)^((n-e-1)/(n-e)) relies on are always in range.
+    No candidate v lies in B, so no wedge v ^ B is zero.  A candidate with
+    psi = 0 scores +inf when weight < 0.
     """
     n, e = b.n, b.e
     if e >= n - 1:
@@ -512,37 +465,26 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
 
     basis_cols = list(b.basis_vectors())
     extras = complete_to_unimodular(b.lattice_basis)
-    gram = _projected_gram(basis_cols, extras)
-    U = _lll_gram(gram)
-    reduced = [tuple(sum(c * u[i] for c, u in zip(row, extras)) for i in range(n))
-               for row in U]
-
-    m = len(reduced)
-    candidates = 0
+    U = _lll_gram(_projected_gram(basis_cols, extras))
+    # v ^ eta is linear in v, so one product wedges every candidate; object
+    # arrays hold Python ints, which cannot overflow
+    ints = functools.partial(np.array, dtype=object)
+    wedged = ints(U) @ ints(extras) @ _wedge_matrix(ints(b.plucker.coords), n, e)
+    coeffs = [c for c in itertools.product(range(-budget, budget + 1), repeat=len(U))
+              if next((x for x in c if x), 0) > 0]  # spans are insensitive to v -> -v
     heights: dict[tuple[int, ...], int] = {}
-    for coeffs in itertools.product(range(-budget, budget + 1), repeat=m):
-        if all(c == 0 for c in coeffs):
-            continue
-        lead = next(c for c in coeffs if c != 0)
-        if lead < 0:
-            continue  # spans are insensitive to v -> -v
-        candidates += 1
-        v = tuple(sum(c * r[i] for c, r in zip(coeffs, reduced)) for i in range(n))
-        try:
-            raw = wedge_plucker(IntMat.from_columns(basis_cols + [v]))
-        except ValueError:
-            continue
+    for raw in (ints(coeffs) @ wedged).tolist():
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
-    if not heights:
-        raise ValueError("no extension found (all candidates degenerate)")
 
     keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight)
     scored = []  # (score, key, psi)
     with mp.workprec(prec):
         for key in keys:
             psi = _refine_psi(a, key, n, e + 1, j, prec)[0]
-            scored.append((mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight), key, psi))
+            score = (mp.inf if psi == 0 and weight < 0
+                     else mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight))
+            scored.append((score, key, psi))
     best = min(scored, key=lambda s: s[:2])  # exact score ties keep the lex-smaller key
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
@@ -551,7 +493,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         psi_before = _refine_psi(a, b.plucker.coords, n, e, j, prec)[0]
         expo = mp.mpf(n - e - 1) / (n - e)
         ratio = float(mp.sqrt(mp.mpf(c_sub.height_sq)) / mp.mpf(b.height_sq) ** (expo / 2))
-    return GoingUpResult(c_sub, psi_before, best[2], ratio, candidates, contained)
+    return GoingUpResult(c_sub, psi_before, best[2], ratio, len(coeffs), contained)
 
 
 def _screen_candidates(a, keys, heights, n, e, j, weight):

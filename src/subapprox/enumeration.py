@@ -45,12 +45,9 @@ import numpy as np
 from mpmath import mp
 
 from .angles import RealSubspace, canonical_angles
-from .exact import (IntMat, PluckerVec, laplace_sign, normalize_plucker, subset_index, subsets,
-                    wedge_plucker)
+from .exact import PluckerVec, laplace_sign, subsets, wedge_terms
 from .grassmann import RationalSubspace, from_plucker, plucker_relations, real_view
 
-# squared Minkowski constants (2^e / V_e)^2; the product bound of the reference sweep
-_MINK_SQ = {1: 1.0, 2: 16.0 / math.pi ** 2, 3: 36.0 / math.pi ** 2}
 _SHARD_SIZE = 64  # first-vector candidates per shard; fixed so cache layout is stable
 # names the shard layout above; a partial cache of another layout is rebuilt, not resumed
 _CACHE_VERSION = "v2"
@@ -169,43 +166,6 @@ def _unique_sorted(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S[first], order[first]
 
 
-def _sort_pluckers(P: np.ndarray) -> np.ndarray:
-    return _unique_sorted(P)[0]
-
-
-def _enumerate_generic(n: int, e: int, hmax_sq: int):
-    """Reference sweep (pure python, exact wedges); kept as the oracle the
-    vectorized routes are tested against."""
-    prod_cap = int(_MINK_SQ[e] * hmax_sq * (1 + 1e-9)) + 1
-    V = _integer_ball(n, prod_cap)
-    n2 = (V * V).sum(1)
-    vecs = [tuple(int(x) for x in v) for v in V]
-    keys = set()
-    pairs = 0
-
-    def rec(start, chosen, prod):
-        nonlocal pairs
-        if len(chosen) == e:
-            pairs += 1
-            try:
-                raw = wedge_plucker(IntMat.from_columns(chosen))
-            except ValueError:
-                return
-            pl = normalize_plucker(raw, n, e)
-            if pl.norm_sq <= hmax_sq:
-                keys.add(pl.coords)
-            return
-        for i in range(start, len(vecs)):
-            p = prod * int(n2[i])
-            if p > prod_cap:
-                break
-            rec(i, chosen + [vecs[i]], p)
-
-    rec(0, [], 1)
-    P = np.array(sorted(keys), dtype=np.int64) if keys else np.zeros((0, math.comb(n, e)), dtype=np.int64)
-    return P, pairs
-
-
 def _product_cap(e: int, hmax_sq: int) -> int:
     """Exact bound on |v_1|^2 ... |v_e|^2 over the bases the sweep needs.
 
@@ -222,21 +182,17 @@ def _product_cap(e: int, hmax_sq: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _wedge_terms(n: int, e: int) -> tuple[np.ndarray, ...]:
-    """Index arrays (x, T, sign, S) of the terms sign * x[x] * w[S] that make up
-    (w ^ x)_T = sum_pos (-1)^(e-1-pos) x[T[pos]] w[T without T[pos]], where
-    w is the Plucker vector of an (e-1)-blade and T runs over the e-subsets."""
-    lower = subset_index(n, e - 1)
-    terms = [(t, col, (-1) ** (e - 1 - pos), lower[T[:pos] + T[pos + 1:]])
-             for col, T in enumerate(subsets(n, e)) for pos, t in enumerate(T)]
-    return tuple(np.array(c) for c in zip(*terms))
+def _wedge_index(n: int, e: int) -> tuple[np.ndarray, ...]:
+    """:func:`~subapprox.exact.wedge_terms` as index arrays."""
+    return tuple(np.array(c) for c in wedge_terms(n, e))
 
 
-def _wedge_matrix(w: np.ndarray, n: int, e: int) -> np.ndarray:
-    """M with x @ M = w ^ x: the wedge is linear in its last vector."""
-    x_at, col, sign, src = _wedge_terms(n, e)
-    M = np.zeros((n, math.comb(n, e)), dtype=np.int64)
-    M[x_at, col] = sign * w[src]
+def _wedge_matrix(eta: np.ndarray, n: int, e: int) -> np.ndarray:
+    """M in eta's dtype with x @ M = x ^ eta for the Plucker vector eta of an
+    e-blade: the transposed annihilator, since the wedge is linear in x."""
+    T, k, sign, S = _wedge_index(n, e)
+    M = np.zeros((n, math.comb(n, e + 1)), dtype=eta.dtype)
+    M[k, T] = sign * eta[S]
     return M
 
 
@@ -255,14 +211,14 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
             prefixes = [(v1, a, k1)]
         else:  # v3 is no shorter than v2, so k1 k2^2 <= prod_cap
             stop = int(np.searchsorted(n2, math.isqrt(prod_cap // k1), side="right"))
-            minors = V[a + 1:stop] @ _wedge_matrix(v1, n, 2)
+            minors = V[a + 1:stop] @ _wedge_matrix(v1, n, 1)
             prefixes = [(minors[b - a - 1], b, k1 * int(n2[b])) for b in range(a + 1, stop)]
         for w, last, prod in prefixes:
             X = V[last + 1:int(np.searchsorted(n2, prod_cap // prod, side="right"))]
             if e == 2:  # Lagrange-Gauss reduced
                 X = X[2 * np.abs(X @ v1) <= k1]
             pairs += len(X)
-            W = X @ _wedge_matrix(w, n, e)
+            W = X @ _wedge_matrix(w, n, e - 1)  # +-(v1 ^ ... ^ x); the sign is canonicalised
             W = W[(W * W).sum(1) <= hmax_sq]
             out.append(W[np.gcd.reduce(np.abs(W), axis=1) == 1])
     rows = np.concatenate(out) if out else np.zeros((0, math.comb(n, e)), dtype=np.int64)
@@ -300,11 +256,12 @@ def _run_shards(jobs, workers, max_pairs):
     return rows, pairs
 
 
-def _hodge_star(P: np.ndarray, n: int, e: int) -> np.ndarray:
-    """Canonical (n, e) rows of the orthogonal complements of the (n, n - e)
-    subspaces P: the complement of the i-th (n - e)-subset is the (N-1-i)-th
-    e-subset, twisted by its Laplace sign."""
-    return _canonical_sign_rows(P[:, ::-1] * _laplace_eps(n, e))
+def _hodge_twist(P: np.ndarray, n: int, e: int) -> np.ndarray:
+    """The (n, n - e) Plucker rows P reversed and twisted by the Laplace signs
+    of the e-subsets: the complement of the i-th (n - e)-subset is the
+    (N-1-i)-th e-subset, so these are the Hodge stars, whose subspaces are the
+    orthogonal complements, and <a, *eta> is the dot product of a with the twist."""
+    return P[..., ::-1] * np.array([laplace_sign(s) for s in subsets(n, e)])
 
 
 def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = None,
@@ -330,14 +287,14 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     if cache_path is not None and os.path.exists(cache_path):
         nshards, done, complete = _load_cache(cache_path, n, e, hmax_sq)
         if complete:
-            return Enumeration(n, e, hmax_sq, _sort_pluckers(np.concatenate(done)))
+            return Enumeration(n, e, hmax_sq, _unique_sorted(np.concatenate(done))[0])
 
     jobs = _shard_jobs(n, f, hmax_sq)
     if nshards != len(jobs):
         done = []
     swept, pairs = _run_shards(jobs[len(done):], workers, max_pairs)
     if f != e:
-        swept = [_hodge_star(P, n, e) for P in swept]
+        swept = [_canonical_sign_rows(_hodge_twist(P, n, e)) for P in swept]
     shards = done + swept
     rows, first = _unique_sorted(np.concatenate(shards))
     shard_of = np.searchsorted(np.cumsum([len(P) for P in shards]), first, side="right")
@@ -531,10 +488,6 @@ class ExponentEstimate:
     fit_residual: float
 
 
-def _laplace_eps(n: int, e: int) -> np.ndarray:
-    return np.array([laplace_sign(s) for s in subsets(n, e)], dtype=np.int64)
-
-
 def target_plucker(a: RealSubspace):
     """Unit Plucker coordinate vector of a real subspace (mp floats)."""
     with mp.workprec(a.precision_bits):
@@ -551,15 +504,9 @@ def target_plucker(a: RealSubspace):
 
 
 def hodge_pairing_floats(a: RealSubspace, etas: np.ndarray) -> np.ndarray:
-    """|<a, *eta>| per row: the numerator of phi(A, B) * H(B) for d + e = n.
-
-    The complement of the i-th d-subset is the (N-1-i)-th e-subset in lex
-    order, so the Hodge pairing is a sign-twisted reversed dot product.
-    """
+    """|<a, *eta>| per row: the numerator of phi(A, B) * H(B) for d + e = n."""
     apl = np.array([float(x) for x in target_plucker(a)])
-    eps = _laplace_eps(a.n, a.dim).astype(np.float64)
-    pairing = (etas[:, ::-1].astype(np.float64) * eps[None, :]) @ apl
-    return np.abs(pairing)
+    return np.abs(_hodge_twist(etas.astype(np.float64), a.n, a.dim) @ apl)
 
 
 def _psi12_pairing(c: np.ndarray, s: np.ndarray):
@@ -651,24 +598,16 @@ def _float_psi_generic(a: RealSubspace, etas: np.ndarray, n: int, e: int, j: int
         return np.where(cosv * cosv >= 0.5, sines,
                         np.sqrt(np.clip(1 - np.clip(cosv, 0, 1) ** 2, 0, 1)))
     # bases from the annihilator kernel x -> x wedge eta, batched
-    idx = {s: i for i, s in enumerate(subsets(n, e))}
-    rows_ids, col_ids, signs, srcs = [], [], [], []
-    for rme, tsub in enumerate(subsets(n, e + 1)):
-        for pos, k in enumerate(tsub):
-            rest = tuple(x for x in tsub if x != k)
-            rows_ids.append(rme)
-            col_ids.append(k)
-            signs.append((-1) ** pos)
-            srcs.append(idx[rest])
-    signs = np.array(signs, dtype=np.float64)
-    R = len(subsets(n, e + 1))
+    at_t, at_k, sign, src = _wedge_index(n, e)
+    R = math.comb(n, e + 1)
     # per row: the R x n matrix, its R x R and n x n singular vectors, n values
     batch = max(1, _GENERIC_BATCH_BYTES // (8 * (R * n + R * R + n * n + n)))
     out = np.empty(count)
     for lo in range(0, count, batch):
         chunk = etas[lo:lo + batch]
         A = np.zeros((len(chunk), R, n))
-        A[:, rows_ids, col_ids] = signs * chunk[:, srcs]
+        # in floats, so -1 * 0 is -0.0: the SVD's output bits depend on the signs of zeros
+        A[:, at_t, at_k] = sign * chunk[:, src].astype(np.float64)
         _, _, Vh = np.linalg.svd(A)
         Y = Vh[:, n - e:, :]  # orthonormal kernel bases, (batch, e, n)
         G = Y @ X.T  # (batch, e, d)
@@ -689,10 +628,7 @@ def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int) -> np.ndarray:
         norms = np.sqrt((etas * etas).sum(1))
         bhat = etas / norms[:, None]
         apl = np.array([float(x) for x in target_plucker(a)])
-        eps = _laplace_eps(4, 2).astype(np.float64)
-        c = np.abs(bhat @ apl)
-        s = np.abs((bhat[:, ::-1] * eps[None, :]) @ apl)
-        psi1, psi2 = _psi12_pairing(c, s)
+        psi1, psi2 = _psi12_pairing(np.abs(bhat @ apl), np.abs(_hodge_twist(bhat, 4, 2) @ apl))
         return psi1 if j == 1 else psi2
     if enum.e > 1 and len(enum) > _GENERIC_LIMIT:
         raise ValueError("scan too large for the generic path (%d subspaces)" % len(enum))

@@ -36,6 +36,26 @@ def subset_index(n: int, e: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(subsets(n, e))}
 
 
+@lru_cache(maxsize=None)
+def wedge_terms(n: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Index columns (T, k, sign, S) of the terms of x ^ eta for an e-blade eta:
+    (x ^ eta)_T = sum of sign * x[k] * eta[S] over the terms of T, where T
+    indexes the (e+1)-subsets, k = T[pos], sign = (-1)^pos and S indexes
+    T without k.  The annihilator x -> x ^ eta of every route is this table."""
+    idx = subset_index(n, e)
+    terms = [(t, k, (-1) ** pos, idx[sub[:pos] + sub[pos + 1:]])
+             for t, sub in enumerate(subsets(n, e + 1)) for pos, k in enumerate(sub)]
+    return tuple(zip(*terms))
+
+
+def annihilator_rows(eta: Sequence, n: int, e: int) -> list[list]:
+    """Rows of x -> x ^ eta, indexed by the (e+1)-subsets, with entries of eta's type."""
+    rows = [[0] * n for _ in range(math.comb(n, e + 1))]
+    for t, k, sign, s in zip(*wedge_terms(n, e)):
+        rows[t][k] = sign * eta[s]
+    return rows
+
+
 def laplace_sign(subset: Sequence[int]) -> int:
     """Sign pairing the minor at `subset` (0-based rows) with its complement.
 

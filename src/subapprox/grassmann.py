@@ -18,6 +18,7 @@ from .angles import RealSubspace
 from .exact import (
     IntMat,
     PluckerVec,
+    annihilator_rows,
     clear_denominators,
     hnf_rows,
     kernel_int,
@@ -119,20 +120,6 @@ def plucker_relations_check(coords: Sequence[int], n: int, e: int) -> bool:
     return True
 
 
-def _annihilator_rows(v: PluckerVec) -> list[list[int]]:
-    """Integer matrix of x -> x wedge v, rows indexed by (e+1)-subsets."""
-    n, e = v.n, v.e
-    idx = subset_index(n, e)
-    rows = []
-    for tsub in subsets(n, e + 1):
-        row = [0] * n
-        for pos, k in enumerate(tsub):
-            rest = tuple(x for x in tsub if x != k)
-            row[k] = (-1) ** pos * v.coords[idx[rest]]
-        rows.append(row)
-    return rows
-
-
 def from_plucker(v: PluckerVec) -> RationalSubspace:
     """Recover the rational subspace with Plucker vector v.
 
@@ -146,7 +133,7 @@ def from_plucker(v: PluckerVec) -> RationalSubspace:
     if e == n:
         basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     else:
-        basis = kernel_int(_annihilator_rows(v), width=n)
+        basis = kernel_int(annihilator_rows(v.coords, n, e), width=n)
         if len(basis) != e:
             raise ValueError("vector is not decomposable (kernel rank %d != %d)" % (len(basis), e))
         basis = hnf_rows(basis)

@@ -14,7 +14,6 @@ subspace is recovered from them by a least-squares annihilator.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,8 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace
-from .enumeration import Enumeration, hodge_pairing_floats, target_plucker
-from .exact import laplace_sign, subsets
+from .enumeration import Enumeration, _hodge_twist, hodge_pairing_floats, target_plucker
+from .exact import annihilator_rows
 
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
 
@@ -223,15 +222,8 @@ def witness_r5(zeta3="sqrt3+1/4", precision_bits: int = 128):
 def _r5_recover(coords, prec):
     """Kernel of x -> x wedge p as the span; the ratio sigma_3/sigma_1 of the
     annihilator's singular values reports how decomposable p was."""
-    n, e = 5, 3
-    idx = {s: i for i, s in enumerate(subsets(n, e))}
     with mp.workprec(prec):
-        m = mp.matrix(5, 5)
-        for r, tsub in enumerate(subsets(n, e + 1)):
-            for pos, k in enumerate(tsub):
-                rest = tuple(x for x in tsub if x != k)
-                m[r, k] = (-1) ** pos * coords[idx[rest]]
-        u, s, v = mp.svd_r(m)
+        u, s, v = mp.svd_r(mp.matrix(annihilator_rows(coords, 5, 3)))
         order = sorted(range(5), key=lambda i: -abs(s[i]))
         ann_res = abs(s[order[2]]) / abs(s[order[0]])
         basis = [[v[order[k], j] for j in range(5)] for k in (2, 3, 4)]
@@ -330,12 +322,10 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
 
     with mp.workprec(prec):
         apl = target_plucker(witness)
-        eps = [laplace_sign(s) for s in subsets(n, witness.dim)]
 
         def exact_value(i):
-            coords = enum.coords_at(i)
-            rev = coords[::-1]
-            pair = mp.fsum(apl[k] * eps[k] * rev[k] for k in range(len(apl)))
+            twisted = _hodge_twist(enum.pluckers[i], n, witness.dim)
+            pair = mp.fsum(x * int(t) for x, t in zip(apl, twisted))
             hh = mp.mpf(int(enum.heights_sq[i]))
             return abs(pair) * hh ** ((mp.mpf(exponent) - 1) / 2)
 

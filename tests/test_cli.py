@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -167,6 +168,36 @@ def test_goingup_json_pinned(tmp_path, argv, digest):
     assert main(["goingup", "--target", "random:2", *argv, "--budget", "2",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_goingup_negative_weight_with_psi_zero(capsys):
+    # B lies in A, so psi_1 is 0 for every C: exactly 0 in mp for some, which
+    # score +inf at weight -1, and rounding-level for the rest
+    code = main(["goingup", "--target", "gens:1 1 0 0; 0 0 0 1", "--gens", "1 1 0 0",
+                 "--budget", "1", "--weight", "-1"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    # the least score is an exact tie of 4 2 : 1 -1 0 -1 0 0 and 4 2 : 1 1 0 1 0 0;
+    # the lexicographically smaller key wins
+    assert data["c"] == "4 2 : 1 -1 0 -1 0 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--target", "random:2", "--n", "8", "--e", "4", "--hmax", "2"),  # min(e, n - e) > 3
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "0.5"),  # height below 1
+    ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "0"),
+    ("goingup", "--target", "random:2", "--n", "4", "--gens", "3 1 4 1", "--budget", "0"),
+])
+def test_bad_input_exits_3_with_one_error_line(argv):
+    import subapprox
+
+    src = os.path.dirname(os.path.dirname(subapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "subapprox.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_props_passes(capsys):

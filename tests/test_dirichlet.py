@@ -128,6 +128,56 @@ def test_lll_reduce_shortens():
     assert norms[0] <= 2  # (1, -1) or shorter
 
 
+def _textbook_lll(basis, delta=Fraction(99, 100)):
+    """Textbook LLL over exact rationals, with the full Gram-Schmidt recomputed
+    after every step: the oracle for the Gram-matrix route."""
+    b = [list(map(Fraction, row)) for row in basis]
+    k_dim = len(b)
+    U = [[Fraction(1 if i == j else 0) for j in range(k_dim)] for i in range(k_dim)]
+
+    def dot(u, v):
+        return sum(a * c for a, c in zip(u, v))
+
+    def gso():
+        star = []
+        mu = [[Fraction(0)] * k_dim for _ in range(k_dim)]
+        for i in range(k_dim):
+            v = list(b[i])
+            for j in range(i):
+                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
+                v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
+            star.append(v)
+        return star, mu
+
+    star, mu = gso()
+    k = 1
+    while k < k_dim:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
+                U[k] = [a - q * c for a, c in zip(U[k], U[j])]
+                star, mu = gso()
+        if dot(star[k], star[k]) >= (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1]):
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            U[k], U[k - 1] = U[k - 1], U[k]
+            star, mu = gso()
+            k = max(k - 1, 1)
+    return b, U
+
+
+def test_lll_reduce_matches_textbook_lll():
+    rng = random.Random(41)
+    for _ in range(50):
+        k = rng.randint(2, 5)
+        width = k + rng.randint(0, 2)
+        basis = [[Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3))) for _ in range(width)]
+                 for _ in range(k)]
+        assert lll_reduce(basis) == _textbook_lll(basis)
+
+
 def test_simultaneous_approx_lll_route():
     with mp.workprec(192):
         recs = simultaneous_approx([mp.sqrt(2), mp.sqrt(3)], 200_000, method="lll")
@@ -364,7 +414,10 @@ def _exhaustive_pick(table, weight, prec=128):
     best = None
     with mp.workprec(prec):
         for key, (hsq, psi) in table.items():
-            score = mp.sqrt(mp.mpf(hsq)) * psi ** mp.mpf(weight) if weight else mp.sqrt(mp.mpf(hsq))
+            if psi == 0 and weight < 0:
+                score = mp.inf
+            else:
+                score = mp.sqrt(mp.mpf(hsq)) * psi ** mp.mpf(weight) if weight else mp.sqrt(mp.mpf(hsq))
             if best is None or score < best[0] or (score == best[0] and key < best[1]):
                 best = (score, key, psi)
     return best
@@ -462,3 +515,26 @@ def test_going_up_screen_matches_exhaustive_at_huge_weight():
     a = rnd_subspace(rng.randint(0, 10 ** 6), 5, 2)
     b = from_generators([(3, -1, 4, 1, -5), (0, 2, -6, 5, 3)])
     _assert_screen_matches_exhaustive(a, b, 1, 2, weights=(160, 400))
+
+
+def test_going_up_negative_weight_scores_psi_zero_as_infinite():
+    # B lies in A, so every C meets A: psi_1 is exactly 0 in mp for some C and
+    # rounding-level for the rest; 0^-1 is +inf, not a ZeroDivisionError
+    with mp.workprec(128):
+        a = RealSubspace.from_vectors([(1, 1, 0, 0), (0, 0, 0, 1)])
+    b = from_generators([(1, 1, 0, 0)])
+    table, picks = _assert_screen_matches_exhaustive(a, b, 1, 1, weights=(-1, -0.5))
+    zero = [k for k, (_, psi) in table.items() if psi == 0]
+    assert zero and picks[0] not in zero
+
+
+def test_going_up_wedge_is_exact_beyond_int64():
+    # B's entries exceed 2^40, so its Plucker vector eta exceeds 2^63 and so do
+    # the raw wedges v ^ eta before their gcd is divided out: the pick must
+    # still equal the exact (Bareiss) oracle's
+    big = 2 ** 40
+    a = rnd_subspace(17, 4, 2)
+    b = from_generators([(big + 3, 5 * big - 1, 7, -(3 * big + 11)),
+                         (2 * big + 1, -big, big + 9, 4)])
+    assert max(abs(x) for x in b.plucker.coords) > 2 ** 63
+    _assert_screen_matches_exhaustive(a, b, 1, 2, weights=(1,))

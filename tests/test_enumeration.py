@@ -103,13 +103,54 @@ def test_enumeration_e3_round_trip():
     assert len(enum) == len(lines)
 
 
+# squared Minkowski constants (2^e / V_e)^2; the product bound of the reference sweep
+_MINK_SQ = {1: 1.0, 2: 16.0 / math.pi ** 2, 3: 36.0 / math.pi ** 2}
+
+
+def _enumerate_generic(n: int, e: int, hmax_sq: int):
+    """Reference sweep (pure python, exact wedges): the oracle the vectorized
+    routes are tested against.  Returns the rows, unsorted, and the number of
+    e-tuples wedged."""
+    from subapprox.enumeration import _integer_ball
+    from subapprox.exact import IntMat, normalize_plucker, wedge_plucker
+
+    prod_cap = int(_MINK_SQ[e] * hmax_sq * (1 + 1e-9)) + 1
+    V = _integer_ball(n, prod_cap)
+    n2 = (V * V).sum(1)
+    vecs = [tuple(int(x) for x in v) for v in V]
+    keys = set()
+    pairs = 0
+
+    def rec(start, chosen, prod):
+        nonlocal pairs
+        if len(chosen) == e:
+            pairs += 1
+            try:
+                raw = wedge_plucker(IntMat.from_columns(chosen))
+            except ValueError:
+                return
+            pl = normalize_plucker(raw, n, e)
+            if pl.norm_sq <= hmax_sq:
+                keys.add(pl.coords)
+            return
+        for i in range(start, len(vecs)):
+            p = prod * int(n2[i])
+            if p > prod_cap:
+                break
+            rec(i, chosen + [vecs[i]], p)
+
+    rec(0, [], 1)
+    P = np.array(sorted(keys), dtype=np.int64) if keys else np.zeros((0, math.comb(n, e)), dtype=np.int64)
+    return P, pairs
+
+
 def test_enumeration_e3_matches_reference_sweep():
-    from subapprox.enumeration import _enumerate_generic, _sort_pluckers
+    from subapprox.enumeration import _unique_sorted
 
     for (n, hmax) in ((4, 3), (5, 2)):
         fast = enumerate_subspaces(n, 3, hmax)
         ref, _ = _enumerate_generic(n, 3, hmax * hmax)
-        assert np.array_equal(fast.pluckers, _sort_pluckers(ref))
+        assert np.array_equal(fast.pluckers, _unique_sorted(ref)[0])
 
 
 def test_enumeration_e3_duality_with_planes():
@@ -124,11 +165,11 @@ def test_enumeration_e3_duality_with_planes():
 @pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (5, 2, 3), (6, 2, 2), (6, 3, 1)])
 def test_sweep_matches_reference_sweep(n, e, hmax):
     # the reduced plane sweep and the e=3 sweep, row for row against the oracle
-    from subapprox.enumeration import _enumerate_generic, _sort_pluckers
+    from subapprox.enumeration import _unique_sorted
 
     fast = enumerate_subspaces(n, e, hmax)
     ref, _ = _enumerate_generic(n, e, hmax * hmax)
-    assert np.array_equal(fast.pluckers, _sort_pluckers(ref))
+    assert np.array_equal(fast.pluckers, _unique_sorted(ref)[0])
 
 
 def _hodge_duals(enum):

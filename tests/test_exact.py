@@ -4,6 +4,7 @@ import pytest
 
 from subapprox.exact import (
     IntMat,
+    annihilator_rows,
     clear_denominators,
     complete_to_unimodular,
     det_int,
@@ -210,3 +211,26 @@ def test_clear_denominators():
 
     assert clear_denominators([Fraction(1, 2), Fraction(0), Fraction(3)]) == (1, 0, 6)
     assert clear_denominators([1, 2]) == (1, 2)
+
+
+@pytest.mark.parametrize("n,e", [(4, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3)])
+def test_annihilator_is_the_wedge_with_the_blade(n, e):
+    # x -> x ^ eta, applied to v, is the Bareiss wedge of B's basis and v up to
+    # the sign (-1)^e of moving v to the front
+    rng = random.Random(100 * n + e)
+    for _ in range(10):
+        basis = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(e)]
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        try:
+            eta = wedge_plucker(cols(*basis))
+        except ValueError:
+            continue
+        got = [sum(a * x for a, x in zip(row, v)) for row in annihilator_rows(eta, n, e)]
+        assert got == [(-1) ** e * w for w in _wedge_or_zero(cols(*basis, v))]
+
+
+def _wedge_or_zero(mat):
+    try:
+        return wedge_plucker(mat)
+    except ValueError:
+        return [0] * len(subsets(mat.rows, mat.cols))
