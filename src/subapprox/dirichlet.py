@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, canonical_angles, principal_pairs, sin_angle
-from .enumeration import _U, _float_psi_delta, _float_psi_generic, _refine_psi, _wedge_matrix
+from .enumeration import _U, _float_psi_delta, _float_psi_generic, _refine_psi, _wedge_matrix, _zero_tol
 from .exact import (
     PluckerVec,
     complete_to_unimodular,
@@ -451,8 +451,9 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     Candidates sweep a coefficient box over an LLL-reduced basis of the
     quotient lattice Z^n / (B cap Z^n), so the short extensions the height
     bound H(C) <= kappa H(B)^((n-e-1)/(n-e)) relies on are always in range.
-    No candidate v lies in B, so no wedge v ^ B is zero.  A candidate with
-    psi = 0 scores +inf when weight < 0.
+    No candidate v lies in B, so no wedge v ^ B is zero.  A psi below the
+    zero tolerance 2^-(prec/2) is rounding noise and counts as 0, and a
+    candidate with psi = 0 scores +inf when weight < 0.
     """
     n, e = b.n, b.e
     if e >= n - 1:
@@ -477,11 +478,11 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
 
-    keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight)
+    keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight, prec)
     scored = []  # (score, key, psi)
     with mp.workprec(prec):
         for key in keys:
-            psi = _refine_psi(a, key, n, e + 1, j, prec)[0]
+            psi = _refined_psi(a, key, n, e + 1, j, prec)
             score = (mp.inf if psi == 0 and weight < 0
                      else mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight))
             scored.append((score, key, psi))
@@ -490,17 +491,25 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
     contained = all(lattice_contains(c_sub.lattice_basis, col) for col in basis_cols)
     with mp.workprec(prec):
-        psi_before = _refine_psi(a, b.plucker.coords, n, e, j, prec)[0]
+        psi_before = _refined_psi(a, b.plucker.coords, n, e, j, prec)
         expo = mp.mpf(n - e - 1) / (n - e)
         ratio = float(mp.sqrt(mp.mpf(c_sub.height_sq)) / mp.mpf(b.height_sq) ** (expo / 2))
     return GoingUpResult(c_sub, psi_before, best[2], ratio, len(coeffs), contained)
 
 
-def _screen_candidates(a, keys, heights, n, e, j, weight):
+def _refined_psi(a, key, n, e, j, prec):
+    """psi_j(A, C) at prec bits, 0 below the zero tolerance."""
+    psi = _refine_psi(a, key, n, e, j, prec)[0]
+    return psi if psi >= _zero_tol(prec) else mp.mpf(0)
+
+
+def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
     """The keys, in order, whose score H(C) psi_j(A, C)^weight can still be
     the minimum, judged from a float64 psi within delta of the exact one.
 
-    psi_j lies in [psi - delta, psi + delta] cut to [0, 1], so the score lies
+    psi_j lies in [psi - delta, psi + delta] cut to [0, 1], and counts as 0
+    below the zero tolerance of prec bits, so a lower end below twice the
+    tolerance (a margin for its own rounding) is taken as 0.  The score lies
     in H times the image of that interval under psi -> psi^weight.  A key is
     dropped only when its lowest possible score exceeds the highest possible
     score of some key, so it cannot be the minimum or tie with it.  Scores
@@ -510,8 +519,9 @@ def _screen_candidates(a, keys, heights, n, e, j, weight):
     psi = _float_psi_generic(a, np.array(keys, dtype=np.float64), n, e, j)  # no int64 cast
     delta = _float_psi_delta(n, e)
     log_h = 0.5 * np.log(np.array([heights[k] for k in keys], dtype=np.float64))
+    low = np.where(psi - delta < 2 * float(_zero_tol(prec)), 0.0, psi - delta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = [weight * np.log(np.clip(psi + s, 0, 1)) for s in (-delta, delta)]
+        terms = [weight * np.log(np.clip(x, 0, 1)) for x in (low, psi + delta)]
     terms = [np.where(np.isnan(t), 0.0, t) for t in terms]  # 0 * log 0 is psi^0 = 1
     if weight < 0:
         terms.reverse()

@@ -36,6 +36,7 @@ import functools
 import io
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,14 +157,22 @@ class Enumeration:
                            truncated=self.truncated, pair_count=self.pair_count)
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """a in the narrowest signed dtype that holds +-max|a|."""
+    return a.astype(np.min_scalar_type(-int(np.abs(a).max(initial=0)) - 1))
+
+
 def _unique_sorted(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of P sorted by (norm^2, lexicographic), and the index
-    in P of each one's first occurrence (the sort is stable)."""
-    order = np.lexsort(tuple(P[:, c] for c in range(P.shape[1] - 1, -1, -1)) + ((P * P).sum(1),))
-    S = P[order]
+    in P of each one's first occurrence (the sort is stable).  The keys are
+    sorted in the narrowest dtypes that hold them, which numpy radix-sorts up
+    to 16 bits; the order is the same as on int64."""
+    Q = _narrow(P)
+    order = np.lexsort(tuple(Q[:, c] for c in range(P.shape[1] - 1, -1, -1)) + (_narrow((P * P).sum(1)),))
+    S = Q[order]
     first = np.ones(len(S), dtype=bool)
     first[1:] = np.any(S[1:] != S[:-1], axis=1)
-    return S[first], order[first]
+    return P[order[first]], order[first]
 
 
 def _product_cap(e: int, hmax_sq: int) -> int:
@@ -311,78 +320,91 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
 
 def _write_cache(path, n, e, hmax_sq, nshards, rows, shard_of, start, stop):
     """Append shards start..stop-1 of the sorted rows, starting the file afresh
-    when start is 0; shard_of names each row's shard."""
+    when start is 0; shard_of names each row's shard.  A resumed file first
+    loses the unfinished rows after the marker of shard start - 1."""
     order = np.argsort(shard_of, kind="stable")  # keeps the rows' order within a shard
     bounds = np.searchsorted(shard_of[order], np.arange(stop + 1))
-    prefix = "%d %d : " % (n, e)
+    line = "%d %d : " % (n, e) + " ".join(["%d"] * rows.shape[1]) + "\n"
+    if start:
+        marker = b"# shard %d done\n" % (start - 1)
+        with open(path, "rb+") as fh:
+            fh.truncate(fh.read().rindex(marker) + len(marker))
     with open(path, "a" if start else "w") as fh:
         if not start:
             fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
                      % (_CACHE_VERSION, n, e, hmax_sq, nshards))
         for i in range(start, stop):
-            part = rows[order[bounds[i]:bounds[i + 1]]].tolist()
-            fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in part)
+            part = rows[order[bounds[i]:bounds[i + 1]]]
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
             fh.write("# shard %d done\n" % i)
         if stop == nshards:
             fh.write("# end\n")
 
 
-def _validate_rows(rows: np.ndarray, n, e, hmax_sq):
+def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
     if len(rows) == 0:
         return
     h2 = (rows * rows).sum(1)
     if h2.max(initial=0) > hmax_sq or h2.min(initial=1) < 1:
-        raise CacheCorruption("cached subspace out of height range")
+        raise CacheCorruption("cached subspace out of height range in %s" % path)
     for rel in plucker_relations(n, e):
         acc = np.zeros(len(rows), dtype=np.int64)
         for c, i, j in rel:
             acc += c * rows[:, i] * rows[:, j]
         if np.any(acc != 0):
-            raise CacheCorruption("cached vector fails the Plucker relations")
+            raise CacheCorruption("cached vector fails the Plucker relations in %s" % path)
     g = np.gcd.reduce(np.abs(rows), axis=1)
     if np.any(g != 1):
-        raise CacheCorruption("cached vector is not primitive")
+        raise CacheCorruption("cached vector is not primitive in %s" % path)
+
+
+_HEADER = re.compile(r"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)")
+_SHARD_MARKER = re.compile(r"\n# shard (\d+) done(?=\n)")
+
+
+def _parse_shard(text, prefix, ncols, where):
+    """The rows of one shard's text, each line after a newline prefix + ncols integers."""
+    rows = text.count("\n" + prefix)
+    body = text.replace("\n" + prefix, "\n")
+    if ":" in body or "#" in body:
+        raise CacheCorruption("line in %s is not a `%s` row" % (where, prefix.strip()))
+    try:  # an empty shard is blank, and loadtxt warns on blank text
+        P = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+             if rows or body.strip() else np.zeros((0, ncols), dtype=np.int64))
+    except ValueError as err:
+        raise CacheCorruption("malformed row in %s: %s" % (where, err)) from None
+    if P.shape != (rows, ncols):
+        raise CacheCorruption("malformed row in %s: not %d integers" % (where, ncols))
+    return P
 
 
 def _load_cache(path, n, e, hmax_sq):
     """(shard count, validated rows of each completed shard, complete) of the
     cache at path; (None, [], False) when it holds another enumeration, or is
-    a partial cache of another shard layout."""
+    a partial cache of another shard layout.  Rows after the last shard
+    marker of a partial cache are an unfinished shard and are ignored."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["#", "subapprox-cache"]:
+        header = _HEADER.fullmatch(fh.readline().strip())
+        if header is None:
             raise CacheCorruption("not a subapprox cache: %s" % path)
-        parts = dict(p.split("=") for p in header[3:])
-        if (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
+        version, *fields = header.groups()
+        *key, nshards = map(int, fields)
+        if key != [n, e, hmax_sq]:
             return None, [], False
-        shards: list[list[str]] = []
-        rows: list[str] = []
-        heads = set()
-        complete = False
-        for line in fh:
-            if line.startswith("# shard"):
-                if int(line.split()[2]) != len(shards):
-                    raise CacheCorruption("non-contiguous shard markers in %s" % path)
-                shards.append(rows)
-                rows = []
-            elif line.strip() == "# end":
-                complete = True
-            elif line.strip():
-                head, _, tail = line.partition(":")
-                heads.add(head)
-                rows.append(tail)
-    if any(tuple(map(int, h.split())) != (n, e) for h in heads):
-        raise CacheCorruption("mixed dimensions in cache %s" % path)
-    nshards = int(parts["shards"])
-    if complete and len(shards) != nshards:
+        body = "\n" + fh.read()
+    pieces = _SHARD_MARKER.split(body)  # rows of shard 0, "0", rows of shard 1, "1", ..., tail
+    texts = pieces[:-1:2]
+    if [int(i) for i in pieces[1::2]] != list(range(len(texts))):
+        raise CacheCorruption("non-contiguous shard markers in %s" % path)
+    complete = pieces[-1].strip() == "# end"
+    if complete and len(texts) != nshards:
         raise CacheCorruption("cache %s ends before its last shard" % path)
-    if not complete and header[2] != _CACHE_VERSION:
+    if not complete and version != _CACHE_VERSION:
         return None, [], False
-    ncols = math.comb(n, e)
-    arrays = [np.loadtxt(io.StringIO("".join(r)), dtype=np.int64, ndmin=2).reshape(len(r), ncols)
-              if r else np.zeros((0, ncols), dtype=np.int64) for r in shards]
+    arrays = [_parse_shard(t, "%d %d : " % (n, e), math.comb(n, e), "shard %d of %s" % (i, path))
+              for i, t in enumerate(texts)]
     if arrays:
-        _validate_rows(np.concatenate(arrays), n, e, hmax_sq)
+        _validate_rows(np.concatenate(arrays), n, e, hmax_sq, path)
     return nshards, arrays, complete
 
 
@@ -519,6 +541,11 @@ def _psi12_pairing(c: np.ndarray, s: np.ndarray):
     psi2 = np.sin((tp + tm) / 2)
     psi1 = np.divide(s, psi2, out=np.sin((tp - tm) / 2), where=psi2 > 1e-100)
     return psi1, psi2
+
+
+def _zero_tol(prec: int):
+    """Below this, a psi or pairing computed at prec bits is rounding noise and counts as 0."""
+    return mp.mpf(2) ** (-(prec // 2))
 
 
 def _refine_psi(a: RealSubspace, coords: tuple[int, ...], n, e, j, precision_bits):
@@ -678,7 +705,7 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     cand = psi_f <= prefix_min * (1 + _SCREEN_MARGIN) + 1e-300
     cand_idx = np.nonzero(cand)[0]
 
-    zero_tol = mp.mpf(2) ** (-(prec // 2))
+    zero_tol = _zero_tol(prec)
     running = None
     idx_list = [int(i) for i in cand_idx]
     with mp.workprec(prec):

@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace
-from .enumeration import Enumeration, _hodge_twist, hodge_pairing_floats, target_plucker
+from .enumeration import Enumeration, _hodge_twist, _zero_tol, hodge_pairing_floats, target_plucker
 from .exact import annihilator_rows
 
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
@@ -337,8 +337,7 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
             v = exact_value(i)
             if best_v is None or v < best_v or (v == best_v and enum.coords_at(i) < enum.coords_at(best_i)):
                 best_i, best_v = i, v
-        zero_tol = mp.mpf(2) ** (-(prec // 2))
-        rational = best_v < zero_tol
+        rational = best_v < _zero_tol(prec)
 
     qs = {q: float(np.quantile(values, q)) for q in (0.0, 0.01, 0.1, 0.5, 1.0)}
     return LowerBoundReport(

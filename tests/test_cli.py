@@ -171,15 +171,16 @@ def test_goingup_json_pinned(tmp_path, argv, digest):
 
 
 def test_goingup_negative_weight_with_psi_zero(capsys):
-    # B lies in A, so psi_1 is 0 for every C: exactly 0 in mp for some, which
-    # score +inf at weight -1, and rounding-level for the rest
+    # B lies in A, so psi_1 is 0 for all 13 candidates C: exactly 0 in mp for
+    # some and rounding-level, below 2^-64, for the rest, which counts as 0
     code = main(["goingup", "--target", "gens:1 1 0 0; 0 0 0 1", "--gens", "1 1 0 0",
                  "--budget", "1", "--weight", "-1"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
-    # the least score is an exact tie of 4 2 : 1 -1 0 -1 0 0 and 4 2 : 1 1 0 1 0 0;
-    # the lexicographically smaller key wins
-    assert data["c"] == "4 2 : 1 -1 0 -1 0 0"
+    # every C scores +inf, an exact tie: the lexicographically smallest key wins
+    assert data["candidates"] == 13
+    assert data["c"] == "4 2 : 0 0 1 0 1 0"
+    assert data["psi_after"] == data["psi_before"] == "0.0"
 
 
 @pytest.mark.parametrize("argv", [

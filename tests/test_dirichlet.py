@@ -377,7 +377,7 @@ def test_exponent_transfer_under_chained_going_up():
 
 def _exhaustive_table(a, b, j, budget, prec=128):
     """Every going-up candidate key of (A, B), with its squared height and its
-    psi_j refined in mp: the search with no float screen."""
+    psi_j refined in mp, 0 below 2^-(prec/2): the search with no float screen."""
     from itertools import product
 
     from subapprox.dirichlet import _lll_gram, _projected_gram
@@ -401,12 +401,15 @@ def _exhaustive_table(a, b, j, budget, prec=128):
             continue
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
-    table = {}
-    for key in sorted(heights):
-        c = real_view(from_plucker(PluckerVec(n, e + 1, key)), prec)
-        table[key] = (heights[key], canonical_angles(a, c, precision_bits=prec).sines[j - 1])
-    psi_before = canonical_angles(a, real_view(b, prec), precision_bits=prec).sines[j - 1]
-    return table, psi_before
+    tol = mp.mpf(2) ** -(prec // 2)
+
+    def psi(c):
+        s = canonical_angles(a, real_view(c, prec), precision_bits=prec).sines[j - 1]
+        return s if s >= tol else mp.mpf(0)
+
+    table = {key: (heights[key], psi(from_plucker(PluckerVec(n, e + 1, key))))
+             for key in sorted(heights)}
+    return table, psi(b)
 
 
 def _exhaustive_pick(table, weight, prec=128):
@@ -504,8 +507,8 @@ def test_going_up_screen_scores_in_the_underflow_range(monkeypatch):
     monkeypatch.setattr(dirichlet, "_float_psi_generic",
                         lambda *args: np.array([0.5, 0.499]))
     a = rnd_subspace(0, 4, 2)
-    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1074.0) == keys[:1]
-    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1074.0) == keys[:1]
+    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1074.0, 128) == keys[:1]
+    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1074.0, 128) == keys[:1]
 
 
 def test_going_up_screen_matches_exhaustive_at_huge_weight():
@@ -519,13 +522,33 @@ def test_going_up_screen_matches_exhaustive_at_huge_weight():
 
 def test_going_up_negative_weight_scores_psi_zero_as_infinite():
     # B lies in A, so every C meets A: psi_1 is exactly 0 in mp for some C and
-    # rounding-level for the rest; 0^-1 is +inf, not a ZeroDivisionError
+    # rounding-level for the rest, which counts as 0 too; 0^-1 is +inf, not a
+    # ZeroDivisionError, so every score ties and the smallest key wins
     with mp.workprec(128):
         a = RealSubspace.from_vectors([(1, 1, 0, 0), (0, 0, 0, 1)])
     b = from_generators([(1, 1, 0, 0)])
     table, picks = _assert_screen_matches_exhaustive(a, b, 1, 1, weights=(-1, -0.5))
-    zero = [k for k, (_, psi) in table.items() if psi == 0]
-    assert zero and picks[0] not in zero
+    assert all(psi == 0 for _, psi in table.values())
+    assert picks == [min(table)] * 2
+
+
+def test_going_up_screen_counts_psi_near_the_tolerance_as_zero(monkeypatch):
+    # float psi 1.5 * 2^-64 above delta at H = 1: its exact psi may lie below
+    # the zero tolerance 2^-64 and score +inf at weight -1, so its float score
+    # (about e^44) may not drop a key of score 2e20 (psi 0.5 at H = 1e20)
+    import numpy as np
+
+    import subapprox.dirichlet as dirichlet
+    from subapprox.enumeration import _float_psi_delta
+
+    keys = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    heights = {keys[0]: 1, keys[1]: 10 ** 40}
+    near_zero = _float_psi_delta(4, 2) + 1.5 * 2.0 ** -64
+    monkeypatch.setattr(dirichlet, "_float_psi_generic",
+                        lambda *args: np.array([near_zero, 0.5]))
+    a = rnd_subspace(0, 4, 2)
+    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1.0, 128) == keys
+    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1.0, 128) == keys[:1]
 
 
 def test_going_up_wedge_is_exact_beyond_int64():

@@ -257,6 +257,194 @@ def test_cache_corruption_detected(tmp_path):
         enumerate_subspaces(4, 2, 4, cache_path=path)
 
 
+def _write_cache_per_row(path, n, e, hmax_sq, nshards, rows, shard_of, start, stop):
+    """The per-row cache writer the bulk one replaced: its oracle.  It appends
+    without dropping an unfinished shard's rows."""
+    from subapprox.enumeration import _CACHE_VERSION
+
+    order = np.argsort(shard_of, kind="stable")
+    bounds = np.searchsorted(shard_of[order], np.arange(stop + 1))
+    prefix = "%d %d : " % (n, e)
+    with open(path, "a" if start else "w") as fh:
+        if not start:
+            fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
+                     % (_CACHE_VERSION, n, e, hmax_sq, nshards))
+        for i in range(start, stop):
+            part = rows[order[bounds[i]:bounds[i + 1]]].tolist()
+            fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in part)
+            fh.write("# shard %d done\n" % i)
+        if stop == nshards:
+            fh.write("# end\n")
+
+
+def _load_cache_per_line(path, n, e, hmax_sq):
+    """The per-line cache reader the bulk one replaced: its oracle."""
+    import io
+
+    from subapprox.enumeration import _CACHE_VERSION, _validate_rows
+
+    with open(path) as fh:
+        header = fh.readline().split()
+        if header[:2] != ["#", "subapprox-cache"]:
+            raise CacheCorruption("not a subapprox cache: %s" % path)
+        parts = dict(p.split("=") for p in header[3:])
+        if (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
+            return None, [], False
+        shards, rows, heads, complete = [], [], set(), False
+        for line in fh:
+            if line.startswith("# shard"):
+                if int(line.split()[2]) != len(shards):
+                    raise CacheCorruption("non-contiguous shard markers in %s" % path)
+                shards.append(rows)
+                rows = []
+            elif line.strip() == "# end":
+                complete = True
+            elif line.strip():
+                head, _, tail = line.partition(":")
+                heads.add(head)
+                rows.append(tail)
+    if any(tuple(map(int, h.split())) != (n, e) for h in heads):
+        raise CacheCorruption("mixed dimensions in cache %s" % path)
+    nshards = int(parts["shards"])
+    if complete and len(shards) != nshards:
+        raise CacheCorruption("cache %s ends before its last shard" % path)
+    if not complete and header[2] != _CACHE_VERSION:
+        return None, [], False
+    ncols = math.comb(n, e)
+    arrays = [np.loadtxt(io.StringIO("".join(r)), dtype=np.int64, ndmin=2).reshape(len(r), ncols)
+              if r else np.zeros((0, ncols), dtype=np.int64) for r in shards]
+    if arrays:
+        _validate_rows(np.concatenate(arrays), n, e, hmax_sq, path)
+    return nshards, arrays, complete
+
+
+def _assert_loads_like_per_line(path, n, e, hmax_sq):
+    from subapprox.enumeration import _load_cache
+
+    got, want = _load_cache(path, n, e, hmax_sq), _load_cache_per_line(path, n, e, hmax_sq)
+    assert (got[0], len(got[1]), got[2]) == (want[0], len(want[1]), want[2])
+    for a, b in zip(got[1], want[1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, e, hmax, max_pairs", [
+    (4, 2, 6, None), (5, 2, 4, None), (5, 3, 3, None), (6, 3, 2, None), (4, 2, 8, 2000)])
+def test_cache_io_matches_per_row_oracles(tmp_path, monkeypatch, n, e, hmax, max_pairs):
+    # the bulk writer's bytes and the bulk loader's per-shard arrays equal the
+    # per-row writer's and per-line reader's, also for a truncated and resumed
+    # cache; (5, 3) takes the Hodge-dual route
+    import subapprox.enumeration as enumeration
+
+    paths = {}
+    for name, writer in (("bulk", enumeration._write_cache), ("per_row", _write_cache_per_row)):
+        monkeypatch.setattr(enumeration, "_write_cache", writer)
+        paths[name] = path = str(tmp_path / ("%s.cache" % name))
+        if max_pairs is not None:
+            assert enumerate_subspaces(n, e, hmax, max_pairs=max_pairs, cache_path=path).truncated
+            _assert_loads_like_per_line(path, n, e, hmax * hmax)
+        assert not enumerate_subspaces(n, e, hmax, cache_path=path).truncated
+    monkeypatch.undo()
+    text = open(paths["bulk"], "rb").read()
+    assert text == open(paths["per_row"], "rb").read()
+    assert text.endswith(b"# end\n") and text.count(b" done\n") > (max_pairs is not None)
+    _assert_loads_like_per_line(paths["bulk"], n, e, hmax * hmax)
+
+
+def _corrupt_first_row(lines, row):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("4 2 :"))
+    return lines[:i] + [row] + lines[i + 1:]
+
+
+def _move_end_before_last_shard(lines):
+    last = max(i for i, ln in enumerate(lines) if ln.startswith("# shard"))
+    prev = max(i for i, ln in enumerate(lines[:last]) if ln.startswith("# shard"))
+    return lines[:prev + 1] + ["# end"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 0 0 0"),  # ragged
+    lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 x 0 0 1"),  # not an integer
+    lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 0 0 0 1 0"),  # a column too many
+    lambda lines: _corrupt_first_row(lines, "5 2 : 1 0 0 0 0 0 0 0 0 0"),  # another dimension
+    lambda lines: _corrupt_first_row(lines, "1 0 0 0 0 0"),  # no `n e :` prefix
+    lambda lines: [ln.replace("# shard 1 done", "# shard 2 done") for ln in lines],  # non-contiguous
+    _move_end_before_last_shard,
+    lambda lines: lines[:3] + ["# end"] + lines[3:],  # `# end` inside a shard
+    lambda lines: lines[1:],  # no header
+    lambda lines: [lines[0].split(" e=")[0]] + lines[1:],  # header without e, hmax_sq, shards
+], ids=["ragged", "non_integer", "long_row", "other_dimension", "no_prefix",
+        "non_contiguous_markers", "end_before_last_shard", "end_inside_shard", "no_header",
+        "short_header"])
+def test_corrupt_cache_raises_and_exits_3(tmp_path, capsys, corrupt):
+    from subapprox.cli import main
+
+    path = str(tmp_path / "c42.cache")
+    enumerate_subspaces(4, 2, 8, cache_path=path)
+    lines = open(path).read().splitlines()
+    assert sum(ln.startswith("# shard") for ln in lines) == 3
+    open(path, "w").write("\n".join(corrupt(lines)) + "\n")
+    with pytest.raises(CacheCorruption, match=re.escape(path)):
+        enumerate_subspaces(4, 2, 8, cache_path=path)
+    capsys.readouterr()
+    assert main(["scan", "--target", "r4", "--e", "2", "--hmax", "8", "--cache", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+
+
+def test_unfinished_shard_of_a_partial_cache_is_ignored_and_rebuilt(tmp_path):
+    # rows after the last marker (an interrupted shard, its last line cut) are
+    # not loaded, and the resumed file drops them before it appends the shard
+    from subapprox.enumeration import _load_cache
+
+    path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
+    assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
+    with open(path, "a") as fh:
+        fh.write("4 2 : 0 0 0 0 0 1\n5 2 : 0 0 0 1")
+    nshards, done, complete = _load_cache(path, 4, 2, 64)
+    assert (nshards, len(done), complete) == (3, 1, False)
+    full = enumerate_subspaces(4, 2, 8, cache_path=path)
+    assert not full.truncated and full.pair_count > 0
+    assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8, cache_path=fresh).pluckers)
+    assert open(path, "rb").read() == open(fresh, "rb").read()
+    assert np.array_equal(enumerate_subspaces(4, 2, 8, cache_path=path).pluckers, full.pluckers)
+
+
+def _unique_sorted_int64(P):
+    """The dedup on int64 keys that the narrow-key one replaced: its oracle."""
+    order = np.lexsort(tuple(P[:, c] for c in range(P.shape[1] - 1, -1, -1)) + ((P * P).sum(1),))
+    S = P[order]
+    first = np.ones(len(S), dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    return S[first], order[first]
+
+
+@pytest.mark.parametrize("edge", [2, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31])
+def test_unique_sorted_matches_int64_oracle(edge):
+    # shuffled rows with duplicates, one coordinate per row at most at +-edge
+    # or +-(edge - 1), so the squared norms still fit in int64
+    from subapprox.enumeration import _unique_sorted
+
+    rng = np.random.default_rng(edge)
+    pool = rng.integers(-1, 2, size=(300, 4))
+    big = rng.random(300) < 0.4
+    pool[big, rng.integers(0, 4, big.sum())] = rng.choice([-edge, edge, 1 - edge, edge - 1], big.sum())
+    P = pool[rng.integers(0, len(pool), 2000)]
+    assert np.abs(P).max() == edge
+    rows, first = _unique_sorted(P)
+    want_rows, want_first = _unique_sorted_int64(P)
+    assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
+    assert np.array_equal(first, want_first)
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([127, -127], np.int8), ([-128], np.int16), ([128], np.int16), ([32767], np.int16),
+    ([32768], np.int32), ([2 ** 31 - 1], np.int32), ([-2 ** 31], np.int64), ([], np.int8)])
+def test_narrow_keys_hold_plus_and_minus_max(values, dtype):
+    from subapprox.enumeration import _narrow
+
+    assert _narrow(np.array(values, dtype=np.int64)).dtype == dtype
+
+
 def test_cache_resume_from_truncation(tmp_path):
     path = str(tmp_path / "c42.cache")
     part = enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path)
