@@ -127,11 +127,13 @@ def cmd_height(args) -> int:
         b = from_plucker(parse_key(args.plucker))
     else:
         raise ParseError("height needs --gens or --plucker")
+    with mp.workprec(64):
+        height = mp.sqrt(b.height_sq)
     payload = {
         "n": b.n,
         "e": b.e,
         "height_sq": b.height_sq,
-        "height": fmt_mpf(mp.sqrt(b.height_sq), 64),
+        "height": fmt_mpf(height, 64),
         "plucker": b.key,
         "lattice_basis": [list(v) for v in b.basis_vectors()],
         "gram_det_sq": gram_det_sq(b.lattice_basis),

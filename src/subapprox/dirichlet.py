@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, canonical_angles, principal_pairs, sin_angle
-from .enumeration import _U, _float_psi_delta, _float_psi_generic, _refine_psi, _wedge_matrix, _zero_tol
+from .enumeration import _U, _contenders, _float_psi, _refine_psi, _wedge_matrix, _zero_tol
 from .exact import (
     PluckerVec,
     complete_to_unimodular,
@@ -155,8 +155,8 @@ class DirichletApproximant:
             raise ValueError("approximant must be primitive (gcd %d)" % g)
 
 
-def simultaneous_approx(x: Sequence, q_max: int, *, precision_bits: int = 128,
-                        method: str = "auto") -> list[DirichletApproximant]:
+def simultaneous_approx(x: Sequence, q_max: int, *,
+                        precision_bits: int = 128) -> list[DirichletApproximant]:
     """Record-setting simultaneous rational approximations p/q, q <= q_max.
 
     A denominator enters the list iff its best rounding error strictly beats
@@ -173,14 +173,10 @@ def simultaneous_approx(x: Sequence, q_max: int, *, precision_bits: int = 128,
     with mp.workprec(precision_bits):
         xv = [mp.mpf(v) if not isinstance(v, Fraction) else mp.mpf(v.numerator) / v.denominator
               for v in x]
-        if method == "auto":
-            method = "sweep" if q_max <= 100_000 else "lll"
-        if method == "sweep":
+        if q_max <= 100_000:
             cand_qs = _record_candidates_sweep(xv, q_max)
-        elif method == "lll":
-            cand_qs = _record_candidates_lll(xv, q_max, precision_bits)
         else:
-            raise ValueError("unknown method %r" % method)
+            cand_qs = _record_candidates_lll(xv, q_max, precision_bits)
         out: list[DirichletApproximant] = []
         best = None
         for q in cand_qs:
@@ -202,15 +198,24 @@ def simultaneous_approx(x: Sequence, q_max: int, *, precision_bits: int = 128,
 
 
 def _record_candidates_sweep(xv, q_max):
-    """Denominators that could be records, by a float64 screen with margin."""
+    """Every denominator that can be a record, screened in float64 by
+    :func:`_contenders` with each q its own group.
+
+    err_q = max_i |q x_i - round(q x_i)| / q.  With u = 2^-53: x_i rounded to
+    float64 moves q x_i by q u |x_i|, and the product rounds by as much again;
+    distance to Z is 1-Lipschitz, and the subtraction of the nearest integer
+    is exact (Sterbenz), so the float err_q is within 2 u max|x_i| + u err_q
+    of the exact one, to first order.  The mp value it stands for is within
+    2^-prec max|x_i| of exact, and prec >= 53; 3 u max|x_i| + 2 u err_q
+    covers both and the second-order terms.
+    """
     xs = np.array([float(v) for v in xv])
     qs = np.arange(1, q_max + 1, dtype=np.float64)
     prods = qs[:, None] * xs[None, :]
     errs = np.abs(prods - np.round(prods)).max(axis=1) / qs
-    run = np.minimum.accumulate(errs)
-    prev = np.concatenate(([np.inf], run[:-1]))
-    cand = errs <= prev * (1 + 1e-9) + 1e-18
-    return [int(q) for q in np.nonzero(cand)[0] + 1]
+    delta = 3 * _U * np.abs(xs).max() + 2 * _U * errs
+    cand = _contenders(errs - delta, errs + delta, np.arange(q_max))
+    return [int(q) for q in np.flatnonzero(cand) + 1]
 
 
 def _record_candidates_lll(xv, q_max, prec):
@@ -516,8 +521,7 @@ def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
     are compared as logs, log H + weight log psi, so no power underflows;
     psi = 0 gives log psi = -inf, and weight 0 gives the score H.
     """
-    psi = _float_psi_generic(a, np.array(keys, dtype=np.float64), n, e, j)  # no int64 cast
-    delta = _float_psi_delta(n, e)
+    psi, delta = _float_psi(a, np.array(keys, dtype=np.float64), n, e, j)  # no int64 cast
     log_h = 0.5 * np.log(np.array([heights[k] for k in keys], dtype=np.float64))
     low = np.where(psi - delta < 2 * float(_zero_tol(prec)), 0.0, psi - delta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -530,5 +534,5 @@ def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
     # (u each), and the rounding of the mp score it stands for (below 4 u)
     lo, hi = (log_h + t + sign * 8 * _U * (1 + abs(weight) + np.abs(log_h) + np.abs(t))
               for t, sign in zip(terms, (-1, 1)))
-    keep = lo <= hi.min()
+    keep = _contenders(lo, hi, [0])
     return [k for k, kept in zip(keys, keep) if kept]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import os
 import re
@@ -510,6 +511,16 @@ class ExponentEstimate:
     fit_residual: float
 
 
+def _det(m):
+    """mp.det of a square mp matrix.  mpmath 1.3's LU decomposition leaves a
+    pivot index None, and mp.det raises TypeError, when a pivot column is
+    exactly 0; the matrix is then singular, so its determinant is 0."""
+    try:
+        return mp.det(m)
+    except TypeError:
+        return mp.mpf(0)
+
+
 def target_plucker(a: RealSubspace):
     """Unit Plucker coordinate vector of a real subspace (mp floats)."""
     with mp.workprec(a.precision_bits):
@@ -520,7 +531,7 @@ def target_plucker(a: RealSubspace):
             for ii, i in enumerate(sub):
                 for jj in range(a.dim):
                     m[ii, jj] = rows[jj][i]
-            coords.append(mp.det(m))
+            coords.append(_det(m))
         nrm = mp.sqrt(mp.fsum(c * c for c in coords))
         return [c / nrm for c in coords]
 
@@ -529,18 +540,6 @@ def hodge_pairing_floats(a: RealSubspace, etas: np.ndarray) -> np.ndarray:
     """|<a, *eta>| per row: the numerator of phi(A, B) * H(B) for d + e = n."""
     apl = np.array([float(x) for x in target_plucker(a)])
     return np.abs(_hodge_twist(etas.astype(np.float64), a.n, a.dim) @ apl)
-
-
-def _psi12_pairing(c: np.ndarray, s: np.ndarray):
-    """Both principal-angle sines of plane pairs in R^4 from the two
-    Plucker pairings |<a,b>| = cos t1 cos t2 and |<a,*b>| = sin t1 sin t2."""
-    cm = np.clip(c + s, -1.0, 1.0)
-    cp = np.clip(c - s, -1.0, 1.0)
-    tm = np.arccos(cm)   # t2 - t1
-    tp = np.arccos(cp)   # t1 + t2
-    psi2 = np.sin((tp + tm) / 2)
-    psi1 = np.divide(s, psi2, out=np.sin((tp - tm) / 2), where=psi2 > 1e-100)
-    return psi1, psi2
 
 
 def _zero_tol(prec: int):
@@ -555,7 +554,6 @@ def _refine_psi(a: RealSubspace, coords: tuple[int, ...], n, e, j, precision_bit
     return prof.sines[j - 1], prof.phi, prof.err
 
 
-_SCREEN_MARGIN = 1e-6
 _GENERIC_LIMIT = 500_000  # largest scan the generic float screen accepts
 # working set of one batch of :func:`_float_psi_generic`: the stacked
 # annihilator matrices and their full SVD; a speed-neutral size, since LAPACK
@@ -649,17 +647,115 @@ def _float_psi_generic(a: RealSubspace, etas: np.ndarray, n: int, e: int, j: int
     return out
 
 
-def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int) -> np.ndarray:
-    if enum.n == 4 and a.dim == 2 and enum.e == 2 and j in (1, 2):
-        etas = enum.pluckers.astype(np.float64)
-        norms = np.sqrt((etas * etas).sum(1))
-        bhat = etas / norms[:, None]
-        apl = np.array([float(x) for x in target_plucker(a)])
-        psi1, psi2 = _psi12_pairing(np.abs(bhat @ apl), np.abs(_hodge_twist(bhat, 4, 2) @ apl))
-        return psi1 if j == 1 else psi2
-    if enum.e > 1 and len(enum) > _GENERIC_LIMIT:
+def _sqrt_err(x: np.ndarray, dx):
+    """sqrt(max(x, 0)) rounded to float64, and a bound on its distance from
+    sqrt(x') for every x' >= 0 within dx of x: |sqrt(x+) - sqrt(x')| is at
+    most sqrt(dx), and at most dx / sqrt(x+), to which the rounding adds u."""
+    r = np.sqrt(np.maximum(x, 0))
+    err = np.divide(dx, r, out=np.full_like(r, np.inf), where=r > 0)
+    np.minimum(err, np.sqrt(dx), out=err)
+    err += _U * r
+    return r, err
+
+
+def _psi12_pairing(a: RealSubspace, etas, j: int):
+    """psi_j(A, B), j = 1 or 2, for planes A and B in R^4 with Plucker rows
+    ``etas`` (integers or their float64 roundings), and a per-row bound on its
+    distance from the mp value.
+
+    With principal angles t1 <= t2 and unit Plucker vectors, c = |<a, b>| =
+    cos t1 cos t2 and s = |<a, *b>| = sin t1 sin t2, so psi_1^2 and psi_2^2
+    are the roots of x^2 - (1 + s^2 - c^2) x + s^2.  Its discriminant is
+    (1 - (c+s)^2)(1 - (c-s)^2), and c -+ s = cos(t1 +- t2), so with
+    m = sin(t2 - t1) and p = sin(t1 + t2) the larger root is
+    psi_2^2 = ((1 - c)(1 + c) + s^2 + p m) / 2, a sum of nonnegative terms,
+    and psi_1 = s / psi_2 (0 where psi_2 is 0).  ``*`` is an isometry with
+    ** = 1 on planes of R^4, so <a, *b> = <*a, b>.
+
+    The bound, with u = 2^-53 and ^ for a computed value (Higham, ch. 3):
+
+    * c, s: eta rounded to float64 (going-up keys can exceed 2^53) and a,
+      the unit mp vector rounded, are within u of exact entry by entry, plus
+      a's mp error 2^-prec <= 2^-64.  A 6-term dot is within gamma_6 |eta| |a|
+      of its value in any summation order, so within 8 u |eta| of <eta, a>;
+      sqrt(sum eta_i^2) is within 5 u of |eta| relatively, and the quotient
+      adds u: |c^ - c| and |s^ - s| are below eps = 16 u.
+    * m, p: sigma^ = c^ +- s^ is within 2 eps + u of sigma = cos(t1 -+ t2),
+      and (1 - sigma^)(1 + sigma^) adds 3 u, so q^ is within dq = 4 eps + 5 u
+      of q = 1 - sigma^2 >= 0; :func:`_sqrt_err` gives m and p within
+      min(sqrt(dq), dq / m^) + u m^.  Where t1 ~ t2 this is about 8 sqrt(u).
+    * psi_2^2: 1 - c^2 and s^2 move by at most 2 c eps and 2 s eps, and
+      c + s = cos(t2 - t1) <= 1; |p m - p^ m^| <= p^ dm + m^ dp + dp dm; the
+      three products, the two sums of nonnegative terms and the rounding of
+      the terms add 5 u psi_2^2.  So dx = eps + (p^ dm + m^ dp + dp dm) / 2 +
+      5 u x^, and :func:`_sqrt_err` gives d2 for psi_2.
+    * psi_1 = s / psi_2: s^ / psi_2^ - psi_1 = (s^ - s + psi_1 (psi_2 -
+      psi_2^)) / psi_2^, and psi_1 <= psi_1^ + d1, so where psi_2^ > d2,
+      d1 <= (eps + psi_1^ d2 + u psi_1^ psi_2^) / (psi_2^ - d2).  Always
+      0 <= psi_1 <= psi_2 <= psi_2^ + d2, so d1 <= max(psi_1^, psi_2^ + d2).
+
+    These are first-order bounds; doubling them covers the second-order
+    terms, which are below 2^-90 or, inside a square root, below a factor
+    sqrt(2).  Rows whose bound is wide (a near-double root, or A and B nearly
+    equal) simply become mp candidates.
+    """
+    apl = np.array([float(x) for x in target_plucker(a)])
+    eta = np.asarray(etas, dtype=np.float64)
+    norm = np.sqrt(np.einsum("ij,ij->i", eta, eta))
+    c = np.abs(eta @ apl)
+    c /= norm
+    s = np.abs(eta @ _hodge_twist(apl, 4, 2))
+    s /= norm
+    del eta, norm  # a float copy of the rows is the screen's largest temporary
+    eps = 16 * _U
+    dq = 4 * eps + 5 * _U
+    m, dm = _sqrt_err((1 - (c + s)) * (1 + (c + s)), dq)
+    p, dp = _sqrt_err((1 - (c - s)) * (1 + (c - s)), dq)
+    x = ((1 - c) * (1 + c) + s * s + p * m) / 2
+    dx = eps + (p * dm + m * dp + dp * dm) / 2 + 5 * _U * x
+    del c, m, p, dm, dp
+    psi2, d2 = _sqrt_err(x, dx)
+    if j == 2:
+        return psi2, 2 * d2
+    psi1 = np.divide(s, psi2, out=np.zeros_like(s), where=psi2 > 0)
+    gap = psi2 - d2
+    d1 = np.divide(eps + psi1 * d2 + _U * psi1 * psi2, gap, out=np.full_like(gap, np.inf),
+                   where=gap > 0)
+    np.minimum(d1, np.maximum(psi1, psi2 + d2), out=d1)
+    return psi1, 2 * d1
+
+
+def _float_psi(a: RealSubspace, etas, n: int, e: int, j: int):
+    """(psi, delta): float64 psi_j(A, B) for the (n, e) subspaces B with
+    Plucker rows ``etas`` (integers or their float64 roundings), and a bound
+    on |psi - psi_j| against the mp value: per row by
+    :func:`_psi12_pairing` for planes against a plane in R^4, else the
+    scalar :func:`_float_psi_delta` of :func:`_float_psi_generic`."""
+    if (n, e, a.dim) == (4, 2, 2):
+        return _psi12_pairing(a, etas, j)
+    return _float_psi_generic(a, etas, n, e, j), _float_psi_delta(n, e)
+
+
+def _contenders(lo: np.ndarray, hi: np.ndarray, starts) -> np.ndarray:
+    """Mask of the rows that can be the least of their group and below every
+    earlier group, for values known only to lie in [lo, hi] row by row.
+
+    The rows are sorted into groups that begin at ``starts`` (the first at
+    0).  Row i is kept iff lo_i <= min hi_j over the rows j of its own group
+    and of every earlier one; otherwise some row j there is certainly
+    smaller.  Ties are kept.  This is the one rule by which a float screen
+    chooses the rows that mpmath refines.
+    """
+    bound = np.minimum.accumulate(np.minimum.reduceat(hi, starts))
+    return lo <= np.repeat(bound, np.diff(starts, append=len(hi)))
+
+
+def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int):
+    """:func:`_float_psi` over a scan's enumeration; the generic route refuses
+    more than ``_GENERIC_LIMIT`` subspaces of dimension > 1."""
+    if (enum.n, enum.e, a.dim) != (4, 2, 2) and enum.e > 1 and len(enum) > _GENERIC_LIMIT:
         raise ValueError("scan too large for the generic path (%d subspaces)" % len(enum))
-    return _float_psi_generic(a, enum.pluckers, enum.n, enum.e, j)
+    return _float_psi(a, enum.pluckers, enum.n, enum.e, j)
 
 
 def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
@@ -672,8 +768,9 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     B enters the sequence iff its psi_j beats every subspace of lower or
     equal height (ties at equal height: smaller psi_j wins, exact ties keep
     the lexicographically smaller key).  A float64 screen proposes record
-    candidates; each candidate is then recomputed at full precision, so the
-    chain itself is decided at `precision_bits`.
+    candidates (:func:`_contenders` over height groups, with the float error
+    bound); each candidate is then recomputed at full precision, so the chain
+    itself is decided at `precision_bits`.
     """
     if j < 1 or j > min(a.dim, e):
         raise ValueError("need 1 <= j <= min(dim A, e)")
@@ -690,32 +787,15 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     if count == 0:
         return result
 
-    psi_f = _float_psi_screen(a, enum, j)
+    psi_f, delta = _float_psi_screen(a, enum, j)
     h2 = enum.heights_sq
-    # prefix minimum over strictly smaller heights
-    boundaries = np.searchsorted(h2, np.unique(h2), side="left")
-    prefix_min = np.full(count, np.inf)
-    best = np.inf
-    starts = list(boundaries) + [count]
-    for gi in range(len(boundaries)):
-        lo, hi = starts[gi], starts[gi + 1]
-        prefix_min[lo:hi] = best
-        gmin = psi_f[lo:hi].min()
-        best = min(best, gmin)
-    cand = psi_f <= prefix_min * (1 + _SCREEN_MARGIN) + 1e-300
-    cand_idx = np.nonzero(cand)[0]
+    starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
+    cand = np.flatnonzero(_contenders(psi_f - delta, psi_f + delta, starts))
 
     zero_tol = _zero_tol(prec)
     running = None
-    idx_list = [int(i) for i in cand_idx]
     with mp.workprec(prec):
-        pos = 0
-        while pos < len(idx_list):
-            hh = int(h2[idx_list[pos]])
-            group = []
-            while pos < len(idx_list) and int(h2[idx_list[pos]]) == hh:
-                group.append(idx_list[pos])
-                pos += 1
+        for hh, group in itertools.groupby(cand.tolist(), key=lambda i: int(h2[i])):
             best = None  # (psi, coords, record); ties keep the lex-smaller key
             for i in group:
                 coords = enum.coords_at(i)
@@ -723,7 +803,7 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
                 if best is None or psi < best[0] or (psi == best[0] and coords < best[1]):
                     rec = ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(hh)), psi, ph, j)
                     best = (psi, coords, rec)
-            if best is not None and (running is None or best[0] < running):
+            if running is None or best[0] < running:
                 result.records.append(best[2])
                 running = best[0]
                 if best[0] < zero_tol:

@@ -104,12 +104,6 @@ class IntMat:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r[j] for r in self.entries) for j in range(self.cols))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMat":
-        return IntMat(self.columns)
-
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""

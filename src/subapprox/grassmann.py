@@ -42,9 +42,6 @@ class RationalSubspace:
     def key(self) -> str:
         return self.plucker.key
 
-    def height(self) -> float:
-        return math.sqrt(self.height_sq)
-
     def basis_vectors(self) -> tuple[tuple[int, ...], ...]:
         return self.lattice_basis.columns
 

@@ -45,9 +45,7 @@ def parse_param(token):
         raise ValueError("cannot parse parameter %r" % (token,))
     radicand = int(m.group(1)) if m.group(1) else None
     rest = m.group(2).replace(" ", "") if m.group(2) else None
-    offset = Fraction(rest) if rest and "." not in rest else None
-    if rest and "." in rest:
-        offset = Fraction(rest)
+    offset = Fraction(rest) if rest else None
 
     def ev(prec):
         total = mp.mpf(0)

@@ -31,6 +31,12 @@ def test_height_plucker_json(capsys):
     assert data["gram_det_sq"] == 1
 
 
+def test_height_json_digits_are_correct(capsys):
+    assert main(["height", "--gens", "1 1 0 0", "--format", "json"]) == 0
+    # sqrt(2) = 1.41421356237309504880...: 19 digits, not the 16 of a float64
+    assert json.loads(capsys.readouterr().out)["height"].startswith("1.414213562373095048")
+
+
 def test_height_fraction_gens(capsys):
     code = main(["height", "--gens", "1/2 0; 0 3"])
     out = capsys.readouterr().out
@@ -51,11 +57,12 @@ def test_height_nondecomposable_plucker(capsys):
 
 
 def test_scan_rational_target(tmp_path, capsys):
-    code = main(["scan", "--target", "gens:1 0 0 0; 0 1 0 0", "--e", "2",
-                 "--j", "1", "--hmax", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "rational_target=true" in out
+    # the second target has Plucker minors with an exactly zero pivot column
+    for target, hmax in (("gens:1 0 0 0; 0 1 0 0", "2"), ("gens:1 0 0 0; 0 1 0 1", "3")):
+        code = main(["scan", "--target", target, "--e", "2", "--j", "1", "--hmax", hmax])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "rational_target=true" in out
 
 
 def test_scan_witness_smoke(tmp_path, capsys):

@@ -180,10 +180,57 @@ def test_lll_reduce_matches_textbook_lll():
 
 def test_simultaneous_approx_lll_route():
     with mp.workprec(192):
-        recs = simultaneous_approx([mp.sqrt(2), mp.sqrt(3)], 200_000, method="lll")
+        recs = simultaneous_approx([mp.sqrt(2), mp.sqrt(3)], 200_000)  # q_max > 10^5: LLL
     assert recs
     for r in recs:
         assert float(r.quality) <= 1
+
+
+def _exact_records(xv, q_max):
+    """Record denominators of the exact rationals xv (mp floats), in
+    Fractions: the q whose max_i |q x_i - round(q x_i)| / q is below that of
+    every smaller q, with their errors."""
+    xs = [Fraction(int(m)) * Fraction(2) ** int(ex) for m, ex in (v.man_exp for v in xv)]
+    out = []
+    for q in range(1, q_max + 1):
+        err = max(abs(q * x - round(q * x)) for x in xs) / q
+        if not out or err < out[-1][1]:
+            out.append((q, err))
+    return out
+
+
+_SWEEP_TARGETS = {
+    "golden": lambda: [(1 + mp.sqrt(5)) / 2],
+    "dyadic": lambda: [mp.mpf(3) / 8],
+    "third": lambda: [mp.mpf(1) / 3],
+    "large": lambda: [mp.pi * 10 ** 6],
+    "sqrt2_sqrt3": lambda: [mp.sqrt(2), mp.sqrt(3)],
+    "equal": lambda: [mp.sqrt(2), mp.sqrt(2)],
+    "sevenths": lambda: [mp.mpf(1) / 7, mp.mpf(-2) / 7],
+    "mixed": lambda: [-mp.sqrt(7), mp.mpf("12345.678")],
+    # float64 keeps 8 to 11 bits of these fractions, and the float errors put
+    # an exact record (q = 40, 47) above an earlier error: only the bound's
+    # 3 u max|x_i| term keeps it
+    "huge": lambda: [mp.mpf("3484708533876.5733827024912899680830769")],
+    "huge_pair": lambda: [mp.mpf("25780496928252.46932014088919372062080893"),
+                          mp.mpf("29848748742972.61481071629817679157631316")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_TARGETS))
+def test_record_candidates_sweep_keeps_every_exact_record(name):
+    # the float screen's candidates hold every exact record, and the records
+    # simultaneous_approx returns are exactly those with quality <= 1
+    from subapprox.dirichlet import _record_candidates_sweep
+
+    q_max = 3000
+    with mp.workprec(128):
+        xv = _SWEEP_TARGETS[name]()
+    records = _exact_records(xv, q_max)
+    assert {q for q, _ in records} <= set(_record_candidates_sweep(xv, q_max))
+    n = len(xv)
+    want = [q for q, err in records if (err * q) ** n * q <= 1]
+    assert [r.q for r in simultaneous_approx(xv, q_max)] == want
 
 
 # ----------------------------------------------------------- approximant -> B
@@ -501,11 +548,12 @@ def test_going_up_screen_scores_in_the_underflow_range(monkeypatch):
     import numpy as np
 
     import subapprox.dirichlet as dirichlet
+    from subapprox.enumeration import _float_psi_delta
 
     keys = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
     heights = {keys[0]: 1, keys[1]: 100 ** 2}
-    monkeypatch.setattr(dirichlet, "_float_psi_generic",
-                        lambda *args: np.array([0.5, 0.499]))
+    monkeypatch.setattr(dirichlet, "_float_psi",
+                        lambda *args: (np.array([0.5, 0.499]), _float_psi_delta(4, 2)))
     a = rnd_subspace(0, 4, 2)
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1074.0, 128) == keys[:1]
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1074.0, 128) == keys[:1]
@@ -544,8 +592,8 @@ def test_going_up_screen_counts_psi_near_the_tolerance_as_zero(monkeypatch):
     keys = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
     heights = {keys[0]: 1, keys[1]: 10 ** 40}
     near_zero = _float_psi_delta(4, 2) + 1.5 * 2.0 ** -64
-    monkeypatch.setattr(dirichlet, "_float_psi_generic",
-                        lambda *args: np.array([near_zero, 0.5]))
+    monkeypatch.setattr(dirichlet, "_float_psi",
+                        lambda *args: (np.array([near_zero, 0.5]), _float_psi_delta(4, 2)))
     a = rnd_subspace(0, 4, 2)
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1.0, 128) == keys
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1.0, 128) == keys[:1]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -520,34 +521,162 @@ def test_scan_records_strictly_decreasing():
     assert all(float(r.phi) > 0 for r in res.records)
 
 
+def _exhaustive_records(a, enum, js, prec=128):
+    """The record chains of psi_j, j in js, over the rows of enum, every row
+    refined in mp up to the first psi below 2^-(prec/2): the scan with no float
+    screen.  Rows are sorted by (H^2, key), so the first least psi of a height
+    wins."""
+    from subapprox.angles import canonical_angles
+    from subapprox.grassmann import real_view
+
+    tol = mp.mpf(2) ** -(prec // 2)
+    chains, running = {j: [] for j in js}, {}
+    with mp.workprec(prec):
+        for h2, rows in itertools.groupby(range(len(enum)), key=lambda i: int(enum.heights_sq[i])):
+            profs = [(enum.key_at(i), canonical_angles(a, real_view(enum.subspace_at(i), prec),
+                                                       precision_bits=prec)) for i in rows]
+            for j in js:
+                if running.get(j, 1) < tol:
+                    continue
+                key, prof = min(profs, key=lambda kp: kp[1].sines[j - 1])
+                psi = prof.sines[j - 1]
+                if j not in running or psi < running[j]:
+                    running[j] = psi
+                    phi = prof.phi
+                    if psi < tol:  # a rational hit, reported as 0; the chain ends
+                        psi = phi = mp.mpf(0)
+                    chains[j].append((key, mp.sqrt(mp.mpf(h2)), psi, phi))
+            if all(running[j] < tol for j in js):
+                break
+    return chains
+
+
+def _records(res):
+    return [(r.subspace_key, r.height, r.psi_j, r.phi) for r in res.records]
+
+
 def test_scan_matches_direct_minimum():
     # the record chain must agree with a straightforward full scan in mp
     a = rnd_plane(77)
     enum = enumerate_subspaces(4, 2, 4)
     res = scan_target(a, 2, 1, 4, enumeration=enum)
-    from subapprox.enumeration import _refine_psi
+    assert _records(res) == _exhaustive_records(a, enum, (1,))[1]
 
-    best = None
-    chain = []
+
+def _oracle_target(name, n):
+    if name == "symmetric":
+        # span(v, Jv) for the integer isometry J(x) = (x2, -x1, x4, -x3), so B and
+        # J(B) tie exactly; it meets no rational plane B, since that needs
+        # b13^2 + b14^2 = 24 k^2 with b12 = 3 k, a sum of two squares only at k = 0
+        with mp.workprec(128):
+            r2, r3, r5 = mp.sqrt(2), mp.sqrt(3), mp.sqrt(5)
+            return RealSubspace.from_vectors([(1, r2, r3, r5), (r2, -1, r5, -r3)])
+    if name == "rational":  # minors with a zero column
+        return RealSubspace.from_vectors([(1, 0, 0, 0), (0, 1, 0, 1)])
+    return rnd_plane(n, n=n)
+
+
+@pytest.mark.parametrize("name,n,e,h,js", [
+    ("symmetric", 4, 2, 6, (1, 2)), ("rational", 4, 2, 6, (1,)), ("random", 5, 2, 3, (1, 2)),
+    ("random", 5, 3, 2, (1, 2)), ("random", 6, 2, 2, (1, 2)),
+], ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", ""))
+def test_scan_matches_exhaustive_oracle(name, n, e, h, js):
+    # records (key, height, psi, phi, as mpf) equal those of refining every row;
+    # the symmetric target's records at H^2 = 5, 19, 29 (j = 1) tie with 3 to 7
+    # other rows up to mp rounding
+    a = _oracle_target(name, n)
+    enum = enumerate_subspaces(n, e, h)
+    want = _exhaustive_records(a, enum, js)
+    for j in js:
+        res = scan_target(a, e, j, h, enumeration=enum)
+        assert _records(res) == want[j], (name, j)
+        assert res.rational_target == (name == "rational")
+
+
+def test_psi12_pairing_bound_is_sound(capsys):
+    # |psi - psi_mp| <= the per-row bound of the (4,2) pairing route, j = 1, 2,
+    # for R^4 witnesses, random targets, a near-isoclinic target, targets within
+    # 1e-12 of a rational plane and of a rational line, and one within 1e-8 of
+    # a rational plane (psi_2 < 1e-6); B also has entries beyond 2^53
+    from subapprox.angles import canonical_angles
+    from subapprox.enumeration import _psi12_pairing
+    from subapprox.exact import PluckerVec
+    from subapprox.grassmann import from_plucker, real_view
+    from subapprox.witness import witness_r4
+
+    rng = random.Random(4242)
+    enum = enumerate_subspaces(4, 2, 5)
+    sample = [enum.coords_at(i) for i in rng.sample(range(len(enum)), 40)]
+    big = 2 ** 40
+    huge = from_generators([(big + 3, 5 * big - 1, 7, -(3 * big + 11)),
+                            (2 * big + 1, -big, big + 9, 4)]).plucker.coords
+    plane = [(1, 2, 0, -1), (0, 1, 3, 1)]
+    line = (1, -1, 2, 0)
     with mp.workprec(128):
-        rows = sorted(range(len(enum)), key=lambda i: (int(enum.heights_sq[i]), enum.coords_at(i)))
-        pos = 0
-        while pos < len(rows):
-            h = int(enum.heights_sq[rows[pos]])
-            grp = []
-            while pos < len(rows) and int(enum.heights_sq[rows[pos]]) == h:
-                grp.append(rows[pos]); pos += 1
-            gb = None
-            for i in grp:
-                psi, _, _ = _refine_psi(a, enum.coords_at(i), 4, 2, 1, 128)
-                if gb is None or psi < gb[0]:
-                    gb = (psi, enum.coords_at(i))
-            if best is None or gb[0] < best:
-                chain.append((h, gb[1]))
-                best = gb[0]
-    got = [(int(round(float(r.height) ** 2)), tuple(int(x) for x in r.subspace_key.split(":")[1].split()))
-           for r in res.records]
-    assert got == chain
+        def tilted(vecs, size):
+            return [[x + mp.mpf(rng.uniform(-1, 1)) * size for x in v] for v in vecs]
+
+        t = mp.mpf("0.3")
+        targets = [
+            (witness_r4("sqrt2"), []),
+            (witness_r4("sqrt5-1"), []),
+            (rnd_plane(1), []),
+            (rnd_plane(2), []),
+            # isoclinic to e1 ^ e2 but for 1e-9: t1 ~ t2 there
+            (RealSubspace.from_vectors([(mp.cos(t), 0, mp.sin(t), 0),
+                                        (0, mp.cos(t + mp.mpf(10) ** -9), 0, mp.sin(t + mp.mpf(10) ** -9))]),
+             [[(1, 0, 0, 0), (0, 1, 0, 0)]]),
+            (RealSubspace.from_vectors(tilted(plane, mp.mpf(10) ** -12)), [plane]),
+            (RealSubspace.from_vectors(tilted([line], mp.mpf(10) ** -12) + [[rng.gauss(0, 1) for _ in range(4)]]),
+             [[line, (0, 1, 1, 5)]]),
+            (RealSubspace.from_vectors(tilted(plane, mp.mpf(10) ** -8)), [plane]),
+        ]
+    worst, smallest_psi2, closest_pair = 0.0, 1.0, 1.0
+    for a, extra in targets:
+        keys = sample + [huge] + [from_generators(g).plucker.coords for g in extra]
+        exact = [canonical_angles(a, real_view(from_plucker(PluckerVec(4, 2, k)), 128)).sines for k in keys]
+        for j in (1, 2):
+            psi, delta = _psi12_pairing(a, np.array(keys, dtype=np.float64), j)
+            err = np.abs(psi - np.array([float(s[j - 1]) for s in exact]))
+            assert np.all(err <= delta), (j, np.flatnonzero(err > delta))
+            worst = max(worst, float((err / delta).max()))
+        smallest_psi2 = min(smallest_psi2, float(exact[-1][1]))
+        closest_pair = min(closest_pair, float(exact[-1][1] - exact[-1][0]))
+    assert smallest_psi2 < 1e-6 and closest_pair < 1e-8
+    with capsys.disabled():
+        print("\n(4,2) pairing screen: largest |psi_float - psi_mp| / delta = %.3g" % worst)
+
+
+def test_target_plucker_with_a_zero_pivot_column():
+    # A = span(e1, e2, e3 + e5): the minor on rows (2, 3, 4) has the zero
+    # column e1, which mpmath's LU decomposition cannot pivot
+    from subapprox.enumeration import target_plucker
+
+    gens = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 1)]
+    got = target_plucker(RealSubspace.from_vectors(gens))
+    want = from_generators(gens).plucker.coords
+    assert 0 in want
+    with mp.workprec(128):
+        nrm = mp.sqrt(sum(c * c for c in want))
+        sign = 1 if got[want.index(max(want, key=abs))] * max(want, key=abs) > 0 else -1
+        assert max(abs(g - sign * w / nrm) for g, w in zip(got, want)) < mp.mpf(2) ** -120
+
+
+def test_contenders_keeps_every_possible_group_minimum():
+    from subapprox.enumeration import _contenders
+
+    # groups [0, 1, 2], [3, 4], [5]
+    lo = np.array([1.0, 2.0, 3.0, 0.5, 1.8, 1.6])
+    hi = np.array([2.0, 2.5, 4.0, 1.5, 3.0, 1.7])
+    keep = _contenders(lo, hi, [0, 3, 5])
+    # row 1 ties the group's least upper end (kept); row 4 lies above row 3,
+    # and row 5 alone in its group lies above the earlier row 3
+    assert keep.tolist() == [True, True, False, True, False, False]
+    # one group of exact values: the argmin, with its ties
+    v = np.array([3.0, 1.0, 2.0, 1.0])
+    assert _contenders(v, v, [0]).tolist() == [False, True, False, True]
+    # each row its own group: the running minimum, with ties
+    assert _contenders(v, v, np.arange(4)).tolist() == [True, True, False, True]
 
 
 def test_scan_generic_path_agrees_with_pairing_path():
