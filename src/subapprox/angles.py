@@ -15,6 +15,7 @@ Error bounds are first-order estimates, not certified enclosures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp
@@ -34,20 +35,19 @@ def _err_margin_bits(n: int) -> int:
     return max(1, n).bit_length() + 8
 
 
-def _to_mpf(x):
-    from fractions import Fraction
+def zero_tol(prec: int):
+    """2^-(prec/2): below this, a psi, pairing or norm computed at prec bits
+    is rounding noise and counts as 0.  A power of two, so exact in mp at any
+    precision (a float64 copy underflows from prec ~ 2150 on)."""
+    return mp.mpf(2) ** (-(prec // 2))
 
+
+def _to_mpf(x):
+    """An int, Fraction, float or mpf as an mpf at the working precision;
+    a Fraction is one rounded division of its exact numerator."""
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
-
-
-def _mat_from_rows(rows) -> "mp.matrix":
-    m = mp.matrix(len(rows), len(rows[0]))
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            m[i, j] = x
-    return m
 
 
 def _svd_values(a: "mp.matrix"):
@@ -79,7 +79,7 @@ class RealSubspace:
             if any(len(r) != n for r in rows):
                 raise ValueError("vector length mismatch")
             ortho: list[list] = []
-            floor = mp.mpf(2) ** (-(precision_bits // 2))
+            floor = zero_tol(precision_bits)
             for r in rows:
                 v = list(r)
                 for _ in range(2):  # MGS + one re-orthogonalization pass
@@ -93,7 +93,7 @@ class RealSubspace:
             return cls(n, len(ortho), tuple(tuple(r) for r in ortho), precision_bits)
 
     def mat(self) -> "mp.matrix":
-        return _mat_from_rows(self.basis)
+        return mp.matrix(self.basis)
 
     def gram_residual(self):
         """max |<b_i, b_j> - delta_ij|, for orthonormality checks."""
@@ -170,7 +170,7 @@ def canonical_angles(a: RealSubspace, b: RealSubspace, precision_bits: int | Non
         G = Y * X.T       # t x dim(large)
         cosines = _svd_values(G)  # descending <-> angles ascending
         # projection complement of the smaller basis off the larger subspace
-        S = Y - (Y * X.T) * X
+        S = Y - G * X
         sines_small = sorted(_svd_values(S))
         err = mp.mpf(2) ** (-prec + _err_margin_bits(a.n * (a.dim + b.dim)))
         sines = []
@@ -236,15 +236,8 @@ def phi_via_det(a: RealSubspace, b_lattice_basis: IntMat, precision_bits: int | 
     prec = precision_bits if precision_bits is not None else a.precision_bits
     hsq = gram_det_sq(b_lattice_basis)
     with mp.workprec(prec):
-        m = mp.matrix(n, n)
-        for j in range(a.dim):
-            for i in range(n):
-                m[i, j] = a.basis[j][i]
-        bcols = b_lattice_basis.columns
-        for j in range(e):
-            for i in range(n):
-                m[i, a.dim + j] = bcols[j][i]
-        det = mp.det(m)
+        cols = a.basis + b_lattice_basis.columns
+        det = mp.det(mp.matrix([[c[i] for c in cols] for i in range(n)]))
         # D of an orthonormal basis is 1 up to roundoff; compute it anyway
         X = a.mat()
         gram = X * X.T

@@ -21,16 +21,17 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import __version__
-from .angles import PrecisionError, RealSubspace, canonical_angles, phi_via_det
+from .angles import PrecisionError, RealSubspace, canonical_angles, phi_via_det, zero_tol
 from .dirichlet import build_approximant, flag_basis, going_up_search, simultaneous_approx
 from .enumeration import enumerate_subspaces, estimate_exponent, scan_target
 from .exact import gram_det_sq
-from .grassmann import from_generators, from_plucker, parse_key, real_view
+from .grassmann import from_generators, from_plucker, parse_key, real_view, refine_psi
 from .witness import (
     lower_bound_check,
     r4_irrationality_certificate,
     r5_plucker_coords,
     r5_relation_residuals,
+    r5_residual_tol,
     r5_trivial_solution_search,
     witness_r4,
     witness_r4_spec,
@@ -210,8 +211,7 @@ def cmd_witness(args) -> int:
             res = r5_relation_residuals(r5_plucker_coords(tok, prec),
                                         precision_bits=4 * prec)
             with mp.workprec(4 * prec):
-                tol = mp.mpf(2) ** (-prec + 16) * max(
-                    mp.mpf(1), max(abs(c) for c in spec.derived) ** 2)
+                tol = r5_residual_tol(spec.derived, prec)
                 ok = max(abs(r) for r in res) <= tol
             report["residuals"] = {
                 "values": [fmt_mpf(r, prec) for r in res],
@@ -273,12 +273,11 @@ def cmd_dirichlet(args) -> int:
         if b is None:
             skipped += 1
             continue
+        psi, _ = refine_psi(target, b, j, prec)
         with mp.workprec(prec):
-            prof = canonical_angles(target, real_view(b, prec), precision_bits=prec)
-            psi = prof.sines[j - 1]
             h = mp.sqrt(mp.mpf(b.height_sq))
             ratio = psi * h ** mp.mpf(expo)
-        if float(psi) < 2.0 ** (-(prec // 2)):
+        if psi < zero_tol(prec):
             lines.append("%d,%s,%s,%s" % (rec.q, fmt_mpf(h, prec), fmt_mpf(0, prec),
                                           fmt_mpf(0, prec)))
             stop = True
@@ -426,15 +425,14 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, target=True):
+    def common(sp):
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--d", type=int, default=None)
         sp.add_argument("--prec", type=int, default=128)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        if target:
-            sp.add_argument("--target", required=True,
-                            help="r4[:xi] | r5[:zeta3] | gens:<rows> | random:<d>")
+        sp.add_argument("--target", required=True,
+                        help="r4[:xi] | r5[:zeta3] | gens:<rows> | random:<d>")
 
     sp = sub.add_parser("height", help="height and Plucker data of a rational subspace")
     sp.add_argument("--gens", default=None, help="rows `a b c; d e f` (rationals allowed)")
@@ -451,7 +449,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--cache", default=None)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--max-pairs", type=int, default=None)
-    sp.add_argument("--format", choices=("csv",), default="csv")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("witness", help="witness certificates")

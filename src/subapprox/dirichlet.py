@@ -21,8 +21,9 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .angles import PrecisionError, RealSubspace, canonical_angles, principal_pairs, sin_angle
-from .enumeration import _U, _contenders, _float_psi, _refine_psi, _wedge_matrix, _zero_tol
+from .angles import (PrecisionError, RealSubspace, _to_mpf, canonical_angles, principal_pairs,
+                     sin_angle, zero_tol)
+from .enumeration import _U, _contenders, _float_psi, _wedge_matrix
 from .exact import (
     PluckerVec,
     complete_to_unimodular,
@@ -30,7 +31,7 @@ from .exact import (
     normalize_plucker,
     solve_fraction,
 )
-from .grassmann import RationalSubspace, from_generators, from_plucker
+from .grassmann import RationalSubspace, from_generators, from_plucker, refine_psi
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def flag_basis(f: RealSubspace, j: int) -> FlagBasis:
     with mp.workprec(prec):
         flags: list[tuple] = []
         pattern: list[tuple[int, ...]] = []
-        floor = mp.mpf(2) ** (-(prec // 2))
+        floor = zero_tol(prec)
         g_basis = [list(row) for row in f.basis]
         for ell in range(1, j + 1):
             zero_from = n - d + ell  # 0-based: coords >= zero_from are forced to 0
@@ -90,10 +91,8 @@ def flag_basis(f: RealSubspace, j: int) -> FlagBasis:
             else:
                 # kernel of the (n - zero_from) x g coordinate-restriction map;
                 # pad with zero rows since nz = g - 1 < g
-                m = mp.matrix(g, g)
-                for r in range(nz):
-                    for c in range(g):
-                        m[r, c] = g_basis[c][zero_from + r]
+                m = mp.matrix([[b[i] for b in g_basis] for i in range(zero_from, n)]
+                              + [[0] * g] * (g - nz))
                 u, s, v = mp.svd_r(m)
                 order = sorted(range(g), key=lambda i: abs(s[i]))
                 combo = [v[order[0], c] for c in range(g)]
@@ -131,10 +130,7 @@ def _orthocomplement_in(f: RealSubspace, flags, want: int, prec: int):
             ip = mp.fsum(a * b for a, b in zip(w, fl))
             w = [a - ip * b for a, b in zip(w, fl)]
         proj.append(w)
-    m = mp.matrix(len(proj), n)
-    for r, w in enumerate(proj):
-        for c in range(n):
-            m[r, c] = w[c]
+    m = mp.matrix(proj)
     u, s, v = mp.svd_r(m)
     order = sorted(range(min(m.rows, n)), key=lambda i: -abs(s[i]))
     if abs(s[order[want - 1]]) < mp.mpf("0.1"):
@@ -171,8 +167,7 @@ def simultaneous_approx(x: Sequence, q_max: int, *,
     if N == 0:
         raise ValueError("empty target vector")
     with mp.workprec(precision_bits):
-        xv = [mp.mpf(v) if not isinstance(v, Fraction) else mp.mpf(v.numerator) / v.denominator
-              for v in x]
+        xv = [_to_mpf(v) for v in x]
         if q_max <= 100_000:
             cand_qs = _record_candidates_sweep(xv, q_max)
         else:
@@ -311,11 +306,7 @@ def direct_sum_angle_bound(f_parts: Sequence[RealSubspace], b_parts: Sequence[Re
             pairs, _ = principal_pairs(fp, bp, precision_bits=prec)
             lines_a.extend(x for x, _ in pairs)
         # coefficient norm of the a-line basis: max row norm of its pseudo-inverse
-        m = mp.matrix(n, k)
-        for c, vec in enumerate(lines_a):
-            for r in range(n):
-                m[r, c] = vec[r]
-        u, s, v = mp.svd_r(m)
+        u, s, v = mp.svd_r(mp.matrix([[vec[r] for vec in lines_a] for r in range(n)]))
         smin = min(abs(s[i]) for i in range(k))
         if smin == 0:
             raise ValueError("degenerate line basis")
@@ -483,11 +474,15 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
 
+    def psi_j(c):  # below the zero tolerance, rounding noise: 0
+        psi = refine_psi(a, c, j, prec)[0]
+        return psi if psi >= zero_tol(prec) else mp.mpf(0)
+
     keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight, prec)
     scored = []  # (score, key, psi)
     with mp.workprec(prec):
         for key in keys:
-            psi = _refined_psi(a, key, n, e + 1, j, prec)
+            psi = psi_j(from_plucker(PluckerVec(n, e + 1, key)))
             score = (mp.inf if psi == 0 and weight < 0
                      else mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight))
             scored.append((score, key, psi))
@@ -496,16 +491,10 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
     contained = all(lattice_contains(c_sub.lattice_basis, col) for col in basis_cols)
     with mp.workprec(prec):
-        psi_before = _refined_psi(a, b.plucker.coords, n, e, j, prec)
+        psi_before = psi_j(b)
         expo = mp.mpf(n - e - 1) / (n - e)
         ratio = float(mp.sqrt(mp.mpf(c_sub.height_sq)) / mp.mpf(b.height_sq) ** (expo / 2))
     return GoingUpResult(c_sub, psi_before, best[2], ratio, len(coeffs), contained)
-
-
-def _refined_psi(a, key, n, e, j, prec):
-    """psi_j(A, C) at prec bits, 0 below the zero tolerance."""
-    psi = _refine_psi(a, key, n, e, j, prec)[0]
-    return psi if psi >= _zero_tol(prec) else mp.mpf(0)
 
 
 def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
@@ -523,7 +512,7 @@ def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
     """
     psi, delta = _float_psi(a, np.array(keys, dtype=np.float64), n, e, j)  # no int64 cast
     log_h = 0.5 * np.log(np.array([heights[k] for k in keys], dtype=np.float64))
-    low = np.where(psi - delta < 2 * float(_zero_tol(prec)), 0.0, psi - delta)
+    low = np.where(psi - delta < 2 * float(zero_tol(prec)), 0.0, psi - delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = [weight * np.log(np.clip(x, 0, 1)) for x in (low, psi + delta)]
     terms = [np.where(np.isnan(t), 0.0, t) for t in terms]  # 0 * log 0 is psi^0 = 1

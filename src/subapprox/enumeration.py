@@ -46,9 +46,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from mpmath import mp
 
-from .angles import RealSubspace, canonical_angles
+from .angles import RealSubspace, zero_tol
 from .exact import PluckerVec, laplace_sign, subsets, wedge_terms
-from .grassmann import RationalSubspace, from_plucker, plucker_relations, real_view
+from .grassmann import RationalSubspace, from_plucker, plucker_relations, refine_psi
 
 _SHARD_SIZE = 64  # first-vector candidates per shard; fixed so cache layout is stable
 # names the shard layout above; a partial cache of another layout is rebuilt, not resumed
@@ -435,31 +435,28 @@ def _mobius(m: int) -> np.ndarray:
 def _quadric_solutions_4_2(cap_sq: int) -> int:
     """Nonzero integer 6-tuples with p1 p6 - p2 p5 + p3 p4 = 0 and norm^2 <= cap_sq.
 
-    Counted by convolving the joint (product, norm^2) distribution of
-    coordinate pairs; FFT sums stay far below 2^53 at desk scale.
+    Counted exactly in int64 by a join over coordinate pairs.  C[p, s] is the
+    number of pairs (x, y) with x y = p and x^2 + y^2 <= s, and p3 p4 =
+    p2 p5 - p1 p6, so the count is the sum of C[p2 p5 - p1 p6, cap_sq -
+    |(p1, p6)|^2 - |(p2, p5)|^2] over the pairs (p1, p6) and (p2, p5), less
+    the zero tuple.  Those two pairs are grouped into cells of equal
+    (product, norm^2), so the join runs over cells weighted by their sizes.
     """
     r = math.isqrt(cap_sq)
-    xs = np.arange(-r, r + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    m = (X * X + Y * Y) <= cap_sq
-    r2 = r * r
-    P = (X * Y)[m].ravel() + r2
-    S = (X * X + Y * Y)[m].ravel()
-    F = np.zeros((2 * r2 + 1, cap_sq + 1))
-    np.add.at(F, (P, S), 1.0)
-    np1, ns1 = F.shape
-    fp, fs = 2 * np1 - 1, 2 * ns1 - 1
-    FF = np.fft.rfft2(F, s=(fp, fs))
-    G = np.fft.irfft2(FF * FF, s=(fp, fs))
-    Gm = G[r2: 3 * r2 + 1, : cap_sq + 1]
-    Gc = np.cumsum(Gm, axis=1)
-    total = 0.0
-    for s2 in range(cap_sq + 1):
-        col = F[:, s2]
-        nz = np.nonzero(col)[0]
-        if len(nz):
-            total += float((col[nz] * Gc[nz, cap_sq - s2]).sum())
-    return int(round(total)) - 1
+    h = cap_sq // 2  # |x y| <= (x^2 + y^2) / 2, so products lie in [-h, h]
+    xs = np.arange(-r, r + 1, dtype=np.int64)
+    X, Y = np.meshgrid(xs, xs, indexing="ij", sparse=True)
+    S = X * X + Y * Y
+    keep = S <= cap_sq
+    C = np.zeros((2 * h + 1, cap_sq + 1), dtype=np.int64)  # rows: product + h
+    np.add.at(C, ((X * Y)[keep] + h, S[keep]), 1)
+    p, s = np.nonzero(C)  # the cells, and their sizes
+    w = C[p, s]
+    np.cumsum(C, axis=1, out=C)
+    dp = p[None, :] - p[:, None] + h  # row of p2 p5 - p1 p6
+    ds = cap_sq - s[:, None] - s[None, :]
+    ok = (dp >= 0) & (dp <= 2 * h) & (ds >= 0)
+    return int((w[:, None] * w[None, :])[ok] @ C[dp[ok], ds[ok]]) - 1
 
 
 def plucker_sweep_count_4_2(height_max) -> int:
@@ -524,14 +521,8 @@ def _det(m):
 def target_plucker(a: RealSubspace):
     """Unit Plucker coordinate vector of a real subspace (mp floats)."""
     with mp.workprec(a.precision_bits):
-        rows = a.basis
-        coords = []
-        for sub in subsets(a.n, a.dim):
-            m = mp.matrix(a.dim, a.dim)
-            for ii, i in enumerate(sub):
-                for jj in range(a.dim):
-                    m[ii, jj] = rows[jj][i]
-            coords.append(_det(m))
+        coords = [_det(mp.matrix([[row[i] for row in a.basis] for i in sub]))
+                  for sub in subsets(a.n, a.dim)]
         nrm = mp.sqrt(mp.fsum(c * c for c in coords))
         return [c / nrm for c in coords]
 
@@ -540,18 +531,6 @@ def hodge_pairing_floats(a: RealSubspace, etas: np.ndarray) -> np.ndarray:
     """|<a, *eta>| per row: the numerator of phi(A, B) * H(B) for d + e = n."""
     apl = np.array([float(x) for x in target_plucker(a)])
     return np.abs(_hodge_twist(etas.astype(np.float64), a.n, a.dim) @ apl)
-
-
-def _zero_tol(prec: int):
-    """Below this, a psi or pairing computed at prec bits is rounding noise and counts as 0."""
-    return mp.mpf(2) ** (-(prec // 2))
-
-
-def _refine_psi(a: RealSubspace, coords: tuple[int, ...], n, e, j, precision_bits):
-    b = from_plucker(PluckerVec(n, e, coords))
-    rv = real_view(b, precision_bits)
-    prof = canonical_angles(a, rv, precision_bits=precision_bits)
-    return prof.sines[j - 1], prof.phi, prof.err
 
 
 _GENERIC_LIMIT = 500_000  # largest scan the generic float screen accepts
@@ -760,9 +739,7 @@ def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int):
 
 def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
                 enumeration: Enumeration | None = None,
-                precision_bits: int | None = None,
-                cache_path: str | None = None,
-                workers: int = 1) -> ScanResult:
+                precision_bits: int | None = None) -> ScanResult:
     """Strictly-improving record sequence of psi_j(A, B) over heights <= height_max.
 
     B enters the sequence iff its psi_j beats every subspace of lower or
@@ -776,8 +753,7 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
         raise ValueError("need 1 <= j <= min(dim A, e)")
     prec = precision_bits if precision_bits is not None else a.precision_bits
     if enumeration is None:
-        enumeration = enumerate_subspaces(a.n, e, height_max,
-                                          cache_path=cache_path, workers=workers)
+        enumeration = enumerate_subspaces(a.n, e, height_max)
     if enumeration.n != a.n or enumeration.e != e:
         raise ValueError("enumeration is for (n=%d, e=%d), target needs (n=%d, e=%d)"
                          % (enumeration.n, enumeration.e, a.n, e))
@@ -792,21 +768,21 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
     cand = np.flatnonzero(_contenders(psi_f - delta, psi_f + delta, starts))
 
-    zero_tol = _zero_tol(prec)
+    tol = zero_tol(prec)
     running = None
     with mp.workprec(prec):
         for hh, group in itertools.groupby(cand.tolist(), key=lambda i: int(h2[i])):
             best = None  # (psi, coords, record); ties keep the lex-smaller key
             for i in group:
                 coords = enum.coords_at(i)
-                psi, ph, _ = _refine_psi(a, coords, enum.n, enum.e, j, prec)
+                psi, ph = refine_psi(a, enum.subspace_at(i), j, prec)
                 if best is None or psi < best[0] or (psi == best[0] and coords < best[1]):
                     rec = ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(hh)), psi, ph, j)
                     best = (psi, coords, rec)
             if running is None or best[0] < running:
                 result.records.append(best[2])
                 running = best[0]
-                if best[0] < zero_tol:
+                if best[0] < tol:
                     result.rational_target = True
                     break
     if result.rational_target and result.records:

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .angles import RealSubspace
+from .angles import RealSubspace, canonical_angles
 from .exact import (
     IntMat,
     PluckerVec,
     annihilator_rows,
     clear_denominators,
-    hnf_rows,
     kernel_int,
     normalize_plucker,
     saturate,
@@ -55,13 +54,13 @@ def from_generators(vectors: Sequence[Sequence]) -> RationalSubspace:
     gens = [clear_denominators(v) for v in vectors]
     if not gens:
         raise ValueError("no generators")
-    n = len(gens[0])
-    basis = saturate(gens)  # raises on dependent input
-    canon = hnf_rows([list(c) for c in basis.columns])
-    mat = IntMat.from_columns(canon)
-    raw = wedge_plucker(mat)
-    pl = normalize_plucker(raw, n, mat.cols)
-    return RationalSubspace(n, mat.cols, mat, pl, pl.norm_sq)
+    return _from_basis(saturate(gens))  # HNF-canonical; raises on dependent input
+
+
+def _from_basis(mat: IntMat) -> RationalSubspace:
+    """The subspace whose saturated lattice has the HNF basis ``mat`` (columns)."""
+    pl = normalize_plucker(wedge_plucker(mat), mat.rows, mat.cols)
+    return RationalSubspace(mat.rows, mat.cols, mat, pl, pl.norm_sq)
 
 
 @lru_cache(maxsize=None)
@@ -130,20 +129,29 @@ def from_plucker(v: PluckerVec) -> RationalSubspace:
     if e == n:
         basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     else:
-        basis = kernel_int(annihilator_rows(v.coords, n, e), width=n)
+        basis = kernel_int(annihilator_rows(v.coords, n, e), width=n)  # HNF-canonical
         if len(basis) != e:
             raise ValueError("vector is not decomposable (kernel rank %d != %d)" % (len(basis), e))
-        basis = hnf_rows(basis)
-    mat = IntMat.from_columns(basis)
-    pl = normalize_plucker(wedge_plucker(mat), n, e)
-    if pl.coords != v.coords:
+    b = _from_basis(IntMat.from_columns(basis))
+    if b.plucker.coords != v.coords:
         raise ValueError("recovered subspace does not reproduce the Plucker vector")
-    return RationalSubspace(n, e, mat, pl, pl.norm_sq)
+    return b
 
 
 def real_view(b: RationalSubspace, precision_bits: int = 128) -> RealSubspace:
     """Orthonormal high-precision basis of the same span."""
     return RealSubspace.from_vectors(b.basis_vectors(), precision_bits=precision_bits)
+
+
+def refine_psi(a: RealSubspace, b: RationalSubspace, j: int, precision_bits: int):
+    """(psi_j(A, B), phi(A, B)) at ``precision_bits``, from B's exact basis.
+
+    The one mp refinement of a float-screened rational B: scans, going-up
+    and the Dirichlet construction all call it.  The values are raw; a caller
+    that counts psi below :func:`angles.zero_tol` as 0 applies that itself.
+    """
+    prof = canonical_angles(a, real_view(b, precision_bits), precision_bits=precision_bits)
+    return prof.sines[j - 1], prof.phi
 
 
 def parse_key(text: str) -> PluckerVec:

@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .angles import PrecisionError, RealSubspace
-from .enumeration import Enumeration, _hodge_twist, _zero_tol, hodge_pairing_floats, target_plucker
+from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
+from .enumeration import Enumeration, _hodge_twist, hodge_pairing_floats, target_plucker
 from .exact import annihilator_rows
 
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
@@ -35,11 +35,8 @@ def parse_param(token):
     Returns a callable evaluating the value at a given precision, so checks
     can re-evaluate the same parameter when precision is doubled.
     """
-    if isinstance(token, (int, Fraction)):
-        frac = Fraction(token)
-        return lambda prec: _frac_mpf(frac)
-    if isinstance(token, float):
-        return lambda prec: mp.mpf(token)
+    if isinstance(token, (int, float, Fraction)):
+        return lambda prec: _to_mpf(token)
     m = _PARAM_RE.match(str(token))
     if not m or (m.group(1) is None and m.group(2) is None):
         raise ValueError("cannot parse parameter %r" % (token,))
@@ -52,14 +49,10 @@ def parse_param(token):
         if radicand is not None:
             total += mp.sqrt(radicand)
         if offset is not None:
-            total += _frac_mpf(offset)
+            total += _to_mpf(offset)
         return total
 
     return ev
-
-
-def _frac_mpf(f: Fraction):
-    return mp.mpf(f.numerator) / f.denominator
 
 
 @dataclass
@@ -203,10 +196,8 @@ def witness_r5(zeta3="sqrt3+1/4", precision_bits: int = 128):
     for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):
         coords = r5_plucker_coords(zeta3, prec)
         with mp.workprec(prec):
-            scale = max(mp.mpf(1), max(abs(c) for c in coords) ** 2)
-            tol = scale * mp.mpf(2) ** (-prec + 16)
             residuals = r5_relation_residuals(coords)
-            if max(abs(r) for r in residuals) <= tol:
+            if max(abs(r) for r in residuals) <= r5_residual_tol(coords, prec):
                 subspace, ann_res = _r5_recover(coords, prec)
                 spec = WitnessSpec("R5", zeta3, prec, tuple(coords),
                                    relation_residuals=residuals,
@@ -215,6 +206,13 @@ def witness_r5(zeta3="sqrt3+1/4", precision_bits: int = 128):
     raise PrecisionError("R5 witness residuals above tolerance at %d and %d bits"
                          % (precision_bits, 2 * precision_bits),
                          achieved=max(abs(r) for r in residuals))
+
+
+def r5_residual_tol(coords, prec: int):
+    """The largest residual a quadric may keep for coordinates built at prec
+    bits: max(1, max|c|^2) 2^(-prec + 16), evaluated at the caller's working
+    precision (the power of two scales exactly)."""
+    return max(mp.mpf(1), max(abs(c) for c in coords) ** 2) * mp.mpf(2) ** (-prec + 16)
 
 
 def _r5_recover(coords, prec):
@@ -226,8 +224,7 @@ def _r5_recover(coords, prec):
         ann_res = abs(s[order[2]]) / abs(s[order[0]])
         basis = [[v[order[k], j] for j in range(5)] for k in (2, 3, 4)]
         sub = RealSubspace.from_vectors(basis, precision_bits=prec)
-        floor = mp.mpf(2) ** (-prec // 2)
-        if ann_res > floor:
+        if ann_res > zero_tol(prec):
             raise PrecisionError("annihilator kernel not numerically rank-3",
                                  achieved=ann_res)
         return sub, ann_res
@@ -335,7 +332,7 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
             v = exact_value(i)
             if best_v is None or v < best_v or (v == best_v and enum.coords_at(i) < enum.coords_at(best_i)):
                 best_i, best_v = i, v
-        rational = best_v < _zero_tol(prec)
+        rational = best_v < zero_tol(prec)
 
     qs = {q: float(np.quantile(values, q)) for q in (0.0, 0.01, 0.1, 0.5, 1.0)}
     return LowerBoundReport(

@@ -151,6 +151,45 @@ def test_dirichlet_rational_stops(capsys):
     assert "rational_stop=true" in out
 
 
+def test_dirichlet_rational_stops_at_any_precision(capsys):
+    # psi at q = 4 is rounding noise far below 2^-1100; a float64 copy of
+    # that tolerance underflows to 0.0 from prec ~ 2150 on
+    for prec in ("128", "2200"):
+        code = main(["dirichlet", "--target", "gens:1 2 0 3", "--j", "1", "--qmax", "5",
+                     "--prec", prec])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[-2].startswith("4,") and lines[-2].endswith(",0.0,0.0")
+        assert lines[-1].endswith("rational_stop=true")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--n", "4", "--seed", "3", "--j", "1", "--qmax", "2000"),  # exhaustive q-sweep
+     "a1c40509d9e57681c0099b23aa4beb2fe2e2a09eee0871a15c032c51af1998d4"),
+    (("--n", "4", "--seed", "5", "--j", "1", "--qmax", "10000000"),  # LLL candidates
+     "6befab49d5ae245268240b2156f6b5c8c04ba4fd05a5fb2b47d4b41761d458d1"),
+    (("--n", "5", "--seed", "7", "--j", "2", "--qmax", "500"),
+     "3b6bca8866a83c18ca1e9d1de30a3cfab8450d6521007a4d296932a7aa7276e6"),
+])
+def test_dirichlet_output_pinned(tmp_path, argv, digest):
+    out = tmp_path / "d.csv"
+    assert main(["dirichlet", "--target", "random:2", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--zeta3", "3/2"),
+     "9981e28dd27bc3455c01b07b70703b067275bea81f4b06f895b02967151ec41b"),
+    (("--zeta3", "2", "--prec", "129"),  # odd precision
+     "a921a97500684f52dc762c3fc6a3d7928bd750fc6cea1583448e9731a9068601"),
+])
+def test_witness_r5_residuals_pinned(tmp_path, argv, digest):
+    # the printed tolerance max(1, max|c|^2) 2^(-prec + 16) and residuals
+    out = tmp_path / "r5.json"
+    assert main(["witness", "r5", *argv, "--residuals", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_goingup_json(capsys):
     code = main(["goingup", "--target", "random:2", "--n", "4", "--seed", "5",
                  "--gens", "3 1 4 1", "--budget", "2"])

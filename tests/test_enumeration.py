@@ -10,6 +10,7 @@ from mpmath import mp
 from subapprox.angles import RealSubspace
 from subapprox.enumeration import (
     CacheCorruption,
+    _quadric_solutions_4_2,
     enumerate_subspaces,
     estimate_exponent,
     plucker_sweep_count_4_2,
@@ -83,6 +84,17 @@ def test_plucker_sweep_against_brute_force():
     gg = np.gcd.reduce(np.abs(V), axis=1)
     expected = int((gg == 1).sum()) // 2
     assert plucker_sweep_count_4_2(4) == expected
+
+
+def test_quadric_solutions_against_brute_force():
+    # the raw count, imprimitive tuples included: every nonzero integer
+    # 6-tuple of norm^2 <= cap_sq on p1 p6 - p2 p5 + p3 p4 = 0
+    xs = np.arange(-3, 4)
+    V = np.stack([x.ravel() for x in np.meshgrid(*([xs] * 6), indexing="ij")], 1)
+    V = V[V[:, 0] * V[:, 5] - V[:, 1] * V[:, 4] + V[:, 2] * V[:, 3] == 0]
+    n2 = (V * V).sum(1)
+    for cap_sq in range(1, 10):
+        assert _quadric_solutions_4_2(cap_sq) == int(((n2 > 0) & (n2 <= cap_sq)).sum())
 
 
 def test_enumeration_5_2():
