@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_CERT = 2
 EXIT_PARSE = 3
 EXIT_TRUNCATED = 4
+MIN_PREC = 64  # bits; the float screens' error bounds assume the mp values are this accurate
 
 
 class ParseError(ValueError):
@@ -159,8 +160,6 @@ def cmd_scan(args) -> int:
         raise ParseError("need d + e <= n (got d=%d e=%d n=%d)" % (d, args.e, n))
     if not (1 <= args.j <= min(d, args.e)):
         raise ParseError("need 1 <= j <= min(d, e)")
-    if args.prec < 64:
-        raise ParseError("precision must be >= 64 bits")
     enum = enumerate_subspaces(n, args.e, args.hmax, cache_path=args.cache,
                                workers=args.workers, max_pairs=args.max_pairs)
     res = scan_target(target, args.e, args.j, args.hmax, enumeration=enum,
@@ -495,6 +494,8 @@ def main(argv=None) -> int:
     ValueError, or a PrecisionError) is reported on one line and exits 3."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "prec", MIN_PREC) < MIN_PREC:
+            raise ParseError("precision must be >= %d bits" % MIN_PREC)
         return args.func(args)
     except (ValueError, PrecisionError) as exc:
         sys.stderr.write("%s: %s\n" % ("parse error" if isinstance(exc, ParseError) else "error", exc))

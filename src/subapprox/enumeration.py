@@ -533,186 +533,166 @@ def hodge_pairing_floats(a: RealSubspace, etas: np.ndarray) -> np.ndarray:
     return np.abs(_hodge_twist(etas.astype(np.float64), a.n, a.dim) @ apl)
 
 
-_GENERIC_LIMIT = 500_000  # largest scan the generic float screen accepts
-# working set of one batch of :func:`_float_psi_generic`: the stacked
-# annihilator matrices and their full SVD; a speed-neutral size, since LAPACK
-# works one matrix at a time either way
-_GENERIC_BATCH_BYTES = 1 << 22
+# working set of one batch of :func:`_float_psi`; every row is computed on its
+# own, so the batch size changes no bit of the result
+_BATCH_BYTES = 1 << 22
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-def _float_psi_delta(n: int, e: int) -> float:
-    """Absolute bound on |psi - psi_j(A, B)| for psi from :func:`_float_psi_generic`
-    on an (n, e) subspace B; at most 1e-12 for n <= 7.
-
-    With u = 2^-53, m = C(n, e + 1) rows in the annihilator x -> x ^ eta and
-    d = dim A <= n:
-
-    * eta is decomposable, so x -> x ^ eta is |eta| times an isometry on B^perp
-      and 0 on B: its nonzero singular values all equal |eta|.
-    * Rounding eta to float64 moves the map by at most sqrt(n - e) u |eta|
-      (each eta_S sits in n - e rows).  The Householder-based SVD is backward
-      stable: it returns the exact SVD of a matrix within p u |eta|, with
-      right singular vectors orthonormal within p u, where p = 4 m n.  This is
-      the gamma~_mn of Higham, ch. 19, whose constant the literature (and
-      LAPACK's p(m, n)) leaves unspecified; it is assumed to be 4 here, for
-      the divide-and-conquer gesdd that numpy calls.  The assumption is
-      checked empirically: ``test_float_psi_delta_is_sound`` measures errors
-      below 5% of the resulting bound.
-    * Wedin's sin-Theta theorem with the gap |eta| - (sqrt(n - e) + p) u |eta|
-      >= |eta| / 2 puts the computed kernel B' within ||P_B - P_B'|| <=
-      2 (sqrt(n - e) + p) u of B, whatever the conditioning of B's bases.
-    * The sines of the principal angles are the singular values of
-      P_A^perp P_B.  By Weyl's inequality they move by at most
-      ||P_B - P_B'||, by the p u orthonormality error of the kernel basis Y,
-      and by ||X^T X - P_A|| <= 3 sqrt(d) u for A's basis X rounded to float64.
-    * G = Y X^T and S = Y - G X are sums of at most n products, within
-      (2 gamma_n + u) sqrt(e d) of exact in norm (Higham, ch. 3); the two small
-      SVDs add 4 e n u each.  The cosine branch sqrt(1 - c^2) is taken only
-      for c^2 < 1/2, where it is 1-Lipschitz in c, and sorting the sines is
-      1-Lipschitz in the max norm.
-
-    With a few u for sqrt and clipping, and sqrt(n - e), d and e bounded by
-    n >= 3, the sum is at most K u with K = 3 p + 13 n^2, given the assumed
-    SVD constant.  Doubling it covers the second-order terms while
-    K u <= 1/4, and the 2^-prec error of the mp value it is compared with.  The line route of :func:`_float_psi_generic`
-    (no SVD) stays inside the same bound.
-    """
-    p = 4 * math.comb(n, e + 1) * n
-    return 2 * (3 * p + 13 * n * n) * _U
+@functools.lru_cache(maxsize=None)
+def _wedge_slots(n: int, e: int) -> tuple[np.ndarray, ...]:
+    """:func:`~subapprox.exact.wedge_terms` as (k, sign, S) arrays of shape
+    (e + 1, C(n, e + 1)): (x ^ w)_T is the sum over p of
+    sign[p, T] x[k[p, T]] w[S[p, T]]."""
+    m = math.comb(n, e + 1)
+    if m == 0:  # grade e + 1 > n, where x ^ w = 0
+        return (np.zeros((e + 1, 0), dtype=np.intp),) * 3
+    return tuple(c.reshape(m, e + 1).T for c in _wedge_index(n, e)[1:])
 
 
-def _float_psi_generic(a: RealSubspace, etas: np.ndarray, n: int, e: int, j: int) -> np.ndarray:
-    """Batched float64 psi_j(A, B) for the (n, e) subspaces with Plucker rows
-    ``etas``, within :func:`_float_psi_delta` of the exact value."""
-    d = a.dim
-    t = min(d, e)
-    count = len(etas)
-    if count == 0:
-        return np.zeros(0)
-    X = np.array([[float(x) for x in row] for row in a.basis])  # d x n
-    if e == 1:
-        # lines: one angle; plain matrix products, no batched SVD needed
-        Y = etas.astype(np.float64)
-        Y /= np.linalg.norm(Y, axis=1)[:, None]
-        G = Y @ X.T                      # (count, d)
-        cosv = np.linalg.norm(G, axis=1)
-        S = Y - G @ X
-        sines = np.linalg.norm(S, axis=1)
-        return np.where(cosv * cosv >= 0.5, sines,
-                        np.sqrt(np.clip(1 - np.clip(cosv, 0, 1) ** 2, 0, 1)))
-    # bases from the annihilator kernel x -> x wedge eta, batched
-    at_t, at_k, sign, src = _wedge_index(n, e)
-    R = math.comb(n, e + 1)
-    # per row: the R x n matrix, its R x R and n x n singular vectors, n values
-    batch = max(1, _GENERIC_BATCH_BYTES // (8 * (R * n + R * R + n * n + n)))
-    out = np.empty(count)
-    for lo in range(0, count, batch):
-        chunk = etas[lo:lo + batch]
-        A = np.zeros((len(chunk), R, n))
-        # in floats, so -1 * 0 is -0.0: the SVD's output bits depend on the signs of zeros
-        A[:, at_t, at_k] = sign * chunk[:, src].astype(np.float64)
-        _, _, Vh = np.linalg.svd(A)
-        Y = Vh[:, n - e:, :]  # orthonormal kernel bases, (batch, e, n)
-        G = Y @ X.T  # (batch, e, d)
-        cosv = np.linalg.svd(G, compute_uv=False)  # descending, t values
-        S = Y - G @ X  # component of B off A
-        sines_all = np.sort(np.linalg.svd(S, compute_uv=False), axis=1)
-        sines = sines_all[:, :t]
-        cosv = np.clip(cosv[:, :t], 0, 1)
-        alt = np.sqrt(np.clip(1 - cosv * cosv, 0, 1))
-        psi = np.where(cosv * cosv >= 0.5, sines, alt)
-        out[lo:lo + batch] = np.sort(psi, axis=1)[:, j - 1]
+def _wedge_cols(x: np.ndarray, w: np.ndarray, n: int, k: int) -> np.ndarray:
+    """x_i ^ w in float64 for each row x_i of x and each column w of the
+    grade-k array w, shape (len(x), C(n, k + 1), w.shape[1])."""
+    idx, sign, src = _wedge_slots(n, k)
+    coef = (sign * x[:, idx])[..., None]  # the eta-linear table, (len(x), k + 1, C(n, k + 1), 1)
+    out = coef[:, 0] * w[src[0]]
+    tmp = np.empty_like(out)
+    for p in range(1, k + 1):
+        out += np.multiply(coef[:, p], w[src[p]], out=tmp)
     return out
+
+
+def _sum_sq(rows: np.ndarray) -> np.ndarray:
+    """The sum of the squares of the rows, column by column, in row order."""
+    acc = np.zeros(rows.shape[1:])
+    tmp = np.empty_like(acc)
+    for r in rows:
+        acc += np.multiply(r, r, out=tmp)
+    return acc
 
 
 def _sqrt_err(x: np.ndarray, dx):
     """sqrt(max(x, 0)) rounded to float64, and a bound on its distance from
-    sqrt(x') for every x' >= 0 within dx of x: |sqrt(x+) - sqrt(x')| is at
-    most sqrt(dx), and at most dx / sqrt(x+), to which the rounding adds u."""
+    sqrt(x') for every x' >= 0 within dx > 0 of x: |sqrt(x+) - sqrt(x')| is
+    at most sqrt(dx), and at most dx / sqrt(x+), to which the rounding adds u."""
     r = np.sqrt(np.maximum(x, 0))
-    err = np.divide(dx, r, out=np.full_like(r, np.inf), where=r > 0)
+    with np.errstate(divide="ignore"):
+        err = dx / r
     np.minimum(err, np.sqrt(dx), out=err)
     err += _U * r
     return r, err
 
 
-def _psi12_pairing(a: RealSubspace, etas, j: int):
-    """psi_j(A, B), j = 1 or 2, for planes A and B in R^4 with Plucker rows
-    ``etas`` (integers or their float64 roundings), and a per-row bound on its
-    distance from the mp value.
-
-    With principal angles t1 <= t2 and unit Plucker vectors, c = |<a, b>| =
-    cos t1 cos t2 and s = |<a, *b>| = sin t1 sin t2, so psi_1^2 and psi_2^2
-    are the roots of x^2 - (1 + s^2 - c^2) x + s^2.  Its discriminant is
-    (1 - (c+s)^2)(1 - (c-s)^2), and c -+ s = cos(t1 +- t2), so with
-    m = sin(t2 - t1) and p = sin(t1 + t2) the larger root is
-    psi_2^2 = ((1 - c)(1 + c) + s^2 + p m) / 2, a sum of nonnegative terms,
-    and psi_1 = s / psi_2 (0 where psi_2 is 0).  ``*`` is an isometry with
-    ** = 1 on planes of R^4, so <a, *b> = <*a, b>.
-
-    The bound, with u = 2^-53 and ^ for a computed value (Higham, ch. 3):
-
-    * c, s: eta rounded to float64 (going-up keys can exceed 2^53) and a,
-      the unit mp vector rounded, are within u of exact entry by entry, plus
-      a's mp error 2^-prec <= 2^-64.  A 6-term dot is within gamma_6 |eta| |a|
-      of its value in any summation order, so within 8 u |eta| of <eta, a>;
-      sqrt(sum eta_i^2) is within 5 u of |eta| relatively, and the quotient
-      adds u: |c^ - c| and |s^ - s| are below eps = 16 u.
-    * m, p: sigma^ = c^ +- s^ is within 2 eps + u of sigma = cos(t1 -+ t2),
-      and (1 - sigma^)(1 + sigma^) adds 3 u, so q^ is within dq = 4 eps + 5 u
-      of q = 1 - sigma^2 >= 0; :func:`_sqrt_err` gives m and p within
-      min(sqrt(dq), dq / m^) + u m^.  Where t1 ~ t2 this is about 8 sqrt(u).
-    * psi_2^2: 1 - c^2 and s^2 move by at most 2 c eps and 2 s eps, and
-      c + s = cos(t2 - t1) <= 1; |p m - p^ m^| <= p^ dm + m^ dp + dp dm; the
-      three products, the two sums of nonnegative terms and the rounding of
-      the terms add 5 u psi_2^2.  So dx = eps + (p^ dm + m^ dp + dp dm) / 2 +
-      5 u x^, and :func:`_sqrt_err` gives d2 for psi_2.
-    * psi_1 = s / psi_2: s^ / psi_2^ - psi_1 = (s^ - s + psi_1 (psi_2 -
-      psi_2^)) / psi_2^, and psi_1 <= psi_1^ + d1, so where psi_2^ > d2,
-      d1 <= (eps + psi_1^ d2 + u psi_1^ psi_2^) / (psi_2^ - d2).  Always
-      0 <= psi_1 <= psi_2 <= psi_2^ + d2, so d1 <= max(psi_1^, psi_2^ + d2).
-
-    These are first-order bounds; doubling them covers the second-order
-    terms, which are below 2^-90 or, inside a square root, below a factor
-    sqrt(2).  Rows whose bound is wide (a near-double root, or A and B nearly
-    equal) simply become mp candidates.
-    """
-    apl = np.array([float(x) for x in target_plucker(a)])
-    eta = np.asarray(etas, dtype=np.float64)
-    norm = np.sqrt(np.einsum("ij,ij->i", eta, eta))
-    c = np.abs(eta @ apl)
-    c /= norm
-    s = np.abs(eta @ _hodge_twist(apl, 4, 2))
-    s /= norm
-    del eta, norm  # a float copy of the rows is the screen's largest temporary
-    eps = 16 * _U
-    dq = 4 * eps + 5 * _U
-    m, dm = _sqrt_err((1 - (c + s)) * (1 + (c + s)), dq)
-    p, dp = _sqrt_err((1 - (c - s)) * (1 + (c - s)), dq)
-    x = ((1 - c) * (1 + c) + s * s + p * m) / 2
-    dx = eps + (p * dm + m * dp + dp * dm) / 2 + 5 * _U * x
-    del c, m, p, dm, dp
-    psi2, d2 = _sqrt_err(x, dx)
-    if j == 2:
-        return psi2, 2 * d2
-    psi1 = np.divide(s, psi2, out=np.zeros_like(s), where=psi2 > 0)
-    gap = psi2 - d2
-    d1 = np.divide(eps + psi1 * d2 + _U * psi1 * psi2, gap, out=np.full_like(gap, np.inf),
-                   where=gap > 0)
-    np.minimum(d1, np.maximum(psi1, psi2 + d2), out=d1)
-    return psi1, 2 * d1
-
-
 def _float_psi(a: RealSubspace, etas, n: int, e: int, j: int):
     """(psi, delta): float64 psi_j(A, B) for the (n, e) subspaces B with
     Plucker rows ``etas`` (integers or their float64 roundings), and a bound
-    on |psi - psi_j| against the mp value: per row by
-    :func:`_psi12_pairing` for planes against a plane in R^4, else the
-    scalar :func:`_float_psi_delta` of :func:`_float_psi_generic`."""
-    if (n, e, a.dim) == (4, 2, 2):
-        return _psi12_pairing(a, etas, j)
-    return _float_psi_generic(a, etas, n, e, j), _float_psi_delta(n, e)
+    on |psi - psi_j| against the mp value, row by row.
+
+    Let x_i be A's orthonormal basis, d = dim A and t = min(d, e).  eta is
+    decomposable, so eta -> x ^ eta is |eta| times an isometry on B^perp and
+    0 on B: |x_i ^ eta| = |eta| dist(x_i, B).  So the d x C(n, e + 1) matrix
+    K = [x_i ^ eta] / |eta| has the singular values of P_B^perp on A, which
+    are sin t_1, ..., sin t_t and d - t ones, and their product is
+    s = |x_1 ^ (x_2 ^ ... (x_d ^ eta))| / |eta|.  Rows run in batches of
+    about ``_BATCH_BYTES``, and every value is computed column by column in
+    one fixed order, so no row's bits depend on the batch.
+
+    * t = 1 (d = 1 or lines): psi_1 = s.
+    * d = 2 <= e: T = |K|^2 = sin^2 t_1 + sin^2 t_2, so T +- 2 s =
+      (sin t_2 +- sin t_1)^2, psi_2 = (sqrt(T + 2 s) + sqrt(T - 2 s)) / 2
+      and psi_1 = s / psi_2 (0 where psi_2 is 0).
+    * d >= 3, e >= 2: psi_j is the j-th smallest singular value of K, the
+      d - m of a K with m < d columns being 0.
+
+    The bound, with u = 2^-53, N = C(n, e), m = C(n, e + 1), M = C(n, e + d),
+    a computed value marked ^ and first-order terms (Higham, ch. 3):
+
+    * X, A's mp basis rounded to float64, has rows within e_x = 2 u of an
+      exactly orthonormal basis of A (u for the rounding, and the mp
+      basis's own error 2^-prec <= 2^-64 at n <= 7).  eta^ is within u |eta|
+      of eta (going-up keys can exceed 2^53), and |eta^|^2, a sum of N
+      rounded squares, within (N + 2) u |eta|^2 of |eta|^2.
+    * x ^ w for |x| <= 1 and any multivector w is a contraction, and the
+      k + 1 terms of each coordinate of grade k + 1 are within gamma_(k+1)
+      sum |x_i| |w_S| of their sum, which is at most (k + 1) sqrt(n - k) u |w|
+      in norm by Cauchy-Schwarz (each S lies in n - k supersets).  So each
+      row x_i ^ eta^ of K^ |eta| is within e_K |eta| of exact, with
+      e_K = e_x + (1 + (e + 1) sqrt(n - e)) u, and each further wedge adds
+      e_x + (k + 1) sqrt(n - k) u: the wedge of the d vectors is within
+      e_s |eta|.  s^ sums M rounded squares, divides by |eta^|^2 and takes
+      the root, so it is within ds = e_s + (M + N + 5) u s^ / 2 of s.
+    * d = 2: T^ sums 2 m rounded squares and divides by |eta^|^2, so it is
+      within dT = 2 sqrt(2 T^) e_K + 2 e_K^2 + (2 m + N + 3) u T^ of T.
+      T^ +- 2 s^ is within dq = dT + 2 ds + u (T^ + 2 s^) of
+      (sin t_2 +- sin t_1)^2 >= 0, and :func:`_sqrt_err` gives each root
+      within e_+-; psi_2 is within d2 = (e_+ + e_-) / 2 + u psi_2^.  Near a
+      double root (t_1 ~ t_2) this is about sqrt(dq).  For psi_1 = s / psi_2,
+      s^ / psi_2^ - psi_1 = (s^ - s + psi_1 (psi_2 - psi_2^)) / psi_2^, and
+      the division adds u s^, so where psi_2^ > d2, d1 <= (ds + psi_1^ d2 +
+      u s^) / (psi_2^ - d2); always 0 <= psi_1 <= psi_2 <= psi_2^ + d2, so
+      d1 <= max(psi_1^, psi_2^ + d2).
+    * d >= 3: ||K^ - K|| <= sqrt(d) e_K, and by Weyl's inequality the
+      singular values move by no more.  The SVD is backward stable: its
+      values are those of a matrix within p u ||K^|| <= p u sqrt(d) of K^.
+      p is the gamma~ of Higham, ch. 19, whose constant the literature (and
+      LAPACK's p(m, n)) leaves unspecified; it is assumed to be 4 d m here,
+      for the divide-and-conquer gesdd that numpy calls.  This is the one
+      assumed constant, and no d <= 2 route depends on it.  Dividing by
+      |eta^| adds (N / 2 + 2) u.
+
+    Doubling the first-order bound covers the second-order terms and the
+    2^-prec error of the mp value it is compared with.  Rows whose bound is
+    wide (a near-double root, or A and B nearly equal) simply become mp
+    candidates.
+    """
+    X = np.array([[float(x) for x in row] for row in a.basis])
+    d = len(X)
+    N, m = math.comb(n, e), math.comb(n, e + 1)
+    e_x = 2 * _U
+    e_k = e_x + (1 + (e + 1) * math.sqrt(n - e)) * _U
+    psi, delta = np.empty(len(etas)), np.empty(len(etas))
+    batch = max(1, _BATCH_BYTES // (8 * (N + 3 * d * m + 16)))
+    for lo in range(0, len(etas), batch):
+        rows = slice(lo, lo + batch)
+        eta = np.ascontiguousarray(etas[rows].T, dtype=np.float64)  # one column per B
+        norm_sq = _sum_sq(eta)
+        if d >= 3 and e >= 2:
+            K = _wedge_cols(X, eta, n, e).transpose(2, 0, 1)
+            sv = np.linalg.svd(K, compute_uv=False)  # descending, min(d, m) values
+            psi[rows] = sv[:, d - j] / np.sqrt(norm_sq) if d - j < m else 0.0
+            delta[rows] = 2 * (math.sqrt(d) * (e_k + 4 * d * m * _U) + (N / 2 + 2) * _U)
+            continue
+        K = _wedge_cols(X if e > 1 else X[-1:], eta, n, e)  # lines need only x_d ^ eta
+        w, e_s = K[-1], e_k  # x_d ^ eta, then wedged with x_(d-1), ..., x_1
+        for i in range(d - 2, -1, -1):
+            k = e + d - 1 - i
+            w = _wedge_cols(X[i:i + 1], w, n, k)[0]
+            e_s += e_x + (k + 1) * math.sqrt(max(n - k, 0)) * _U
+        s = np.sqrt(_sum_sq(w) / norm_sq)
+        c_s = (len(w) + N + 5) / 2 * _U  # ds = e_s + c_s s
+        if d == 1 or e == 1:
+            psi[rows] = s
+            delta[rows] = 2 * (e_s + c_s * s)
+            continue
+        T = _sum_sq(K.reshape(-1, K.shape[-1]))
+        T /= norm_sq
+        # dq = dT + 2 ds + u (T + 2 s)
+        dq = (2 * math.sqrt(2) * e_k) * np.sqrt(T) + ((2 * m + N + 4) * _U) * T
+        dq += (2 * c_s + 2 * _U) * s + (2 * e_k * e_k + 2 * e_s)
+        r_plus, err_plus = _sqrt_err(T + 2 * s, dq)
+        r_minus, err_minus = _sqrt_err(T - 2 * s, dq)
+        psi2 = (r_plus + r_minus) / 2
+        d2 = (err_plus + err_minus) / 2 + _U * psi2
+        if j == 2:
+            psi[rows], delta[rows] = psi2, 2 * d2
+            continue
+        psi1 = np.divide(s, psi2, out=np.zeros_like(s), where=psi2 > 0)
+        gap = psi2 - d2
+        d1 = np.divide(e_s + (c_s + _U) * s + psi1 * d2, gap, out=np.full_like(gap, np.inf),
+                       where=gap > 0)
+        np.minimum(d1, np.maximum(psi1, psi2 + d2), out=d1)
+        psi[rows], delta[rows] = psi1, 2 * d1
+    return psi, delta
 
 
 def _contenders(lo: np.ndarray, hi: np.ndarray, starts) -> np.ndarray:
@@ -727,14 +707,6 @@ def _contenders(lo: np.ndarray, hi: np.ndarray, starts) -> np.ndarray:
     """
     bound = np.minimum.accumulate(np.minimum.reduceat(hi, starts))
     return lo <= np.repeat(bound, np.diff(starts, append=len(hi)))
-
-
-def _float_psi_screen(a: RealSubspace, enum: Enumeration, j: int):
-    """:func:`_float_psi` over a scan's enumeration; the generic route refuses
-    more than ``_GENERIC_LIMIT`` subspaces of dimension > 1."""
-    if (enum.n, enum.e, a.dim) != (4, 2, 2) and enum.e > 1 and len(enum) > _GENERIC_LIMIT:
-        raise ValueError("scan too large for the generic path (%d subspaces)" % len(enum))
-    return _float_psi(a, enum.pluckers, enum.n, enum.e, j)
 
 
 def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
@@ -763,7 +735,7 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     if count == 0:
         return result
 
-    psi_f, delta = _float_psi_screen(a, enum, j)
+    psi_f, delta = _float_psi(a, enum.pluckers, enum.n, enum.e, j)
     h2 = enum.heights_sq
     starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
     cand = np.flatnonzero(_contenders(psi_f - delta, psi_f + delta, starts))

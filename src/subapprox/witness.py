@@ -248,17 +248,18 @@ def r5_trivial_solution_search(bound: int = 30) -> dict:
         raise ValueError("bound must be >= 1")
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     solutions = []
-    B, C, D = np.meshgrid(rng, rng, rng, indexing="ij")
+    B, C, D = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
+    first, *rest = _R5_SEARCH_QUADRICS
     for a in rng:
-        ok = np.ones(B.shape, dtype=bool)
-        for q in _R5_SEARCH_QUADRICS:
-            ok &= q(a, B, C, D) == 0
-            if not ok.any():
-                break
-        if ok.any():
-            for b, c, d in zip(B[ok].ravel(), C[ok].ravel(), D[ok].ravel()):
-                if a or b or c or d:
-                    solutions.append((int(a), int(b), int(c), int(d)))
+        # the first quadric over the box, the others only where it vanishes
+        zero = np.broadcast_to(first(a, B, C, D) == 0, (len(rng),) * 3)
+        b, c, d = (rng[i] for i in np.nonzero(zero))
+        ok = np.ones(len(b), dtype=bool)
+        for q in rest:
+            ok &= q(a, b, c, d) == 0
+        for bcd in zip(b[ok].tolist(), c[ok].tolist(), d[ok].tolist()):
+            if a or any(bcd):
+                solutions.append((int(a),) + bcd)
     return {
         "kind": "r5-trivial-solutions",
         "bound": bound,

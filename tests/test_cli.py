@@ -234,6 +234,12 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("scan", "--target", "r4", "--e", "2", "--hmax", "0.5"),  # height below 1
     ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "0"),
     ("goingup", "--target", "random:2", "--n", "4", "--gens", "3 1 4 1", "--budget", "0"),
+    # precision below 64 bits, refused before any work
+    ("scan", "--target", "random:2", "--n", "4", "--e", "2", "--hmax", "2", "--prec", "-8"),
+    ("witness", "r5", "--zeta3", "2", "--prec", "0"),
+    ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "5", "--prec", "0"),
+    ("goingup", "--target", "random:2", "--n", "4", "--gens", "1 0 0 0", "--prec", "0"),
+    ("props", "--prec", "63"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv):
     import subapprox
@@ -244,7 +250,7 @@ def test_bad_input_exits_3_with_one_error_line(argv):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(("error: ", "parse error: ")) and proc.stderr.count("\n") == 1
 
 
 def test_props_passes(capsys):

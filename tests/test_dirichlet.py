@@ -526,15 +526,14 @@ def test_going_up_screen_symmetric_ties_keep_smaller_key():
 
 
 def test_going_up_screen_is_not_refused_like_a_large_scan(monkeypatch):
-    # going-up screens more candidates than a scan may hold, in batches of a
-    # few rows, and picks the same C as with one batch
+    # going-up screens its candidates in batches of a few rows and picks the
+    # same C as with one batch
     import subapprox.enumeration as enumeration
 
     a = rnd_subspace(3, 5, 2)
     b = from_generators([(2, -1, 3, 0, 1)])
     want = going_up_search(a, b, 1, budget=1)
-    monkeypatch.setattr(enumeration, "_GENERIC_LIMIT", 7)
-    monkeypatch.setattr(enumeration, "_GENERIC_BATCH_BYTES", 3000)
+    monkeypatch.setattr(enumeration, "_BATCH_BYTES", 3000)
     got = going_up_search(a, b, 1, budget=1)
     assert got.candidates > 7
     assert (got.c.key, got.psi_after) == (want.c.key, want.psi_after)
@@ -548,12 +547,10 @@ def test_going_up_screen_scores_in_the_underflow_range(monkeypatch):
     import numpy as np
 
     import subapprox.dirichlet as dirichlet
-    from subapprox.enumeration import _float_psi_delta
 
     keys = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
     heights = {keys[0]: 1, keys[1]: 100 ** 2}
-    monkeypatch.setattr(dirichlet, "_float_psi",
-                        lambda *args: (np.array([0.5, 0.499]), _float_psi_delta(4, 2)))
+    monkeypatch.setattr(dirichlet, "_float_psi", lambda *args: (np.array([0.5, 0.499]), 8.9e-14))
     a = rnd_subspace(0, 4, 2)
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1074.0, 128) == keys[:1]
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1074.0, 128) == keys[:1]
@@ -587,13 +584,11 @@ def test_going_up_screen_counts_psi_near_the_tolerance_as_zero(monkeypatch):
     import numpy as np
 
     import subapprox.dirichlet as dirichlet
-    from subapprox.enumeration import _float_psi_delta
 
     keys = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
     heights = {keys[0]: 1, keys[1]: 10 ** 40}
-    near_zero = _float_psi_delta(4, 2) + 1.5 * 2.0 ** -64
-    monkeypatch.setattr(dirichlet, "_float_psi",
-                        lambda *args: (np.array([near_zero, 0.5]), _float_psi_delta(4, 2)))
+    near_zero = 8.9e-14 + 1.5 * 2.0 ** -64
+    monkeypatch.setattr(dirichlet, "_float_psi", lambda *args: (np.array([near_zero, 0.5]), 8.9e-14))
     a = rnd_subspace(0, 4, 2)
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1.0, 128) == keys
     assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1.0, 128) == keys[:1]

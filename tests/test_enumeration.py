@@ -585,16 +585,19 @@ def _oracle_target(name, n):
             return RealSubspace.from_vectors([(1, r2, r3, r5), (r2, -1, r5, -r3)])
     if name == "rational":  # minors with a zero column
         return RealSubspace.from_vectors([(1, 0, 0, 0), (0, 1, 0, 1)])
-    return rnd_plane(n, n=n)
+    # a random plane, line or 3-space
+    return rnd_plane(n, n=n, d={"random": 2, "random-line": 1, "random-3-space": 3}[name])
 
 
 @pytest.mark.parametrize("name,n,e,h,js", [
     ("symmetric", 4, 2, 6, (1, 2)), ("rational", 4, 2, 6, (1,)), ("random", 5, 2, 3, (1, 2)),
-    ("random", 5, 3, 2, (1, 2)), ("random", 6, 2, 2, (1, 2)),
+    ("random", 5, 3, 2, (1, 2)), ("random", 6, 2, 2, (1, 2)), ("random-line", 5, 2, 3, (1,)),
+    ("random-3-space", 5, 2, 3, (1, 2)), ("random-3-space", 6, 3, 1, (1, 2, 3)),
 ], ids=lambda v: v if isinstance(v, str) else str(v).replace(" ", ""))
 def test_scan_matches_exhaustive_oracle(name, n, e, h, js):
-    # records (key, height, psi, phi, as mpf) equal those of refining every row;
-    # the symmetric target's records at H^2 = 5, 19, 29 (j = 1) tie with 3 to 7
+    # records (key, height, psi, phi, as mpf) equal those of refining every row,
+    # on every route of the float screen (d = 1, d = 2 and the d = 3 SVD); the
+    # symmetric target's records at H^2 = 5, 19, 29 (j = 1) tie with 3 to 7
     # other rows up to mp rounding
     a = _oracle_target(name, n)
     enum = enumerate_subspaces(n, e, h)
@@ -605,29 +608,65 @@ def test_scan_matches_exhaustive_oracle(name, n, e, h, js):
         assert res.rational_target == (name == "rational")
 
 
-def test_psi12_pairing_bound_is_sound(capsys):
-    # |psi - psi_mp| <= the per-row bound of the (4,2) pairing route, j = 1, 2,
-    # for R^4 witnesses, random targets, a near-isoclinic target, targets within
-    # 1e-12 of a rational plane and of a rational line, and one within 1e-8 of
-    # a rational plane (psi_2 < 1e-6); B also has entries beyond 2^53
+def _rational(rng, rows):
+    """from_generators(rows()), drawn again while the rows are dependent."""
+    while True:
+        try:
+            return from_generators(rows())
+        except ValueError:
+            continue
+
+
+def test_float_psi_bound_is_sound(capsys):
+    # |psi - psi_mp| <= delta, row by row, on every route of _float_psi (t = 1
+    # for lines and d = 1, d = 2 <= e, and the d >= 3 SVD) and for every j.
+    # In R^4: the witnesses, random targets, a near-isoclinic target, targets
+    # within 1e-12 of a rational plane and of a rational line, and one within
+    # 1e-8 of a rational plane (psi_2 < 1e-6).  In every shape: random targets
+    # and one within 1e-12 of a rational subspace that the first B contains, B
+    # with entries up to 10^4, and a B with Plucker entries beyond 2^53
     from subapprox.angles import canonical_angles
-    from subapprox.enumeration import _psi12_pairing
-    from subapprox.exact import PluckerVec
-    from subapprox.grassmann import from_plucker, real_view
+    from subapprox.enumeration import _float_psi
+    from subapprox.grassmann import real_view
     from subapprox.witness import witness_r4
 
     rng = random.Random(4242)
+    worst = {}
+
+    def check(a, subspaces):
+        n, e, d = a.n, subspaces[0].e, a.dim
+        etas = np.array([b.plucker.coords for b in subspaces], dtype=np.float64)
+        # at 256 bits: at 128, the mp orthonormal basis of a B with entries near
+        # 2^56 keeps only about 20 bits
+        exact = [canonical_angles(a, real_view(b, 256), precision_bits=256).sines for b in subspaces]
+        route = "t = 1" if min(d, e) == 1 else "d = 2" if d == 2 else "d >= 3"
+        for j in range(1, min(d, e) + 1):
+            psi, delta = _float_psi(a, etas, n, e, j)
+            err = np.abs(psi - np.array([float(s[j - 1]) for s in exact]))
+            assert np.all(err <= delta), (n, e, d, j, np.flatnonzero(err > delta))
+            worst[route] = max(worst.get(route, 0.0), float((err / delta).max()))
+        return exact
+
+    def tilted(vecs, size):
+        with mp.workprec(128):
+            return RealSubspace.from_vectors([[x + mp.mpf(rng.uniform(-1, 1)) * size for x in v]
+                                              for v in vecs])
+
+    def beyond_2_53(n, e):
+        big = 2 ** 56
+        b = _rational(rng, lambda: [[rng.randint(-5, 5) * big + rng.randint(-99, 99) for _ in range(n)]
+                                    for _ in range(e)])
+        assert max(abs(x) for x in b.plucker.coords) > 2 ** 53
+        return b
+
     enum = enumerate_subspaces(4, 2, 5)
-    sample = [enum.coords_at(i) for i in rng.sample(range(len(enum)), 40)]
+    sample = [enum.subspace_at(i) for i in rng.sample(range(len(enum)), 40)]
     big = 2 ** 40
     huge = from_generators([(big + 3, 5 * big - 1, 7, -(3 * big + 11)),
-                            (2 * big + 1, -big, big + 9, 4)]).plucker.coords
+                            (2 * big + 1, -big, big + 9, 4)])
     plane = [(1, 2, 0, -1), (0, 1, 3, 1)]
     line = (1, -1, 2, 0)
     with mp.workprec(128):
-        def tilted(vecs, size):
-            return [[x + mp.mpf(rng.uniform(-1, 1)) * size for x in v] for v in vecs]
-
         t = mp.mpf("0.3")
         targets = [
             (witness_r4("sqrt2"), []),
@@ -638,25 +677,40 @@ def test_psi12_pairing_bound_is_sound(capsys):
             (RealSubspace.from_vectors([(mp.cos(t), 0, mp.sin(t), 0),
                                         (0, mp.cos(t + mp.mpf(10) ** -9), 0, mp.sin(t + mp.mpf(10) ** -9))]),
              [[(1, 0, 0, 0), (0, 1, 0, 0)]]),
-            (RealSubspace.from_vectors(tilted(plane, mp.mpf(10) ** -12)), [plane]),
-            (RealSubspace.from_vectors(tilted([line], mp.mpf(10) ** -12) + [[rng.gauss(0, 1) for _ in range(4)]]),
+            (tilted(plane, mp.mpf(10) ** -12), [plane]),
+            (tilted([line] + [[rng.gauss(0, 1) for _ in range(4)]], mp.mpf(10) ** -12),
              [[line, (0, 1, 1, 5)]]),
-            (RealSubspace.from_vectors(tilted(plane, mp.mpf(10) ** -8)), [plane]),
+            (tilted(plane, mp.mpf(10) ** -8), [plane]),
         ]
-    worst, smallest_psi2, closest_pair = 0.0, 1.0, 1.0
+    smallest_psi2, closest_pair = 1.0, 1.0
     for a, extra in targets:
-        keys = sample + [huge] + [from_generators(g).plucker.coords for g in extra]
-        exact = [canonical_angles(a, real_view(from_plucker(PluckerVec(4, 2, k)), 128)).sines for k in keys]
-        for j in (1, 2):
-            psi, delta = _psi12_pairing(a, np.array(keys, dtype=np.float64), j)
-            err = np.abs(psi - np.array([float(s[j - 1]) for s in exact]))
-            assert np.all(err <= delta), (j, np.flatnonzero(err > delta))
-            worst = max(worst, float((err / delta).max()))
+        exact = check(a, sample + [huge] + [from_generators(g) for g in extra])
         smallest_psi2 = min(smallest_psi2, float(exact[-1][1]))
         closest_pair = min(closest_pair, float(exact[-1][1] - exact[-1][0]))
     assert smallest_psi2 < 1e-6 and closest_pair < 1e-8
+
+    for n, e, d in ((4, 1, 2), (6, 1, 3), (5, 2, 1), (4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 2, 2),
+                    (7, 2, 2), (4, 3, 2), (6, 3, 3), (7, 2, 3), (4, 2, 3)):
+        t = min(d, e)
+        base = _rational(rng, lambda: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)])
+        base = [list(v) for v in base.basis_vectors()]
+        near = tilted(base + [[rng.gauss(0, 1) for _ in range(n)] for _ in range(d - t)],
+                      mp.mpf(10) ** -12)
+        targets = [near] + [rnd_plane(rng.randrange(10 ** 6), n=n, d=d) for _ in range(2)]
+        subspaces = [_rational(rng, lambda: base + [[rng.randint(-3, 3) for _ in range(n)]
+                                                    for _ in range(e - t)]),
+                     beyond_2_53(n, e)]
+        while len(subspaces) < 32 * len(targets):
+            bound = rng.choice((2, 9, 10 ** 4))
+            subspaces.append(_rational(rng, lambda: [[rng.randint(-bound, bound) for _ in range(n)]
+                                                     for _ in range(e)]))
+        for i, a in enumerate(targets):
+            exact = check(a, subspaces[i::len(targets)])
+            if i == 0:
+                assert float(exact[0][t - 1]) < 1e-11, (n, e, d)
     with capsys.disabled():
-        print("\n(4,2) pairing screen: largest |psi_float - psi_mp| / delta = %.3g" % worst)
+        print("\nfloat psi screen, largest |psi_float - psi_mp| / delta: "
+              + ", ".join("%s: %.3g" % kv for kv in sorted(worst.items())))
 
 
 def test_target_plucker_with_a_zero_pivot_column():
@@ -691,17 +745,6 @@ def test_contenders_keeps_every_possible_group_minimum():
     assert _contenders(v, v, np.arange(4)).tolist() == [True, True, False, True]
 
 
-def test_scan_generic_path_agrees_with_pairing_path():
-    # (5,2) target uses the batched generic screen; spot-check vs direct values
-    rng = random.Random(5)
-    a = RealSubspace.from_vectors(
-        [[rng.gauss(0, 1) for _ in range(5)] for _ in range(3)])
-    res = scan_target(a, 2, 1, 3)
-    assert res.records
-    psis = [float(r.psi_j) for r in res.records]
-    assert all(x > y for x, y in zip(psis, psis[1:]))
-
-
 def test_estimate_exponent_two_points():
     recs = [
         ApproximationRecord("k1", mp.mpf(10), mp.mpf("1e-3"), mp.mpf("1e-3"), 1),
@@ -725,57 +768,18 @@ def test_estimate_exponent_needs_two():
         estimate_exponent([ApproximationRecord("k", mp.mpf(2), mp.mpf("0.5"), mp.mpf("0.5"), 1)])
 
 
-def test_float_psi_delta_is_sound(capsys):
-    # |psi_float - psi_mp| <= delta over 1,024 subspaces of four shapes, for
-    # random targets and a target within 1e-12 of a rational plane
-    from subapprox.angles import canonical_angles
-    from subapprox.enumeration import _float_psi_delta, _float_psi_generic
-    from subapprox.grassmann import real_view
-
-    rng = random.Random(2024)
-    worst = 0.0
-    for n, e in ((4, 2), (5, 2), (5, 3), (6, 2)):
-        plane = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
-        with mp.workprec(128):
-            tilt = [[x + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** -12 for x in row]
-                    for row in plane]
-        targets = [RealSubspace.from_vectors(tilt)] + [
-            RealSubspace.from_vectors([[rng.gauss(0, 1) for _ in range(n)] for _ in range(2)])
-            for _ in range(3)]
-        # the first subspace contains the rational plane the first target is near
-        subspaces = [from_generators(plane + [[rng.randint(-3, 3) for _ in range(n)]
-                                              for _ in range(e - 2)])]
-        while len(subspaces) < 256:
-            bound = rng.choice((2, 9, 10 ** 4))
-            try:
-                subspaces.append(from_generators(
-                    [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(e)]))
-            except ValueError:
-                continue
-        delta = _float_psi_delta(n, e)
-        for t, a in enumerate(targets):
-            mine = subspaces[t::len(targets)]
-            etas = np.array([b.plucker.coords for b in mine], dtype=np.float64)
-            exact = [canonical_angles(a, real_view(b, 128)).sines for b in mine]
-            if t == 0:
-                assert float(exact[0][1]) < 1e-11
-            for j in (1, 2):
-                psi = _float_psi_generic(a, etas, n, e, j)
-                err = np.abs(psi - np.array([float(s[j - 1]) for s in exact]))
-                assert err.max() <= delta, (n, e, j, err.max(), delta)
-                worst = max(worst, err.max() / delta)
-    with capsys.disabled():
-        print("\nfloat psi screen: largest |psi_float - psi_mp| / delta = %.3g" % worst)
-
-
-def test_float_psi_generic_is_independent_of_the_batch(monkeypatch):
-    # the batched SVD treats each matrix alone: batches of 2 rows give the
-    # same floats, bit for bit, as one batch, and no SVD sees more rows
+def test_float_psi_is_independent_of_the_batch(monkeypatch):
+    # every row is computed on its own: batches of one row give the same
+    # floats and bounds, bit for bit, as one batch, on every route, and no
+    # SVD sees more than one matrix
     import subapprox.enumeration as enumeration
 
-    enum = enumerate_subspaces(5, 2, 3)
-    a = RealSubspace.from_vectors([[1, 0.5, -2, 0.25, 3], [0, 1, 1.5, -1, 0.75]])
-    one = enumeration._float_psi_generic(a, enum.pluckers, 5, 2, 1)
+    cases = []
+    for n, e, h, d in ((4, 1, 4, 2), (5, 2, 3, 1), (5, 2, 3, 2), (6, 3, 2, 3)):
+        enum = enumerate_subspaces(n, e, h)
+        a = rnd_plane(10 * n + d, n=n, d=d)
+        for j in range(1, min(d, e) + 1):
+            cases.append((a, enum.pluckers, n, e, j, enumeration._float_psi(a, enum.pluckers, n, e, j)))
     svd, stacks = np.linalg.svd, []
 
     def recording_svd(m, *args, **kwargs):
@@ -783,16 +787,8 @@ def test_float_psi_generic_is_independent_of_the_batch(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(enumeration, "_GENERIC_BATCH_BYTES", 2 * 8 * (10 * 5 + 100 + 25 + 5))
-    assert np.array_equal(enumeration._float_psi_generic(a, enum.pluckers, 5, 2, 1), one)
-    assert len(enum) > 2 and max(stacks) == 2
-
-
-def test_generic_scan_refuses_more_than_the_limit(monkeypatch):
-    import subapprox.enumeration as enumeration
-
-    enum = enumerate_subspaces(5, 2, 2)
-    a = RealSubspace.from_vectors([[1, 0.5, -2, 0.25, 3], [0, 1, 1.5, -1, 0.75]])
-    monkeypatch.setattr(enumeration, "_GENERIC_LIMIT", len(enum) - 1)
-    with pytest.raises(ValueError, match="too large"):
-        scan_target(a, 2, 1, 2, enumeration=enum)
+    monkeypatch.setattr(enumeration, "_BATCH_BYTES", 1)
+    for a, etas, n, e, j, (psi, delta) in cases:
+        got_psi, got_delta = enumeration._float_psi(a, etas, n, e, j)
+        assert np.array_equal(got_psi, psi) and np.array_equal(got_delta, delta), (n, e, a.dim, j)
+    assert stacks and max(stacks) == 1

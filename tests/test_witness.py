@@ -168,9 +168,11 @@ def test_r5_witness_meets_a_small_rational_plane():
         assert float(prof.sines[-1]) > 0.9
 
 
-def test_r5_search_catches_planted_solution():
+def test_r5_search_catches_planted_solution(monkeypatch):
     # dropping one quadric from the system admits nonzero solutions, so the
     # search machinery itself is exercised
+    import itertools
+
     import subapprox.witness as w
 
     rng = np.arange(-6, 7, dtype=np.int64)
@@ -185,6 +187,12 @@ def test_r5_search_catches_planted_solution():
             found = True
             break
     assert found
+    # and the search finds exactly the nonzero solutions of a plain loop, in order
+    system = w._R5_SEARCH_QUADRICS[1:]
+    want = [v for v in itertools.product(range(-6, 7), repeat=4)
+            if any(v) and all(q(*v) == 0 for q in system)]
+    monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
+    assert want and w.r5_trivial_solution_search(6)["nonzero_solutions"] == want
 
 
 def test_lower_bound_check_coordinate_planes():
