@@ -617,23 +617,19 @@ def _rational(rng, rows):
             continue
 
 
-def test_float_psi_bound_is_sound(capsys):
-    # |psi - psi_mp| <= delta, row by row, on every route of _float_psi (t = 1
-    # for lines and d = 1, d = 2 <= e, and the d >= 3 SVD) and for every j.
-    # In R^4: the witnesses, random targets, a near-isoclinic target, targets
-    # within 1e-12 of a rational plane and of a rational line, and one within
-    # 1e-8 of a rational plane (psi_2 < 1e-6).  In every shape: random targets
-    # and one within 1e-12 of a rational subspace that the first B contains, B
-    # with entries up to 10^4, and a B with Plucker entries beyond 2^53
-    from subapprox.angles import canonical_angles
-    from subapprox.enumeration import _float_psi
-    from subapprox.grassmann import real_view
-    from subapprox.witness import witness_r4
+class _FloatPsiCheck:
+    """Checks |psi - psi_mp| <= delta, row by row and for every j, of _float_psi,
+    and keeps the largest error / delta seen on each route (t = 1 for lines and
+    d = 1, d = 2 <= e, and the d >= 3 SVD)."""
 
-    rng = random.Random(4242)
-    worst = {}
+    def __init__(self):
+        self.worst = {}
 
-    def check(a, subspaces):
+    def __call__(self, a, subspaces):
+        from subapprox.angles import canonical_angles
+        from subapprox.enumeration import _float_psi
+        from subapprox.grassmann import real_view
+
         n, e, d = a.n, subspaces[0].e, a.dim
         etas = np.array([b.plucker.coords for b in subspaces], dtype=np.float64)
         # at 256 bits: at 128, the mp orthonormal basis of a B with entries near
@@ -644,21 +640,30 @@ def test_float_psi_bound_is_sound(capsys):
             psi, delta = _float_psi(a, etas, n, e, j)
             err = np.abs(psi - np.array([float(s[j - 1]) for s in exact]))
             assert np.all(err <= delta), (n, e, d, j, np.flatnonzero(err > delta))
-            worst[route] = max(worst.get(route, 0.0), float((err / delta).max()))
+            self.worst[route] = max(self.worst.get(route, 0.0), float((err / delta).max()))
         return exact
 
-    def tilted(vecs, size):
-        with mp.workprec(128):
-            return RealSubspace.from_vectors([[x + mp.mpf(rng.uniform(-1, 1)) * size for x in v]
-                                              for v in vecs])
+    def report(self, capsys, what):
+        with capsys.disabled():
+            print("\nfloat psi screen, %s, largest |psi_float - psi_mp| / delta: " % what
+                  + ", ".join("%s: %.3g" % kv for kv in sorted(self.worst.items())))
 
-    def beyond_2_53(n, e):
-        big = 2 ** 56
-        b = _rational(rng, lambda: [[rng.randint(-5, 5) * big + rng.randint(-99, 99) for _ in range(n)]
-                                    for _ in range(e)])
-        assert max(abs(x) for x in b.plucker.coords) > 2 ** 53
-        return b
 
+def _tilted(rng, vecs, size):
+    with mp.workprec(128):
+        return RealSubspace.from_vectors([[x + mp.mpf(rng.uniform(-1, 1)) * size for x in v]
+                                          for v in vecs])
+
+
+def test_psi12_pairing_bound_is_sound(capsys):
+    # the (4,2) cases of the float psi bound, j = 1, 2: the R^4 witnesses,
+    # random targets, a near-isoclinic target, targets within 1e-12 of a
+    # rational plane and of a rational line, and one within 1e-8 of a rational
+    # plane (psi_2 < 1e-6); B also has Plucker entries near 2^80
+    from subapprox.witness import witness_r4
+
+    rng = random.Random(4242)
+    check = _FloatPsiCheck()
     enum = enumerate_subspaces(4, 2, 5)
     sample = [enum.subspace_at(i) for i in rng.sample(range(len(enum)), 40)]
     big = 2 ** 40
@@ -677,10 +682,10 @@ def test_float_psi_bound_is_sound(capsys):
             (RealSubspace.from_vectors([(mp.cos(t), 0, mp.sin(t), 0),
                                         (0, mp.cos(t + mp.mpf(10) ** -9), 0, mp.sin(t + mp.mpf(10) ** -9))]),
              [[(1, 0, 0, 0), (0, 1, 0, 0)]]),
-            (tilted(plane, mp.mpf(10) ** -12), [plane]),
-            (tilted([line] + [[rng.gauss(0, 1) for _ in range(4)]], mp.mpf(10) ** -12),
+            (_tilted(rng, plane, mp.mpf(10) ** -12), [plane]),
+            (_tilted(rng, [line] + [[rng.gauss(0, 1) for _ in range(4)]], mp.mpf(10) ** -12),
              [[line, (0, 1, 1, 5)]]),
-            (tilted(plane, mp.mpf(10) ** -8), [plane]),
+            (_tilted(rng, plane, mp.mpf(10) ** -8), [plane]),
         ]
     smallest_psi2, closest_pair = 1.0, 1.0
     for a, extra in targets:
@@ -688,14 +693,30 @@ def test_float_psi_bound_is_sound(capsys):
         smallest_psi2 = min(smallest_psi2, float(exact[-1][1]))
         closest_pair = min(closest_pair, float(exact[-1][1] - exact[-1][0]))
     assert smallest_psi2 < 1e-6 and closest_pair < 1e-8
+    check.report(capsys, "R^4 planes")
+
+
+def test_float_psi_delta_is_sound(capsys):
+    # the float psi bound on every route and shape: random targets and one
+    # within 1e-12 of a rational subspace that the first B contains, B with
+    # entries up to 10^4, and a B with Plucker entries beyond 2^53
+    rng = random.Random(2024)
+    check = _FloatPsiCheck()
+
+    def beyond_2_53(n, e):
+        big = 2 ** 56
+        b = _rational(rng, lambda: [[rng.randint(-5, 5) * big + rng.randint(-99, 99) for _ in range(n)]
+                                    for _ in range(e)])
+        assert max(abs(x) for x in b.plucker.coords) > 2 ** 53
+        return b
 
     for n, e, d in ((4, 1, 2), (6, 1, 3), (5, 2, 1), (4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 2, 2),
                     (7, 2, 2), (4, 3, 2), (6, 3, 3), (7, 2, 3), (4, 2, 3)):
         t = min(d, e)
         base = _rational(rng, lambda: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)])
         base = [list(v) for v in base.basis_vectors()]
-        near = tilted(base + [[rng.gauss(0, 1) for _ in range(n)] for _ in range(d - t)],
-                      mp.mpf(10) ** -12)
+        near = _tilted(rng, base + [[rng.gauss(0, 1) for _ in range(n)] for _ in range(d - t)],
+                       mp.mpf(10) ** -12)
         targets = [near] + [rnd_plane(rng.randrange(10 ** 6), n=n, d=d) for _ in range(2)]
         subspaces = [_rational(rng, lambda: base + [[rng.randint(-3, 3) for _ in range(n)]
                                                     for _ in range(e - t)]),
@@ -708,9 +729,8 @@ def test_float_psi_bound_is_sound(capsys):
             exact = check(a, subspaces[i::len(targets)])
             if i == 0:
                 assert float(exact[0][t - 1]) < 1e-11, (n, e, d)
-    with capsys.disabled():
-        print("\nfloat psi screen, largest |psi_float - psi_mp| / delta: "
-              + ", ".join("%s: %.3g" % kv for kv in sorted(worst.items())))
+    assert set(check.worst) == {"t = 1", "d = 2", "d >= 3"}
+    check.report(capsys, "every shape")
 
 
 def test_target_plucker_with_a_zero_pivot_column():
