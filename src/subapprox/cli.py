@@ -2,7 +2,8 @@
 
 Subcommands: height, scan, witness, dirichlet, goingup, props.
 Exit codes: 0 success, 2 certificate failure, 3 bad input (parse errors,
-refused arguments, precision failures; mapped in :func:`main` only),
+refused arguments, precision failures, unwritable paths; mapped in
+:func:`main` only),
 4 truncated-but-partial output.
 All randomness flows from --seed, and reals are printed with enough digits
 to round-trip at the working precision, so identical (config, seed) runs
@@ -491,13 +492,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind (a ParseError, which is a
-    ValueError, or a PrecisionError) is reported on one line and exits 3."""
+    ValueError, a PrecisionError, or an OSError such as a --cache or --out
+    path in a missing directory) is reported on one line and exits 3."""
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "prec", MIN_PREC) < MIN_PREC:
             raise ParseError("precision must be >= %d bits" % MIN_PREC)
         return args.func(args)
-    except (ValueError, PrecisionError) as exc:
+    except (ValueError, PrecisionError, OSError) as exc:
         sys.stderr.write("%s: %s\n" % ("parse error" if isinstance(exc, ParseError) else "error", exc))
         return EXIT_PARSE
 

@@ -20,8 +20,9 @@ found through the basis of their saturation.
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
   signs.
 
-Duplicates are dropped by first occurrence over the shards in order, which
-also names the shard a subspace is cached under.  Completeness for
+The rows of all shards are deduplicated and sorted by (height^2,
+lexicographic key) in one pass, so the result does not depend on which
+shard emitted a subspace, nor on how often.  Completeness for
 (n, e) = (4, 2) is cross-checked against an independent sweep of primitive
 Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
@@ -50,9 +51,11 @@ from .angles import RealSubspace, zero_tol
 from .exact import PluckerVec, laplace_sign, subsets, wedge_terms
 from .grassmann import RationalSubspace, from_plucker, plucker_relations, refine_psi
 
-_SHARD_SIZE = 64  # first-vector candidates per shard; fixed so cache layout is stable
-# names the shard layout above; a partial cache of another layout is rebuilt, not resumed
-_CACHE_VERSION = "v2"
+# first-vector candidates per shard; fixed, so a partial cache's `# swept <k>`
+# names the same shards on every run
+_SHARD_SIZE = 64
+# names the cache layout; a cache of another version is rebuilt, never read
+_CACHE_VERSION = "v3"
 
 
 class CacheCorruption(ValueError):
@@ -60,6 +63,8 @@ class CacheCorruption(ValueError):
 
 
 def _height_cap_sq(height_max) -> int:
+    if isinstance(height_max, float) and not math.isfinite(height_max):
+        raise ValueError("height_max must be finite, got %r" % height_max)
     f = Fraction(height_max)
     if f < 1:
         raise ValueError("height_max must be >= 1")
@@ -163,9 +168,8 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.min_scalar_type(-int(np.abs(a).max(initial=0)) - 1))
 
 
-def _unique_sorted(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of P sorted by (norm^2, lexicographic), and the index
-    in P of each one's first occurrence (the sort is stable).  The keys are
+def _unique_sorted(P: np.ndarray) -> np.ndarray:
+    """The distinct rows of P sorted by (norm^2, lexicographic).  The keys are
     sorted in the narrowest dtypes that hold them, which numpy radix-sorts up
     to 16 bits; the order is the same as on int64."""
     Q = _narrow(P)
@@ -173,7 +177,7 @@ def _unique_sorted(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S = Q[order]
     first = np.ones(len(S), dtype=bool)
     first[1:] = np.any(S[1:] != S[:-1], axis=1)
-    return P[order[first]], order[first]
+    return P[order[first]]
 
 
 def _product_cap(e: int, hmax_sq: int) -> int:
@@ -284,7 +288,7 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     shard starts once more than that many tuples have been wedged, and a
     result with a shard left unswept carries ``truncated=True`` (never
     silent).  With ``cache_path`` a complete cache is loaded, a partial one
-    resumed from its last completed shard.
+    resumed after its last swept shard.
     """
     if not (1 <= e <= n):
         raise ValueError("need 1 <= e <= n")
@@ -293,53 +297,51 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
         raise ValueError("enumeration supports min(e, n - e) <= 3 (desk scale)")
     hmax_sq = _height_cap_sq(height_max)
 
-    nshards, done, complete = None, [], False
+    cached = None
     if cache_path is not None and os.path.exists(cache_path):
-        nshards, done, complete = _load_cache(cache_path, n, e, hmax_sq)
-        if complete:
-            return Enumeration(n, e, hmax_sq, _unique_sorted(np.concatenate(done))[0])
+        cached = _load_cache(cache_path, n, e, hmax_sq)
+        if cached is not None and cached[1] == cached[0]:
+            return Enumeration(n, e, hmax_sq, cached[2])
 
-    jobs = _shard_jobs(n, f, hmax_sq)
-    if nshards != len(jobs):
-        done = []
-    swept, pairs = _run_shards(jobs[len(done):], workers, max_pairs)
+    jobs = _shard_jobs(n, f, hmax_sq)  # builds the integer ball, so only after a complete load
+    swept, done = (cached[1], [cached[2]]) if cached and cached[0] == len(jobs) else (0, [])
+    parts, pairs = _run_shards(jobs[swept:], workers, max_pairs)
     if f != e:
-        swept = [_canonical_sign_rows(_hodge_twist(P, n, e)) for P in swept]
-    shards = done + swept
-    rows, first = _unique_sorted(np.concatenate(shards))
-    shard_of = np.searchsorted(np.cumsum([len(P) for P in shards]), first, side="right")
+        parts = [_canonical_sign_rows(_hodge_twist(P, n, e)) for P in parts]
+    rows = _unique_sorted(np.concatenate(done + parts))
+    swept += len(parts)
     if cache_path is not None:
-        _write_cache(cache_path, n, e, hmax_sq, len(jobs), rows, shard_of, len(done), len(shards))
-    return Enumeration(n, e, hmax_sq, rows, truncated=len(shards) < len(jobs), pair_count=pairs)
+        _write_cache(cache_path, n, e, hmax_sq, len(jobs), swept, rows)
+    return Enumeration(n, e, hmax_sq, rows, truncated=swept < len(jobs), pair_count=pairs)
 
 
 # ---------------------------------------------------------------------------
-# cache format: one line per subspace `n e : p_1 ... p_N`, appended per
-# completed shard, each shard closed by a `# shard <i> done` marker and the
-# file by `# end` once every shard is in.
+# cache format: a header naming the enumeration and its shard count, one line
+# `n e : p_1 ... p_N` per subspace in the Enumeration's (height^2, lex) order,
+# and a trailer: `# end` once every shard is swept, `# swept <k>` after the
+# first k shards of a truncated sweep.
 # ---------------------------------------------------------------------------
 
-def _write_cache(path, n, e, hmax_sq, nshards, rows, shard_of, start, stop):
-    """Append shards start..stop-1 of the sorted rows, starting the file afresh
-    when start is 0; shard_of names each row's shard.  A resumed file first
-    loses the unfinished rows after the marker of shard start - 1."""
-    order = np.argsort(shard_of, kind="stable")  # keeps the rows' order within a shard
-    bounds = np.searchsorted(shard_of[order], np.arange(stop + 1))
+_BLOCK_ROWS = 1 << 14  # rows per `%` format, so the text of all rows is never held at once
+
+
+def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
+    """Write the sorted rows of the first ``swept`` shards to a sibling temp
+    file and move it over path, so a failed write leaves the old file whole."""
     line = "%d %d : " % (n, e) + " ".join(["%d"] * rows.shape[1]) + "\n"
-    if start:
-        marker = b"# shard %d done\n" % (start - 1)
-        with open(path, "rb+") as fh:
-            fh.truncate(fh.read().rindex(marker) + len(marker))
-    with open(path, "a" if start else "w") as fh:
-        if not start:
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
             fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
                      % (_CACHE_VERSION, n, e, hmax_sq, nshards))
-        for i in range(start, stop):
-            part = rows[order[bounds[i]:bounds[i + 1]]]
-            fh.write(line * len(part) % tuple(part.ravel().tolist()))
-            fh.write("# shard %d done\n" % i)
-        if stop == nshards:
-            fh.write("# end\n")
+            for lo in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[lo:lo + _BLOCK_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            fh.write("# end\n" if swept == nshards else "# swept %d\n" % swept)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
@@ -357,56 +359,48 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
     g = np.gcd.reduce(np.abs(rows), axis=1)
     if np.any(g != 1):
         raise CacheCorruption("cached vector is not primitive in %s" % path)
+    step = np.diff(rows, axis=0)
+    lead = np.take_along_axis(step, np.argmax(step != 0, axis=1)[:, None], 1)[:, 0]
+    dh = np.diff(h2)
+    if np.any((dh < 0) | ((dh == 0) & (lead <= 0))):
+        raise CacheCorruption("cached rows are not strictly increasing in (height, key) in %s" % path)
 
 
 _HEADER = re.compile(r"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)")
-_SHARD_MARKER = re.compile(r"\n# shard (\d+) done(?=\n)")
-
-
-def _parse_shard(text, prefix, ncols, where):
-    """The rows of one shard's text, each line after a newline prefix + ncols integers."""
-    rows = text.count("\n" + prefix)
-    body = text.replace("\n" + prefix, "\n")
-    if ":" in body or "#" in body:
-        raise CacheCorruption("line in %s is not a `%s` row" % (where, prefix.strip()))
-    try:  # an empty shard is blank, and loadtxt warns on blank text
-        P = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-             if rows or body.strip() else np.zeros((0, ncols), dtype=np.int64))
-    except ValueError as err:
-        raise CacheCorruption("malformed row in %s: %s" % (where, err)) from None
-    if P.shape != (rows, ncols):
-        raise CacheCorruption("malformed row in %s: not %d integers" % (where, ncols))
-    return P
+_TRAILER = re.compile(r"end|swept (\d+)")
 
 
 def _load_cache(path, n, e, hmax_sq):
-    """(shard count, validated rows of each completed shard, complete) of the
-    cache at path; (None, [], False) when it holds another enumeration, or is
-    a partial cache of another shard layout.  Rows after the last shard
-    marker of a partial cache are an unfinished shard and are ignored."""
+    """(shard count, shards swept, validated rows) of the cache at path, or
+    None when it holds another enumeration or is of another version."""
     with open(path) as fh:
         header = _HEADER.fullmatch(fh.readline().strip())
         if header is None:
             raise CacheCorruption("not a subapprox cache: %s" % path)
         version, *fields = header.groups()
         *key, nshards = map(int, fields)
-        if key != [n, e, hmax_sq]:
-            return None, [], False
-        body = "\n" + fh.read()
-    pieces = _SHARD_MARKER.split(body)  # rows of shard 0, "0", rows of shard 1, "1", ..., tail
-    texts = pieces[:-1:2]
-    if [int(i) for i in pieces[1::2]] != list(range(len(texts))):
-        raise CacheCorruption("non-contiguous shard markers in %s" % path)
-    complete = pieces[-1].strip() == "# end"
-    if complete and len(texts) != nshards:
-        raise CacheCorruption("cache %s ends before its last shard" % path)
-    if not complete and version != _CACHE_VERSION:
-        return None, [], False
-    arrays = [_parse_shard(t, "%d %d : " % (n, e), math.comb(n, e), "shard %d of %s" % (i, path))
-              for i, t in enumerate(texts)]
-    if arrays:
-        _validate_rows(np.concatenate(arrays), n, e, hmax_sq, path)
-    return nshards, arrays, complete
+        if version != _CACHE_VERSION or key != [n, e, hmax_sq]:
+            return None
+        text, _, trailer = ("\n" + fh.read()).rpartition("\n# ")
+    tail = _TRAILER.fullmatch(trailer.strip())
+    swept = int(tail[1] or nshards) if tail else None
+    if swept is None or swept > nshards:
+        raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
+                              % (path, nshards))
+    prefix, ncols = "%d %d : " % (n, e), math.comb(n, e)
+    count = text.count("\n" + prefix)
+    body = text.replace("\n" + prefix, "\n")
+    if ":" in body or "#" in body:
+        raise CacheCorruption("line in %s is not a `%s` row" % (path, prefix.strip()))
+    try:  # loadtxt warns on blank text
+        rows = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+                if count or body.strip() else np.zeros((0, ncols), dtype=np.int64))
+    except ValueError as err:
+        raise CacheCorruption("malformed row in %s: %s" % (path, err)) from None
+    if rows.shape != (count, ncols):
+        raise CacheCorruption("malformed row in %s: not %d integers" % (path, ncols))
+    _validate_rows(rows, n, e, hmax_sq, path)
+    return nshards, swept, rows
 
 
 # ---------------------------------------------------------------------------

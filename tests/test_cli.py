@@ -240,17 +240,25 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "5", "--prec", "0"),
     ("goingup", "--target", "random:2", "--n", "4", "--gens", "1 0 0 0", "--prec", "0"),
     ("props", "--prec", "63"),
+    # a height bound that is not finite
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "inf"),
+    ("witness", "r4", "--lower-bound", "--hmax", "inf"),
+    # a path in a missing directory, which the message names
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--cache", "missing-dir/c42.cache"),
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--out", "missing-dir/scan.csv"),
 ])
-def test_bad_input_exits_3_with_one_error_line(argv):
+def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     import subapprox
 
     src = os.path.dirname(os.path.dirname(subapprox.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "subapprox.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(("error: ", "parse error: ")) and proc.stderr.count("\n") == 1
+    assert all(a in proc.stderr for a in argv if a.startswith("missing-dir/"))
+    assert not os.listdir(tmp_path)
 
 
 def test_props_passes(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import re
 
@@ -163,7 +164,7 @@ def test_enumeration_e3_matches_reference_sweep():
     for (n, hmax) in ((4, 3), (5, 2)):
         fast = enumerate_subspaces(n, 3, hmax)
         ref, _ = _enumerate_generic(n, 3, hmax * hmax)
-        assert np.array_equal(fast.pluckers, _unique_sorted(ref)[0])
+        assert np.array_equal(fast.pluckers, _unique_sorted(ref))
 
 
 def test_enumeration_e3_duality_with_planes():
@@ -182,7 +183,7 @@ def test_sweep_matches_reference_sweep(n, e, hmax):
 
     fast = enumerate_subspaces(n, e, hmax)
     ref, _ = _enumerate_generic(n, e, hmax * hmax)
-    assert np.array_equal(fast.pluckers, _unique_sorted(ref)[0])
+    assert np.array_equal(fast.pluckers, _unique_sorted(ref))
 
 
 def _hodge_duals(enum):
@@ -252,9 +253,10 @@ def test_cache_round_trip(tmp_path):
     assert not e1.truncated
     e2 = enumerate_subspaces(4, 2, 6, cache_path=path)
     assert np.array_equal(e1.pluckers, e2.pluckers)
-    text = open(path).read()
-    assert text.strip().endswith("# end")
-    assert "# shard 0 done" in text
+    header, *rows, trailer = open(path).read().splitlines()
+    assert re.fullmatch(r"# subapprox-cache v3 n=4 e=2 hmax_sq=36 shards=\d+", header)
+    assert trailer == "# end"
+    assert rows == [e1.key_at(i) for i in range(len(e1))]  # row for row, in order
 
 
 def test_cache_corruption_detected(tmp_path):
@@ -270,108 +272,82 @@ def test_cache_corruption_detected(tmp_path):
         enumerate_subspaces(4, 2, 4, cache_path=path)
 
 
-def _write_cache_per_row(path, n, e, hmax_sq, nshards, rows, shard_of, start, stop):
-    """The per-row cache writer the bulk one replaced: its oracle.  It appends
-    without dropping an unfinished shard's rows."""
+def _write_cache_per_row(path, n, e, hmax_sq, nshards, swept, rows):
+    """A per-row cache writer: the bulk one's oracle."""
     from subapprox.enumeration import _CACHE_VERSION
 
-    order = np.argsort(shard_of, kind="stable")
-    bounds = np.searchsorted(shard_of[order], np.arange(stop + 1))
     prefix = "%d %d : " % (n, e)
-    with open(path, "a" if start else "w") as fh:
-        if not start:
-            fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
-                     % (_CACHE_VERSION, n, e, hmax_sq, nshards))
-        for i in range(start, stop):
-            part = rows[order[bounds[i]:bounds[i + 1]]].tolist()
-            fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in part)
-            fh.write("# shard %d done\n" % i)
-        if stop == nshards:
-            fh.write("# end\n")
+    with open(path, "w") as fh:
+        fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
+                 % (_CACHE_VERSION, n, e, hmax_sq, nshards))
+        fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in rows.tolist())
+        fh.write("# end\n" if swept == nshards else "# swept %d\n" % swept)
 
 
 def _load_cache_per_line(path, n, e, hmax_sq):
-    """The per-line cache reader the bulk one replaced: its oracle."""
-    import io
-
+    """A per-line cache reader: the bulk one's oracle."""
     from subapprox.enumeration import _CACHE_VERSION, _validate_rows
 
     with open(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["#", "subapprox-cache"]:
-            raise CacheCorruption("not a subapprox cache: %s" % path)
-        parts = dict(p.split("=") for p in header[3:])
-        if (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
-            return None, [], False
-        shards, rows, heads, complete = [], [], set(), False
-        for line in fh:
-            if line.startswith("# shard"):
-                if int(line.split()[2]) != len(shards):
-                    raise CacheCorruption("non-contiguous shard markers in %s" % path)
-                shards.append(rows)
-                rows = []
-            elif line.strip() == "# end":
-                complete = True
-            elif line.strip():
-                head, _, tail = line.partition(":")
-                heads.add(head)
-                rows.append(tail)
-    if any(tuple(map(int, h.split())) != (n, e) for h in heads):
-        raise CacheCorruption("mixed dimensions in cache %s" % path)
+        header, *lines, trailer = fh.read().splitlines()
+    header = header.split()
+    if header[:2] != ["#", "subapprox-cache"]:
+        raise CacheCorruption("not a subapprox cache: %s" % path)
+    parts = dict(p.split("=") for p in header[3:])
+    if header[2] != _CACHE_VERSION or \
+            (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
+        return None
     nshards = int(parts["shards"])
-    if complete and len(shards) != nshards:
-        raise CacheCorruption("cache %s ends before its last shard" % path)
-    if not complete and header[2] != _CACHE_VERSION:
-        return None, [], False
-    ncols = math.comb(n, e)
-    arrays = [np.loadtxt(io.StringIO("".join(r)), dtype=np.int64, ndmin=2).reshape(len(r), ncols)
-              if r else np.zeros((0, ncols), dtype=np.int64) for r in shards]
-    if arrays:
-        _validate_rows(np.concatenate(arrays), n, e, hmax_sq, path)
-    return nshards, arrays, complete
+    swept = nshards if trailer == "# end" else int(trailer.removeprefix("# swept "))
+    rows = []
+    for line in lines:
+        head, _, tail = line.partition(":")
+        if tuple(map(int, head.split())) != (n, e):
+            raise CacheCorruption("mixed dimensions in cache %s" % path)
+        rows.append([int(x) for x in tail.split()])
+    P = np.array(rows, dtype=np.int64).reshape(len(rows), math.comb(n, e))
+    _validate_rows(P, n, e, hmax_sq, path)
+    return nshards, swept, P
 
 
 def _assert_loads_like_per_line(path, n, e, hmax_sq):
     from subapprox.enumeration import _load_cache
 
     got, want = _load_cache(path, n, e, hmax_sq), _load_cache_per_line(path, n, e, hmax_sq)
-    assert (got[0], len(got[1]), got[2]) == (want[0], len(want[1]), want[2])
-    for a, b in zip(got[1], want[1]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[:2] == want[:2]
+    assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("n, e, hmax, max_pairs", [
     (4, 2, 6, None), (5, 2, 4, None), (5, 3, 3, None), (6, 3, 2, None), (4, 2, 8, 2000)])
 def test_cache_io_matches_per_row_oracles(tmp_path, monkeypatch, n, e, hmax, max_pairs):
-    # the bulk writer's bytes and the bulk loader's per-shard arrays equal the
-    # per-row writer's and per-line reader's, also for a truncated and resumed
-    # cache; (5, 3) takes the Hodge-dual route
+    # the bulk writer's bytes and the bulk loader's rows equal the per-row
+    # writer's and per-line reader's, also for a truncated and resumed cache;
+    # (5, 3) takes the Hodge-dual route
     import subapprox.enumeration as enumeration
 
+    monkeypatch.setattr(enumeration, "_BLOCK_ROWS", 100)  # several blocks
     paths = {}
     for name, writer in (("bulk", enumeration._write_cache), ("per_row", _write_cache_per_row)):
         monkeypatch.setattr(enumeration, "_write_cache", writer)
         paths[name] = path = str(tmp_path / ("%s.cache" % name))
         if max_pairs is not None:
             assert enumerate_subspaces(n, e, hmax, max_pairs=max_pairs, cache_path=path).truncated
+            assert open(path).read().splitlines()[-1].startswith("# swept ")
             _assert_loads_like_per_line(path, n, e, hmax * hmax)
         assert not enumerate_subspaces(n, e, hmax, cache_path=path).truncated
     monkeypatch.undo()
     text = open(paths["bulk"], "rb").read()
     assert text == open(paths["per_row"], "rb").read()
-    assert text.endswith(b"# end\n") and text.count(b" done\n") > (max_pairs is not None)
+    assert text.endswith(b"\n# end\n")
     _assert_loads_like_per_line(paths["bulk"], n, e, hmax * hmax)
+    rows = _load_cache_per_line(paths["bulk"], n, e, hmax * hmax)[2]
+    assert np.array_equal(rows, enumerate_subspaces(n, e, hmax).pluckers)
 
 
 def _corrupt_first_row(lines, row):
     i = next(i for i, ln in enumerate(lines) if ln.startswith("4 2 :"))
     return lines[:i] + [row] + lines[i + 1:]
-
-
-def _move_end_before_last_shard(lines):
-    last = max(i for i, ln in enumerate(lines) if ln.startswith("# shard"))
-    prev = max(i for i, ln in enumerate(lines[:last]) if ln.startswith("# shard"))
-    return lines[:prev + 1] + ["# end"]
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -380,21 +356,23 @@ def _move_end_before_last_shard(lines):
     lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 0 0 0 1 0"),  # a column too many
     lambda lines: _corrupt_first_row(lines, "5 2 : 1 0 0 0 0 0 0 0 0 0"),  # another dimension
     lambda lines: _corrupt_first_row(lines, "1 0 0 0 0 0"),  # no `n e :` prefix
-    lambda lines: [ln.replace("# shard 1 done", "# shard 2 done") for ln in lines],  # non-contiguous
-    _move_end_before_last_shard,
-    lambda lines: lines[:3] + ["# end"] + lines[3:],  # `# end` inside a shard
+    lambda lines: lines[:100] + [lines[100][:9]],  # cut inside a row, before `# end`
+    lambda lines: lines[:3] + ["# end"] + lines[3:],  # `# end` among the rows
+    lambda lines: lines[:-4] + ["# end"] + lines[-4:-1],  # `# end` before the last rows
+    lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],  # two rows of one height swapped
+    lambda lines: lines[:2] + lines[1:],  # a row twice
     lambda lines: lines[1:],  # no header
     lambda lines: [lines[0].split(" e=")[0]] + lines[1:],  # header without e, hmax_sq, shards
-], ids=["ragged", "non_integer", "long_row", "other_dimension", "no_prefix",
-        "non_contiguous_markers", "end_before_last_shard", "end_inside_shard", "no_header",
-        "short_header"])
+], ids=["ragged", "non_integer", "long_row", "other_dimension", "no_prefix", "no_trailer",
+        "end_inside_rows", "end_before_last_shard", "rows_out_of_order", "repeated_row",
+        "no_header", "short_header"])
 def test_corrupt_cache_raises_and_exits_3(tmp_path, capsys, corrupt):
     from subapprox.cli import main
 
     path = str(tmp_path / "c42.cache")
     enumerate_subspaces(4, 2, 8, cache_path=path)
     lines = open(path).read().splitlines()
-    assert sum(ln.startswith("# shard") for ln in lines) == 3
+    assert lines[-1] == "# end"
     open(path, "w").write("\n".join(corrupt(lines)) + "\n")
     with pytest.raises(CacheCorruption, match=re.escape(path)):
         enumerate_subspaces(4, 2, 8, cache_path=path)
@@ -404,22 +382,49 @@ def test_corrupt_cache_raises_and_exits_3(tmp_path, capsys, corrupt):
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
 
 
-def test_unfinished_shard_of_a_partial_cache_is_ignored_and_rebuilt(tmp_path):
-    # rows after the last marker (an interrupted shard, its last line cut) are
-    # not loaded, and the resumed file drops them before it appends the shard
+@pytest.mark.parametrize("failure", ["midway", "replace"])
+def test_failed_write_leaves_the_previous_cache(tmp_path, monkeypatch, failure):
+    # a write that fails after its first block of rows, or at the final move,
+    # leaves the previous cache byte-identical and loadable, and no temp file
+    import builtins
+
+    import subapprox.enumeration as enumeration
     from subapprox.enumeration import _load_cache
 
     path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
     assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
-    with open(path, "a") as fh:
-        fh.write("4 2 : 0 0 0 0 0 1\n5 2 : 0 0 0 1")
-    nshards, done, complete = _load_cache(path, 4, 2, 64)
-    assert (nshards, len(done), complete) == (3, 1, False)
-    full = enumerate_subspaces(4, 2, 8, cache_path=path)
-    assert not full.truncated and full.pair_count > 0
-    assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8, cache_path=fresh).pluckers)
+    before = open(path, "rb").read()
+
+    def open_failing(file, mode="r"):
+        fh = builtins.open(file, mode)
+        if "w" in mode:
+            write, calls = fh.write, []
+
+            def write_then_fail(text):
+                calls.append(text)
+                if len(calls) > 2:  # the header, then the first block of rows
+                    raise OSError("disk full")
+                return write(text)
+            fh.write = write_then_fail
+        return fh
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    if failure == "midway":
+        monkeypatch.setattr(enumeration, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(enumeration, "open", open_failing, raising=False)
+    else:
+        monkeypatch.setattr(enumeration.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        enumerate_subspaces(4, 2, 8, cache_path=path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["c42.cache"]
+    assert _load_cache(path, 4, 2, 64)[:2] == (3, 1)
+    assert not enumerate_subspaces(4, 2, 8, cache_path=path).truncated
+    enumerate_subspaces(4, 2, 8, cache_path=fresh)
     assert open(path, "rb").read() == open(fresh, "rb").read()
-    assert np.array_equal(enumerate_subspaces(4, 2, 8, cache_path=path).pluckers, full.pluckers)
 
 
 def _unique_sorted_int64(P):
@@ -428,7 +433,7 @@ def _unique_sorted_int64(P):
     S = P[order]
     first = np.ones(len(S), dtype=bool)
     first[1:] = np.any(S[1:] != S[:-1], axis=1)
-    return S[first], order[first]
+    return S[first]
 
 
 @pytest.mark.parametrize("edge", [2, 127, 128, 32767, 32768, 2 ** 31 - 1, 2 ** 31])
@@ -443,10 +448,8 @@ def test_unique_sorted_matches_int64_oracle(edge):
     pool[big, rng.integers(0, 4, big.sum())] = rng.choice([-edge, edge, 1 - edge, edge - 1], big.sum())
     P = pool[rng.integers(0, len(pool), 2000)]
     assert np.abs(P).max() == edge
-    rows, first = _unique_sorted(P)
-    want_rows, want_first = _unique_sorted_int64(P)
-    assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
-    assert np.array_equal(first, want_first)
+    rows = _unique_sorted(P)
+    assert rows.dtype == np.int64 and np.array_equal(rows, _unique_sorted_int64(P))
 
 
 @pytest.mark.parametrize("values, dtype", [
@@ -459,51 +462,76 @@ def test_narrow_keys_hold_plus_and_minus_max(values, dtype):
 
 
 def test_cache_resume_from_truncation(tmp_path):
-    path = str(tmp_path / "c42.cache")
+    path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
     part = enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path)
     assert part.truncated
-    assert "# end" not in open(path).read()
+    assert open(path).read().endswith("\n# swept 1\n")
     full = enumerate_subspaces(4, 2, 8, cache_path=path)
-    assert not full.truncated
-    fresh = enumerate_subspaces(4, 2, 8)
-    assert np.array_equal(full.pluckers, fresh.pluckers)
-    assert open(path).read().strip().endswith("# end")
+    assert not full.truncated and full.pair_count > 0
+    assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8, cache_path=fresh).pluckers)
+    assert open(path, "rb").read() == open(fresh, "rb").read()
+
+
+def test_unfinished_shard_of_a_partial_cache_is_ignored_and_rebuilt(tmp_path):
+    # an interrupted resume leaves the rows of its unfinished shards in the
+    # sibling temp file, its last line cut: they are not loaded, and the next
+    # resume sweeps those shards again and writes over the temp file
+    from subapprox.enumeration import _load_cache
+
+    path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
+    assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
+    partial = open(path).read()
+    with open(path + ".tmp", "w") as fh:
+        fh.write(partial.replace("# swept 1\n", "") + "4 2 : 0 0 0 0 0 1\n5 2 : 0 0 0 1")
+    nshards, swept, rows = _load_cache(path, 4, 2, 64)
+    assert (nshards, swept) == (3, 1) and len(rows) == partial.count("\n4 2 : ")
+    full = enumerate_subspaces(4, 2, 8, cache_path=path)
+    assert not full.truncated and full.pair_count > 0
+    assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8, cache_path=fresh).pluckers)
+    assert open(path, "rb").read() == open(fresh, "rb").read()
+    assert sorted(os.listdir(tmp_path)) == ["c42.cache", "fresh.cache"]
+    assert np.array_equal(enumerate_subspaces(4, 2, 8, cache_path=path).pluckers, full.pluckers)
 
 
 @pytest.mark.parametrize("pattern, repl", [(r"shards=\d+", "shards=999"), (r" v\d+ ", " v1 ")])
 def test_partial_cache_of_another_layout_is_rebuilt(tmp_path, pattern, repl):
-    # a partial cache with another shard count, or written before the
-    # reduced sweep (v1), holds other shards: resuming it would lose the rows
-    # left out of its shard 0 here
+    # a partial cache with another shard count, or of another version (v1),
+    # holds other shards: resuming it would lose the rows left out of its
+    # first shard here
     path = str(tmp_path / "c42.cache")
     assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
     header, *lines = open(path).read().splitlines()
     rows = [ln for ln in lines if not ln.startswith("#")][:3]
-    open(path, "w").write("\n".join([re.sub(pattern, repl, header)] + rows + ["# shard 0 done"]) + "\n")
+    open(path, "w").write("\n".join([re.sub(pattern, repl, header)] + rows + ["# swept 1"]) + "\n")
     full = enumerate_subspaces(4, 2, 8, cache_path=path)
     assert not full.truncated
     assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8).pluckers)
     assert open(path).read().strip().endswith("# end")
 
 
-def test_complete_v1_cache_loads(tmp_path):
-    path = str(tmp_path / "c42.cache")
-    fresh = enumerate_subspaces(4, 2, 6, cache_path=path)
-    text = open(path).read()
-    open(path, "w").write(re.sub(r" v\d+ ", " v1 ", text, count=1))
-    loaded = enumerate_subspaces(4, 2, 6, cache_path=path)
-    assert loaded.pair_count == 0  # read back, not swept again
-    assert np.array_equal(loaded.pluckers, fresh.pluckers)
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_cache_of_another_version_is_rebuilt(tmp_path, version):
+    # a complete cache of an older layout (rows grouped by shard, each group
+    # closed by a marker) is swept again and overwritten, never read
+    path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
+    want = enumerate_subspaces(4, 2, 6, cache_path=fresh)
+    header, *rows, trailer = open(fresh).read().splitlines()
+    old = [header.replace(" v3 ", " %s " % version)] + rows[::-1] + ["# shard 0 done", trailer]
+    open(path, "w").write("\n".join(old) + "\n")
+    rebuilt = enumerate_subspaces(4, 2, 6, cache_path=path)
+    assert rebuilt.pair_count == want.pair_count > 0  # swept again, not read
+    assert np.array_equal(rebuilt.pluckers, want.pluckers)
+    assert open(path, "rb").read() == open(fresh, "rb").read()
 
 
 def test_dual_cache_resume_from_truncation(tmp_path):
-    path = str(tmp_path / "c53.cache")
+    path, fresh = str(tmp_path / "c53.cache"), str(tmp_path / "fresh.cache")
     assert enumerate_subspaces(5, 3, 3, max_pairs=100, cache_path=path).truncated
     full = enumerate_subspaces(5, 3, 3, cache_path=path)
     assert not full.truncated and full.pair_count > 0
-    assert np.array_equal(full.pluckers, enumerate_subspaces(5, 3, 3).pluckers)
+    assert np.array_equal(full.pluckers, enumerate_subspaces(5, 3, 3, cache_path=fresh).pluckers)
     text = open(path).read()
-    assert text.strip().endswith("# end")
+    assert text == open(fresh).read() and text.endswith("\n# end\n")
     assert len([ln for ln in text.splitlines() if ln.startswith("5 3 :")]) == len(full)
 
 
