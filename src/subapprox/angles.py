@@ -1,15 +1,14 @@
 """Canonical (principal) angles between subspaces at configurable precision.
 
-All computations run under ``mpmath`` working precision taken from the
-operands, so proximities as small as H^-6 keep relative accuracy.  The
+A real subspace is built at a precision it then carries; every computation
+on it runs at that precision, and one on two subspaces at the lower of
+theirs.  So proximities as small as H^-6 keep relative accuracy.  The
 sines of the principal angles are obtained two ways and merged:
 
 * cosines from the singular values of the d x e matrix of inner products
   of orthonormal bases (accurate for large angles);
 * sines from the singular values of the projection complement
   (I - P_A) Q_B (accurate for small angles, no cancellation near cos ~ 1).
-
-Error bounds are first-order estimates, not certified enclosures.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ from .exact import IntMat, gram_det_sq
 
 class PrecisionError(ArithmeticError):
     """Raised when a computation cannot reach the requested accuracy."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
-def _err_margin_bits(n: int) -> int:
-    return max(1, n).bit_length() + 8
 
 
 def zero_tol(prec: int):
@@ -119,16 +110,14 @@ class RealSubspace:
 
 @dataclass(frozen=True)
 class AngleProfile:
-    """Ascending sines of the principal angles, their product, and an error bound."""
+    """Ascending sines of the principal angles and their product."""
 
     sines: tuple
     phi: object
-    err: object
 
     def __post_init__(self):
-        for a, b in zip(self.sines, self.sines[1:]):
-            if a > b + self.err:
-                raise ValueError("sines must be ascending within err")
+        if any(a > b for a, b in zip(self.sines, self.sines[1:])):
+            raise ValueError("sines must be ascending")
 
 
 def sin_angle(x: Sequence, y: Sequence, precision_bits: int = 128):
@@ -151,19 +140,13 @@ def sin_angle(x: Sequence, y: Sequence, precision_bits: int = 128):
         return min(s, mp.mpf(1))
 
 
-def _working_prec(a: RealSubspace, b: RealSubspace, precision_bits=None) -> int:
-    if precision_bits is not None:
-        return precision_bits
-    return min(a.precision_bits, b.precision_bits)
-
-
-def canonical_angles(a: RealSubspace, b: RealSubspace, precision_bits: int | None = None) -> AngleProfile:
-    """Sines of the min(dim a, dim b) principal angles, ascending."""
+def canonical_angles(a: RealSubspace, b: RealSubspace) -> AngleProfile:
+    """Sines of the min(dim a, dim b) principal angles, ascending, at the
+    lower of the two subspaces' precisions."""
     if a.n != b.n:
         raise ValueError("ambient dimension mismatch")
-    prec = _working_prec(a, b, precision_bits)
     t = min(a.dim, b.dim)
-    with mp.workprec(prec):
+    with mp.workprec(min(a.precision_bits, b.precision_bits)):
         small, large = (a, b) if a.dim <= b.dim else (b, a)
         X = large.mat()   # rows orthonormal
         Y = small.mat()
@@ -172,7 +155,6 @@ def canonical_angles(a: RealSubspace, b: RealSubspace, precision_bits: int | Non
         # projection complement of the smaller basis off the larger subspace
         S = Y - G * X
         sines_small = sorted(_svd_values(S))
-        err = mp.mpf(2) ** (-prec + _err_margin_bits(a.n * (a.dim + b.dim)))
         sines = []
         for i in range(t):
             c = min(cosines[i], mp.mpf(1))
@@ -185,11 +167,12 @@ def canonical_angles(a: RealSubspace, b: RealSubspace, precision_bits: int | Non
         prod = mp.mpf(1)
         for s in sines:
             prod *= s
-        return AngleProfile(tuple(sines), prod, err)
+        return AngleProfile(tuple(sines), prod)
 
 
-def principal_pairs(a: RealSubspace, b: RealSubspace, precision_bits: int | None = None):
-    """Biorthogonal principal-vector pairs (x_i, y_i) with x_i . y_j = delta cos(theta_i).
+def principal_pairs(a: RealSubspace, b: RealSubspace):
+    """Biorthogonal principal-vector pairs (x_i, y_i) with x_i . y_j = delta cos(theta_i),
+    at the lower of the two subspaces' precisions.
 
     Pairs are ordered by ascending angle.  Returns (pairs, profile).
     """
@@ -197,8 +180,7 @@ def principal_pairs(a: RealSubspace, b: RealSubspace, precision_bits: int | None
         raise ValueError("ambient dimension mismatch")
     if a.dim != b.dim:
         raise ValueError("principal pairs need equal dimensions")
-    prec = _working_prec(a, b, precision_bits)
-    with mp.workprec(prec):
+    with mp.workprec(min(a.precision_bits, b.precision_bits)):
         X, Y = a.mat(), b.mat()
         G = X * Y.T
         U, s, V = mp.svd_r(G)
@@ -213,29 +195,28 @@ def principal_pairs(a: RealSubspace, b: RealSubspace, precision_bits: int | None
             if ip < 0:
                 yi = tuple(-q for q in yi)
             pairs.append((xi, yi))
-    profile = canonical_angles(a, b, precision_bits=prec)
-    return pairs, profile
+    return pairs, canonical_angles(a, b)
 
 
-def phi(a: RealSubspace, b: RealSubspace, precision_bits: int | None = None):
+def phi(a: RealSubspace, b: RealSubspace):
     """Product of the sines of all principal angles."""
-    return canonical_angles(a, b, precision_bits).phi
+    return canonical_angles(a, b).phi
 
 
-def phi_via_det(a: RealSubspace, b_lattice_basis: IntMat, precision_bits: int | None = None):
-    """Proximity product via the determinant route, for complementary dimensions.
+def phi_via_det(a: RealSubspace, b_lattice_basis: IntMat):
+    """Proximity product via the determinant route, for complementary dimensions,
+    at A's precision.
 
     With M the square matrix stacking an orthonormal basis of A and a lattice
     basis of B as columns, returns |det M| / (D(A-basis) * H(B)); it must
-    agree with :func:`phi` within the combined error bounds.
+    agree with :func:`phi` up to rounding.
     """
     e = b_lattice_basis.cols
     n = b_lattice_basis.rows
     if a.n != n or a.dim + e != n:
         raise ValueError("phi_via_det requires dim A + dim B = n")
-    prec = precision_bits if precision_bits is not None else a.precision_bits
     hsq = gram_det_sq(b_lattice_basis)
-    with mp.workprec(prec):
+    with mp.workprec(a.precision_bits):
         cols = a.basis + b_lattice_basis.columns
         det = mp.det(mp.matrix([[c[i] for c in cols] for i in range(n)]))
         # D of an orthonormal basis is 1 up to roundoff; compute it anyway

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -163,8 +164,7 @@ def cmd_scan(args) -> int:
         raise ParseError("need 1 <= j <= min(d, e)")
     enum = enumerate_subspaces(n, args.e, args.hmax, cache_path=args.cache,
                                workers=args.workers, max_pairs=args.max_pairs)
-    res = scan_target(target, args.e, args.j, args.hmax, enumeration=enum,
-                      precision_bits=args.prec)
+    res = scan_target(target, args.e, args.j, args.hmax, enumeration=enum)
     prec = args.prec
     lines = [
         "# scan n=%d d=%d e=%d j=%d hmax=%s prec=%d seed=%d target=%s"
@@ -229,8 +229,7 @@ def cmd_witness(args) -> int:
         enum = enumerate_subspaces(sub.n, e, args.hmax, cache_path=args.cache,
                                    workers=args.workers)
         rep = lower_bound_check(sub, e, args.exponent, args.hmax,
-                                enumeration=enum, claimed_c=args.claimed_c,
-                                precision_bits=prec)
+                                enumeration=enum, claimed_c=args.claimed_c)
         report["lower_bound"] = {
             "exponent": rep.exponent,
             "count": rep.count,
@@ -273,7 +272,7 @@ def cmd_dirichlet(args) -> int:
         if b is None:
             skipped += 1
             continue
-        psi, _ = refine_psi(target, b, j, prec)
+        psi, _ = refine_psi(target, b, j)
         with mp.workprec(prec):
             h = mp.sqrt(mp.mpf(b.height_sq))
             ratio = psi * h ** mp.mpf(expo)
@@ -298,8 +297,7 @@ def cmd_goingup(args) -> int:
     target, label, _ = parse_target(args.target, n=args.n, d=args.d,
                                     prec=args.prec, seed=args.seed)
     b = from_generators(parse_gens(args.gens))
-    res = going_up_search(target, b, args.j, budget=args.budget, weight=args.weight,
-                          precision_bits=args.prec)
+    res = going_up_search(target, b, args.j, budget=args.budget, weight=args.weight)
     prec = args.prec
     n, e = b.n, b.e
     payload = {
@@ -492,12 +490,17 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind (a ParseError, which is a
-    ValueError, a PrecisionError, or an OSError such as a --cache or --out
-    path in a missing directory) is reported on one line and exits 3."""
+    ValueError, a PrecisionError, or an OSError such as an unwritable --out)
+    is reported on one line and exits 3.  A --cache or --out path in a
+    missing directory is refused before any work."""
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "prec", MIN_PREC) < MIN_PREC:
             raise ParseError("precision must be >= %d bits" % MIN_PREC)
+        for flag in ("cache", "out"):
+            path = getattr(args, flag, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ParseError("--%s %s: no such directory" % (flag, path))
         return args.func(args)
     except (ValueError, PrecisionError, OSError) as exc:
         sys.stderr.write("%s: %s\n" % ("parse error" if isinstance(exc, ParseError) else "error", exc))

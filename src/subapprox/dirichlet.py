@@ -104,7 +104,7 @@ def flag_basis(f: RealSubspace, j: int) -> FlagBasis:
                 if abs(vec[i]) > mp.mpf(2) ** (-(prec // 4)):
                     raise PrecisionError(
                         "flag vector fails to vanish at coordinate %d (|.| = %s)"
-                        % (i, mp.nstr(abs(vec[i]), 8)), achieved=abs(vec[i]))
+                        % (i, mp.nstr(abs(vec[i]), 8)))
                 vec[i] = mp.mpf(0)
             nrm = mp.sqrt(mp.fsum(a * a for a in vec))
             if nrm < floor:
@@ -276,9 +276,10 @@ class DirectSumBound:
     k: int
 
 
-def direct_sum_angle_bound(f_parts: Sequence[RealSubspace], b_parts: Sequence[RealSubspace],
-                           precision_bits: int | None = None) -> DirectSumBound:
-    """psi_k of direct sums against the sum of blockwise proximities.
+def direct_sum_angle_bound(f_parts: Sequence[RealSubspace],
+                           b_parts: Sequence[RealSubspace]) -> DirectSumBound:
+    """psi_k of direct sums against the sum of blockwise proximities, at the
+    lowest precision of the parts.
 
     Also derives a per-instance constant from the principal-line
     decomposition (sqrt(2) * max block dim * the coefficient norm of the
@@ -291,19 +292,19 @@ def direct_sum_angle_bound(f_parts: Sequence[RealSubspace], b_parts: Sequence[Re
     dims = [p.dim for p in f_parts]
     if [q.dim for q in b_parts] != dims:
         raise ValueError("block dimensions differ")
-    prec = precision_bits if precision_bits is not None else min(p.precision_bits for p in f_parts)
+    prec = min(p.precision_bits for p in (*f_parts, *b_parts))
     k = sum(dims)
     f_all = RealSubspace.from_vectors([row for p in f_parts for row in p.basis], precision_bits=prec)
     b_all = RealSubspace.from_vectors([row for p in b_parts for row in p.basis], precision_bits=prec)
     if f_all.dim != k or b_all.dim != k:
         raise ValueError("parts are not independent")
     with mp.workprec(prec):
-        lhs = canonical_angles(f_all, b_all, precision_bits=prec).sines[-1]
+        lhs = canonical_angles(f_all, b_all).sines[-1]
         rhs = mp.mpf(0)
         lines_a = []
         for fp, bp in zip(f_parts, b_parts):
-            rhs += canonical_angles(fp, bp, precision_bits=prec).sines[-1]
-            pairs, _ = principal_pairs(fp, bp, precision_bits=prec)
+            rhs += canonical_angles(fp, bp).sines[-1]
+            pairs, _ = principal_pairs(fp, bp)
             lines_a.extend(x for x, _ in pairs)
         # coefficient norm of the a-line basis: max row norm of its pseudo-inverse
         u, s, v = mp.svd_r(mp.matrix([[vec[r] for vec in lines_a] for r in range(n)]))
@@ -329,15 +330,13 @@ class LineDecomposition:
     sum_lines: object    # sum of line sines; psi_k <= sum <= k * psi_k
 
 
-def line_decomposition(d_sub: RealSubspace, e_sub: RealSubspace,
-                       precision_bits: int | None = None) -> LineDecomposition:
+def line_decomposition(d_sub: RealSubspace, e_sub: RealSubspace) -> LineDecomposition:
     """Principal-vector lines D_i, E_i pairing two k-dimensional subspaces,
     with the sandwich psi_k <= sum_i psi_1(D_i, E_i) <= k psi_k."""
     if d_sub.dim != e_sub.dim:
         raise ValueError("need equal dimensions")
-    prec = precision_bits if precision_bits is not None else min(d_sub.precision_bits,
-                                                                 e_sub.precision_bits)
-    pairs, prof = principal_pairs(d_sub, e_sub, precision_bits=prec)
+    prec = min(d_sub.precision_bits, e_sub.precision_bits)
+    pairs, prof = principal_pairs(d_sub, e_sub)
     with mp.workprec(prec):
         sines = tuple(sin_angle(x, y, precision_bits=prec) for x, y in pairs)
         total = mp.fsum(sines)
@@ -440,7 +439,7 @@ def _lll_gram(gram: list[list[Fraction]]):
 
 
 def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 2,
-                    weight: float = 1.0, precision_bits: int | None = None) -> GoingUpResult:
+                    weight: float = 1.0) -> GoingUpResult:
     """Search norm-bounded integer extensions C = sat(B + Zv) minimizing
     H(C) * psi_j(A, C)^weight.
 
@@ -458,7 +457,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         raise ValueError("need 1 <= j <= min(dim A, dim B)")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    prec = precision_bits if precision_bits is not None else a.precision_bits
+    prec = a.precision_bits
 
     basis_cols = list(b.basis_vectors())
     extras = complete_to_unimodular(b.lattice_basis)
@@ -475,7 +474,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         heights.setdefault(pl.coords, pl.norm_sq)
 
     def psi_j(c):  # below the zero tolerance, rounding noise: 0
-        psi = refine_psi(a, c, j, prec)[0]
+        psi = refine_psi(a, c, j)[0]
         return psi if psi >= zero_tol(prec) else mp.mpf(0)
 
     keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight, prec)

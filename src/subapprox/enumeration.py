@@ -132,9 +132,9 @@ class Enumeration:
     def __len__(self) -> int:
         return len(self.pluckers)
 
-    @property
+    @functools.cached_property
     def heights_sq(self) -> np.ndarray:
-        return (self.pluckers * self.pluckers).sum(1)
+        return np.einsum("ij,ij->i", self.pluckers, self.pluckers)  # no N x C temporary
 
     def coords_at(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.pluckers[i])
@@ -704,8 +704,7 @@ def _contenders(lo: np.ndarray, hi: np.ndarray, starts) -> np.ndarray:
 
 
 def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
-                enumeration: Enumeration | None = None,
-                precision_bits: int | None = None) -> ScanResult:
+                enumeration: Enumeration | None = None) -> ScanResult:
     """Strictly-improving record sequence of psi_j(A, B) over heights <= height_max.
 
     B enters the sequence iff its psi_j beats every subspace of lower or
@@ -713,11 +712,10 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     the lexicographically smaller key).  A float64 screen proposes record
     candidates (:func:`_contenders` over height groups, with the float error
     bound); each candidate is then recomputed at full precision, so the chain
-    itself is decided at `precision_bits`.
+    itself is decided at A's precision.
     """
     if j < 1 or j > min(a.dim, e):
         raise ValueError("need 1 <= j <= min(dim A, e)")
-    prec = precision_bits if precision_bits is not None else a.precision_bits
     if enumeration is None:
         enumeration = enumerate_subspaces(a.n, e, height_max)
     if enumeration.n != a.n or enumeration.e != e:
@@ -734,14 +732,14 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
     cand = np.flatnonzero(_contenders(psi_f - delta, psi_f + delta, starts))
 
-    tol = zero_tol(prec)
+    tol = zero_tol(a.precision_bits)
     running = None
-    with mp.workprec(prec):
+    with mp.workprec(a.precision_bits):
         for hh, group in itertools.groupby(cand.tolist(), key=lambda i: int(h2[i])):
             best = None  # (psi, coords, record); ties keep the lex-smaller key
             for i in group:
                 coords = enum.coords_at(i)
-                psi, ph = refine_psi(a, enum.subspace_at(i), j, prec)
+                psi, ph = refine_psi(a, enum.subspace_at(i), j)
                 if best is None or psi < best[0] or (psi == best[0] and coords < best[1]):
                     rec = ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(hh)), psi, ph, j)
                     best = (psi, coords, rec)

@@ -143,14 +143,14 @@ def real_view(b: RationalSubspace, precision_bits: int = 128) -> RealSubspace:
     return RealSubspace.from_vectors(b.basis_vectors(), precision_bits=precision_bits)
 
 
-def refine_psi(a: RealSubspace, b: RationalSubspace, j: int, precision_bits: int):
-    """(psi_j(A, B), phi(A, B)) at ``precision_bits``, from B's exact basis.
+def refine_psi(a: RealSubspace, b: RationalSubspace, j: int):
+    """(psi_j(A, B), phi(A, B)) at A's precision, from B's exact basis.
 
     The one mp refinement of a float-screened rational B: scans, going-up
     and the Dirichlet construction all call it.  The values are raw; a caller
     that counts psi below :func:`angles.zero_tol` as 0 applies that itself.
     """
-    prof = canonical_angles(a, real_view(b, precision_bits), precision_bits=precision_bits)
+    prof = canonical_angles(a, real_view(b, a.precision_bits))
     return prof.sines[j - 1], prof.phi
 
 

@@ -203,9 +203,9 @@ def witness_r5(zeta3="sqrt3+1/4", precision_bits: int = 128):
                                    relation_residuals=residuals,
                                    annihilator_residual=ann_res)
                 return spec, subspace
-    raise PrecisionError("R5 witness residuals above tolerance at %d and %d bits"
-                         % (precision_bits, 2 * precision_bits),
-                         achieved=max(abs(r) for r in residuals))
+    raise PrecisionError("R5 witness residuals above tolerance at %d and %d bits (largest %s)"
+                         % (precision_bits, 2 * precision_bits,
+                            mp.nstr(max(abs(r) for r in residuals), 8)))
 
 
 def r5_residual_tol(coords, prec: int):
@@ -225,8 +225,8 @@ def _r5_recover(coords, prec):
         basis = [[v[order[k], j] for j in range(5)] for k in (2, 3, 4)]
         sub = RealSubspace.from_vectors(basis, precision_bits=prec)
         if ann_res > zero_tol(prec):
-            raise PrecisionError("annihilator kernel not numerically rank-3",
-                                 achieved=ann_res)
+            raise PrecisionError("annihilator kernel not numerically rank-3 "
+                                 "(sigma_3/sigma_1 = %s)" % mp.nstr(ann_res, 8))
         return sub, ann_res
 
 
@@ -290,8 +290,7 @@ class LowerBoundReport:
 
 def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
                       height_max, *, enumeration: Enumeration,
-                      claimed_c: float | None = None,
-                      precision_bits: int | None = None) -> LowerBoundReport:
+                      claimed_c: float | None = None) -> LowerBoundReport:
     """min over all enumerated B of phi(A, B) * H(B)^exponent, with the
     argmin recomputed at full precision and the distribution summarized.
 
@@ -303,7 +302,7 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
     n = witness.n
     if witness.dim + e != n:
         raise ValueError("lower_bound_check needs dim A + e = n")
-    prec = precision_bits if precision_bits is not None else witness.precision_bits
+    prec = witness.precision_bits
     enum = enumeration.restrict(height_max)
     if enum.e != e or enum.n != n:
         raise ValueError("enumeration dimensions do not match")

@@ -178,9 +178,10 @@ def test_phi_via_det_dimension_guard():
 
 
 def test_angle_profile_rejects_descending_sines():
-    AngleProfile((0.1, 0.5), 0.05, 0.0)
+    AngleProfile((0.1, 0.5), 0.05)
+    AngleProfile((0.5, 0.5), 0.25)
     with pytest.raises(ValueError):
-        AngleProfile((0.5, 0.1), 0.05, 0.0)
+        AngleProfile((0.5, 0.1), 0.05)
 
 
 def test_principal_pairs_biorthogonal():

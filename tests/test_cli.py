@@ -258,6 +258,26 @@ def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(("error: ", "parse error: ")) and proc.stderr.count("\n") == 1
     assert all(a in proc.stderr for a in argv if a.startswith("missing-dir/"))
+    assert ".tmp" not in proc.stderr
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "20", "--cache", "missing-dir/c.cache"),
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "20", "--out", "missing-dir/scan.csv"),
+    ("witness", "r4", "--lower-bound", "--hmax", "20", "--cache", "missing-dir/c.cache"),
+])
+def test_missing_directory_refused_before_the_sweep(argv, monkeypatch, tmp_path, capsys):
+    from subapprox import enumeration
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started before the path was checked")
+
+    monkeypatch.setattr(enumeration, "_shard_jobs", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and argv[-1] in err and ".tmp" not in err
     assert not os.listdir(tmp_path)
 
 

@@ -422,9 +422,10 @@ def test_exponent_transfer_under_chained_going_up():
 
 # ------------------------------------- going up: screened against exhaustive
 
-def _exhaustive_table(a, b, j, budget, prec=128):
+def _exhaustive_table(a, b, j, budget):
     """Every going-up candidate key of (A, B), with its squared height and its
-    psi_j refined in mp, 0 below 2^-(prec/2): the search with no float screen."""
+    psi_j refined in mp at A's precision prec, 0 below 2^-(prec/2): the search
+    with no float screen."""
     from itertools import product
 
     from subapprox.dirichlet import _lll_gram, _projected_gram
@@ -448,10 +449,11 @@ def _exhaustive_table(a, b, j, budget, prec=128):
             continue
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
+    prec = a.precision_bits
     tol = mp.mpf(2) ** -(prec // 2)
 
     def psi(c):
-        s = canonical_angles(a, real_view(c, prec), precision_bits=prec).sines[j - 1]
+        s = canonical_angles(a, real_view(c, prec)).sines[j - 1]
         return s if s >= tol else mp.mpf(0)
 
     table = {key: (heights[key], psi(from_plucker(PluckerVec(n, e + 1, key))))

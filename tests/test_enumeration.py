@@ -561,20 +561,21 @@ def test_scan_records_strictly_decreasing():
     assert all(float(r.phi) > 0 for r in res.records)
 
 
-def _exhaustive_records(a, enum, js, prec=128):
+def _exhaustive_records(a, enum, js):
     """The record chains of psi_j, j in js, over the rows of enum, every row
-    refined in mp up to the first psi below 2^-(prec/2): the scan with no float
-    screen.  Rows are sorted by (H^2, key), so the first least psi of a height
+    refined in mp at A's precision prec up to the first psi below 2^-(prec/2):
+    the scan with no float screen.  Rows are sorted by (H^2, key), so the first least psi of a height
     wins."""
     from subapprox.angles import canonical_angles
     from subapprox.grassmann import real_view
 
+    prec = a.precision_bits
     tol = mp.mpf(2) ** -(prec // 2)
     chains, running = {j: [] for j in js}, {}
     with mp.workprec(prec):
         for h2, rows in itertools.groupby(range(len(enum)), key=lambda i: int(enum.heights_sq[i])):
-            profs = [(enum.key_at(i), canonical_angles(a, real_view(enum.subspace_at(i), prec),
-                                                       precision_bits=prec)) for i in rows]
+            profs = [(enum.key_at(i), canonical_angles(a, real_view(enum.subspace_at(i), prec)))
+                     for i in rows]
             for j in js:
                 if running.get(j, 1) < tol:
                     continue
@@ -662,7 +663,8 @@ class _FloatPsiCheck:
         etas = np.array([b.plucker.coords for b in subspaces], dtype=np.float64)
         # at 256 bits: at 128, the mp orthonormal basis of a B with entries near
         # 2^56 keeps only about 20 bits
-        exact = [canonical_angles(a, real_view(b, 256), precision_bits=256).sines for b in subspaces]
+        a256 = RealSubspace.from_vectors(a.basis, precision_bits=256)
+        exact = [canonical_angles(a256, real_view(b, 256)).sines for b in subspaces]
         route = "t = 1" if min(d, e) == 1 else "d = 2" if d == 2 else "d >= 3"
         for j in range(1, min(d, e) + 1):
             psi, delta = _float_psi(a, etas, n, e, j)

@@ -145,6 +145,43 @@ def test_witness_r5_recovery():
         assert max(abs(r) for r in spec.relation_residuals) < mp.mpf(2) ** -100
 
 
+def _r5_tolerance_from(monkeypatch, bits):
+    """Make witness_r5's residual check fail below ``bits`` bits."""
+    import subapprox.witness as w
+
+    tol = w.r5_residual_tol
+    monkeypatch.setattr(w, "r5_residual_tol",
+                        lambda coords, prec: tol(coords, prec) if prec >= bits else mp.mpf(-1))
+
+
+def test_witness_r5_escalates_to_twice_the_precision(monkeypatch, tmp_path):
+    import json
+
+    from subapprox.cli import main
+
+    _r5_tolerance_from(monkeypatch, 256)
+    spec, sub = witness_r5("sqrt3+1/4", 128)
+    assert spec.precision_bits == sub.precision_bits == 256
+    # the escalated witness is scanned and lower-bounded at 256 bits; it still
+    # meets the rational plane span(e1, e4 - e5)
+    out = tmp_path / "r5.json"
+    assert main(["witness", "r5", "--lower-bound", "--hmax", "3", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["lower_bound"]["rational_target"] is True
+
+
+def test_witness_r5_fails_at_both_precisions(monkeypatch, capsys):
+    from subapprox.cli import main
+
+    _r5_tolerance_from(monkeypatch, 1 << 20)
+    assert main(["witness", "r5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with mp.workprec(256):
+        worst = max(abs(r) for r in r5_relation_residuals(r5_plucker_coords("sqrt3+1/4", 256)))
+        assert mp.nstr(worst, 8) in err  # the residual that failed, by value
+
+
 def test_r5_trivial_solution_search():
     cert = r5_trivial_solution_search(12)
     assert cert["passed"]
