@@ -19,7 +19,7 @@ from typing import Sequence
 
 from mpmath import mp
 
-from .exact import IntMat, gram_det_sq
+from .exact import gram_det_sq
 
 
 class PrecisionError(ArithmeticError):
@@ -203,7 +203,7 @@ def phi(a: RealSubspace, b: RealSubspace):
     return canonical_angles(a, b).phi
 
 
-def phi_via_det(a: RealSubspace, b_lattice_basis: IntMat):
+def phi_via_det(a: RealSubspace, b_lattice_basis: Sequence[Sequence[int]]):
     """Proximity product via the determinant route, for complementary dimensions,
     at A's precision.
 
@@ -211,13 +211,13 @@ def phi_via_det(a: RealSubspace, b_lattice_basis: IntMat):
     basis of B as columns, returns |det M| / (D(A-basis) * H(B)); it must
     agree with :func:`phi` up to rounding.
     """
-    e = b_lattice_basis.cols
-    n = b_lattice_basis.rows
+    e = len(b_lattice_basis)
+    n = len(b_lattice_basis[0])
     if a.n != n or a.dim + e != n:
         raise ValueError("phi_via_det requires dim A + dim B = n")
     hsq = gram_det_sq(b_lattice_basis)
     with mp.workprec(a.precision_bits):
-        cols = a.basis + b_lattice_basis.columns
+        cols = a.basis + tuple(b_lattice_basis)
         det = mp.det(mp.matrix([[c[i] for c in cols] for i in range(n)]))
         # D of an orthonormal basis is 1 up to roundoff; compute it anyway
         X = a.mat()

@@ -459,9 +459,8 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         raise ValueError("budget must be >= 1")
     prec = a.precision_bits
 
-    basis_cols = list(b.basis_vectors())
     extras = complete_to_unimodular(b.lattice_basis)
-    U = _lll_gram(_projected_gram(basis_cols, extras))
+    U = _lll_gram(_projected_gram(b.lattice_basis, extras))
     # v ^ eta is linear in v, so one product wedges every candidate; object
     # arrays hold Python ints, which cannot overflow
     ints = functools.partial(np.array, dtype=object)
@@ -473,24 +472,20 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
 
-    def psi_j(c):  # below the zero tolerance, rounding noise: 0
-        psi = refine_psi(a, c, j)[0]
-        return psi if psi >= zero_tol(prec) else mp.mpf(0)
-
     keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight, prec)
     scored = []  # (score, key, psi)
     with mp.workprec(prec):
         for key in keys:
-            psi = psi_j(from_plucker(PluckerVec(n, e + 1, key)))
+            psi = refine_psi(a, from_plucker(PluckerVec(n, e + 1, key)), j)[0]
             score = (mp.inf if psi == 0 and weight < 0
                      else mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight))
             scored.append((score, key, psi))
     best = min(scored, key=lambda s: s[:2])  # exact score ties keep the lex-smaller key
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
-    contained = all(lattice_contains(c_sub.lattice_basis, col) for col in basis_cols)
+    contained = all(lattice_contains(c_sub.lattice_basis, v) for v in b.lattice_basis)
     with mp.workprec(prec):
-        psi_before = psi_j(b)
+        psi_before = refine_psi(a, b, j)[0]
         expo = mp.mpf(n - e - 1) / (n - e)
         ratio = float(mp.sqrt(mp.mpf(c_sub.height_sq)) / mp.mpf(b.height_sq) ** (expo / 2))
     return GoingUpResult(c_sub, psi_before, best[2], ratio, len(coeffs), contained)

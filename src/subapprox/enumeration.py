@@ -47,7 +47,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from mpmath import mp
 
-from .angles import RealSubspace, zero_tol
+from .angles import RealSubspace
 from .exact import PluckerVec, laplace_sign, subsets, wedge_terms
 from .grassmann import RationalSubspace, from_plucker, plucker_relations, refine_psi
 
@@ -712,7 +712,9 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     the lexicographically smaller key).  A float64 screen proposes record
     candidates (:func:`_contenders` over height groups, with the float error
     bound); each candidate is then recomputed at full precision, so the chain
-    itself is decided at A's precision.
+    itself is decided at A's precision.  :func:`refine_psi` returns a psi_j
+    below the zero tolerance as 0, so the B of one height that meet A tie and
+    the smaller key ends the scan as a rational hit.
     """
     if j < 1 or j > min(a.dim, e):
         raise ValueError("need 1 <= j <= min(dim A, e)")
@@ -732,7 +734,6 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
     cand = np.flatnonzero(_contenders(psi_f - delta, psi_f + delta, starts))
 
-    tol = zero_tol(a.precision_bits)
     running = None
     with mp.workprec(a.precision_bits):
         for hh, group in itertools.groupby(cand.tolist(), key=lambda i: int(h2[i])):
@@ -746,13 +747,9 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
             if running is None or best[0] < running:
                 result.records.append(best[2])
                 running = best[0]
-                if best[0] < tol:
+                if best[0] == 0:
                     result.rational_target = True
                     break
-    if result.rational_target and result.records:
-        last = result.records[-1]
-        result.records[-1] = ApproximationRecord(last.subspace_key, last.height,
-                                                 mp.mpf(0), mp.mpf(0), j)
     return result
 
 

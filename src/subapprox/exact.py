@@ -2,13 +2,14 @@
 
 Everything in this module is computed over Python's arbitrary-precision
 integers (or ``fractions.Fraction`` where division is unavoidable), so
-results are exact: Gram determinants, all e x e minors of a basis matrix,
-integer kernels, lattice saturation and Hermite normal forms.
+results are exact: Gram determinants, all e x e minors of a basis,
+integer kernels, lattice saturation, Hermite normal forms and unimodular
+completions; the last four all come from one integer row echelon.
 
 Conventions shared by the whole package:
 
-* a basis of an e-dimensional lattice in Z^n is stored as the *columns*
-  of an n x e :class:`IntMat`;
+* a basis of an e-dimensional lattice in Z^n (e >= 1) is a tuple of e
+  integer vectors of length n;
 * e-element subsets of {0, ..., n-1} are ordered lexicographically, and
   minor/Plucker coordinates follow that order;
 * the Laplace sign of an e-subset S (used when pairing complementary
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @lru_cache(maxsize=None)
@@ -66,45 +67,6 @@ def laplace_sign(subset: Sequence[int]) -> int:
     return -1 if (sum(subset) + e + e * (e + 1) // 2) % 2 else 1
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Immutable integer matrix, row-major."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.entries:
-            w = len(self.entries[0])
-            if any(len(r) != w for r in self.entries):
-                raise ValueError("ragged rows")
-        for r in self.entries:
-            for x in r:
-                if not isinstance(x, int):
-                    raise ValueError("entries must be integers, got %r" % (x,))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_columns(cls, vectors: Iterable[Sequence[int]]) -> "IntMat":
-        vecs = [tuple(int(x) for x in v) for v in vectors]
-        if not vecs:
-            return cls(())
-        n = len(vecs[0])
-        if any(len(v) != n for v in vecs):
-            raise ValueError("column length mismatch")
-        return cls(tuple(tuple(v[i] for v in vecs) for i in range(n)))
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r[j] for r in self.entries) for j in range(self.cols))
-
-
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     m = [list(map(int, r)) for r in rows]
@@ -130,44 +92,39 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def gram_det_sq(mat: IntMat) -> int:
-    """det(M^t M) for an n x e integer matrix M; the squared covolume of its columns."""
-    cols = mat.columns
-    e = len(cols)
-    if e == 0:
-        return 1
-    if mat.rows < e:
-        raise ValueError("more columns than rows: %d x %d" % (mat.rows, e))
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+def gram_det_sq(basis: Sequence[Sequence[int]]) -> int:
+    """The Gram determinant of e vectors in Z^n; the squared covolume of their lattice."""
+    e = len(basis)
+    if len(basis[0]) < e:
+        raise ValueError("more vectors than coordinates: %d in Z^%d" % (e, len(basis[0])))
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
     d = det_int(gram)
     if d < 0:
         raise ArithmeticError("negative Gram determinant %d" % d)
     return d
 
 
-def wedge_plucker(mat: IntMat) -> tuple[int, ...]:
-    """All e x e minors of the n x e matrix, indexed by lex-ordered row subsets.
+def wedge_plucker(basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """All e x e minors of the e vectors, indexed by lex-ordered coordinate subsets.
 
-    The squared Euclidean norm of the result equals ``gram_det_sq(mat)``
-    (Cauchy-Binet).  Raises if the columns are dependent (all minors zero).
+    The squared Euclidean norm of the result equals ``gram_det_sq(basis)``
+    (Cauchy-Binet).  Raises if the vectors are dependent (all minors zero).
     """
-    n, e = mat.rows, mat.cols
+    n, e = len(basis[0]), len(basis)
     if e > n:
         raise ValueError("need e <= n")
-    out = []
-    for sub in subsets(n, e):
-        out.append(det_int([mat.entries[i] for i in sub]))
-    if all(x == 0 for x in out):
-        raise ValueError("dependent columns: zero wedge")
-    return tuple(out)
+    out = tuple(det_int([[v[i] for i in sub] for v in basis]) for sub in subsets(n, e))
+    if not any(out):
+        raise ValueError("dependent vectors: zero wedge")
+    return out
 
 
 @dataclass(frozen=True)
 class PluckerVec:
     """Primitive, sign-canonical Plucker coordinate vector.
 
-    Invariants: gcd of coordinates is 1 and the first nonzero coordinate is
-    positive.  ``coords`` follows the lexicographic subset order.
+    Invariants: 1 <= e <= n, gcd of coordinates is 1 and the first nonzero
+    coordinate is positive.  ``coords`` follows the lexicographic subset order.
     """
 
     n: int
@@ -175,10 +132,12 @@ class PluckerVec:
     coords: tuple[int, ...]
 
     def __post_init__(self):
+        if not 1 <= self.e <= self.n:
+            raise ValueError("need 1 <= e <= n")
         want = math.comb(self.n, self.e)
         if len(self.coords) != want:
             raise ValueError("expected %d coordinates, got %d" % (want, len(self.coords)))
-        g = math.gcd(*self.coords) if len(self.coords) > 1 else abs(self.coords[0])
+        g = math.gcd(*self.coords)
         if g != 1:
             raise ValueError("coordinates not primitive (gcd %d)" % g)
         lead = next((x for x in self.coords if x != 0), 0)
@@ -209,42 +168,17 @@ def normalize_plucker(raw: Sequence[int], n: int, e: int) -> PluckerVec:
     return PluckerVec(n, e, tuple(coords))
 
 
-def _row_reduce_unimodular(rows: list[list[int]]):
-    """Integer row echelon with unimodular transform tracking.
+def _echelon(m: list[list[int]], width: int) -> int:
+    """Row-reduce the first `width` columns of `m` in place; return the rank.
 
-    Returns (H, R, Rinv, rank) where H = R @ M, R is unimodular and Rinv its
-    inverse.  Row operations are restricted to swaps, negations and adding
-    integer multiples, so lattices are preserved.
+    Only swaps, negations and integer row additions are used, so the row
+    lattice is preserved and the columns past `width` record the transform:
+    reducing [M | I] leaves [R M | R] with R unimodular.  Each pivot is
+    positive, the gcd of its column below the rows already reduced.
     """
-    m = [list(r) for r in rows]
     nr = len(m)
-    nc = len(m[0]) if nr else 0
-    R = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    Rinv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        R[i], R[j] = R[j], R[i]
-        for r in Rinv:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul(i, j, q):
-        # row_i += q * row_j  =>  (Rinv) col_j -= q * col_i
-        if q == 0:
-            return
-        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-        R[i] = [a + q * b for a, b in zip(R[i], R[j])]
-        for r in Rinv:
-            r[j] -= q * r[i]
-
-    def negate(i):
-        m[i] = [-a for a in m[i]]
-        R[i] = [-a for a in R[i]]
-        for r in Rinv:
-            r[i] = -r[i]
-
     rank = 0
-    for c in range(nc):
+    for c in range(width):
         if rank == nr:
             break
         # Euclid the column entries below `rank` down to a single gcd pivot.
@@ -253,43 +187,37 @@ def _row_reduce_unimodular(rows: list[list[int]]):
             if not live:
                 break
             piv = min(live, key=lambda i: abs(m[i][c]))
-            if piv != rank:
-                swap(rank, piv)
+            m[rank], m[piv] = m[piv], m[rank]
             if m[rank][c] < 0:
-                negate(rank)
+                m[rank] = [-a for a in m[rank]]
+            top = m[rank]
             done = True
             for i in range(rank + 1, nr):
                 if m[i][c] != 0:
-                    addmul(i, rank, -(m[i][c] // m[rank][c]))
-                    if m[i][c] != 0:
-                        done = False
+                    q = m[i][c] // top[c]
+                    m[i] = [a - q * b for a, b in zip(m[i], top)]
+                    done = done and m[i][c] == 0
             if done:
                 break
-        if rank < nr and m[rank][c] != 0:
+        if m[rank][c] != 0:
             rank += 1
-    return m, R, Rinv, rank
+    return rank
 
 
-def kernel_int(rows: Sequence[Sequence[int]], width: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of {x in Z^n : M x = 0} for the r x n integer matrix M.
+def kernel_int(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Basis of {x in Z^width : M x = 0} for the integer matrix M with these rows.
 
-    The kernel of an integer matrix is a saturated lattice; the returned
-    basis is HNF-canonical.
+    The transpose of M is echeloned beside an identity block, and the
+    transform rows beside its zero rows span the kernel: a saturated lattice,
+    returned HNF-canonical.  With no rows the kernel is Z^width.
     """
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        if width is None:
-            raise ValueError("width required for an empty matrix")
-        return [tuple(1 if i == j else 0 for j in range(width)) for i in range(width)]
-    n = len(rows[0])
-    # Row-reduce the transpose: zero rows of H pick out kernel rows of R.
-    tr = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
-    H, R, _, rank = _row_reduce_unimodular(tr)
-    res = [tuple(R[i]) for i in range(len(H)) if all(x == 0 for x in H[i])]
-    if len(res) != n - rank:
-        raise ArithmeticError("kernel has %d vectors, rank %d of %d columns" % (len(res), rank, n))
-    if not res:
-        return []
+    r = len(rows)
+    m = [[int(row[j]) for row in rows] + [int(i == j) for i in range(width)]
+         for j in range(width)]
+    rank = _echelon(m, r)
+    res = [row[r:] for row in m if not any(row[:r])]
+    if len(res) != width - rank:
+        raise ArithmeticError("kernel has %d vectors, rank %d of %d" % (len(res), rank, width))
     return hnf_rows(res)
 
 
@@ -299,22 +227,19 @@ def hnf_rows(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     Requires independent rows.  Pivots are positive and entries above each
     pivot are reduced into [0, pivot).
     """
-    H, _, _, rank = _row_reduce_unimodular([list(map(int, v)) for v in vectors])
-    if rank != len(H):
+    m = [list(map(int, v)) for v in vectors]
+    if _echelon(m, len(m[0]) if m else 0) != len(m):
         raise ValueError("dependent rows")
-    # reduce entries above each pivot
-    pivots = []
-    for i, row in enumerate(H):
+    for i, row in enumerate(m):
         c = next(j for j, x in enumerate(row) if x != 0)
-        pivots.append(c)
         for k in range(i):
-            q = H[k][c] // row[c]
+            q = m[k][c] // row[c]
             if q:
-                H[k] = [a - q * b for a, b in zip(H[k], row)]
-    return [tuple(r) for r in H]
+                m[k] = [a - q * b for a, b in zip(m[k], row)]
+    return [tuple(r) for r in m]
 
 
-def saturate(generators: Sequence[Sequence[int]]) -> IntMat:
+def saturate(generators: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Basis of span_Q(generators) intersected with Z^n.
 
     Computed as the integer kernel of the integer kernel (the double
@@ -330,7 +255,7 @@ def saturate(generators: Sequence[Sequence[int]]) -> IntMat:
     basis = kernel_int(comp, width=n)
     if len(basis) != e:
         raise ValueError("dependent generators (rank %d < %d)" % (len(basis), e))
-    return IntMat.from_columns(basis)
+    return tuple(basis)
 
 
 def solve_fraction(columns: Sequence[Sequence[int]], target: Sequence[int]):
@@ -339,7 +264,6 @@ def solve_fraction(columns: Sequence[Sequence[int]], target: Sequence[int]):
     n = len(target)
     aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
            for i in range(n)]
-    piv_rows = []
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
@@ -352,7 +276,6 @@ def solve_fraction(columns: Sequence[Sequence[int]], target: Sequence[int]):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
         r += 1
     for i in range(r, n):
         if aug[i][ncols] != 0:
@@ -360,30 +283,30 @@ def solve_fraction(columns: Sequence[Sequence[int]], target: Sequence[int]):
     return [aug[i][ncols] for i in range(ncols)]
 
 
-def lattice_contains(basis: IntMat, vector: Sequence[int]) -> bool:
-    """Whether `vector` is an integer combination of the basis columns."""
-    sol = solve_fraction(basis.columns, [int(x) for x in vector])
+def lattice_contains(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    """Whether `vector` is an integer combination of the basis vectors."""
+    sol = solve_fraction(basis, [int(x) for x in vector])
     if sol is None:
         return False
     return all(x.denominator == 1 for x in sol)
 
 
-def complete_to_unimodular(basis: IntMat) -> list[tuple[int, ...]]:
+def complete_to_unimodular(basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Vectors extending a saturated lattice basis to a basis of Z^n.
 
-    Input: n x e IntMat whose columns are a basis of a *saturated* lattice.
-    Returns n-e integer vectors u such that (columns, u's) is unimodular.
+    Input: e vectors in Z^n that are a basis of a *saturated* lattice.
+    Returns n-e integer vectors u such that (basis, u's) is unimodular.
     """
-    n = basis.rows
-    e = basis.cols
-    H, _, Rinv, rank = _row_reduce_unimodular([list(r) for r in basis.entries])
-    if rank != e:
-        raise ValueError("dependent basis columns")
-    top = [H[i][:] for i in range(e)]
-    if abs(det_int(top)) != 1:
+    n, e = len(basis[0]), len(basis)
+    m = [[v[i] for v in basis] + [int(i == j) for j in range(n)] for i in range(n)]
+    if _echelon(m, e) != e:
+        raise ValueError("dependent basis vectors")
+    if abs(det_int([row[:e] for row in m[:e]])) != 1:
         raise ValueError("basis is not saturated")
-    # columns e..n-1 of Rinv complete the lattice
-    return [tuple(Rinv[i][j] for i in range(n)) for j in range(e, n)]
+    # R M = [T; 0] with T unimodular, so the last n-e columns of R^-1 complete
+    # the basis.  R is unimodular, so the HNF of [R | I] is [I | R^-1].
+    inv = hnf_rows([row[e:] + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    return [tuple(inv[i][n + j] for i in range(n)) for j in range(e, n)]
 
 
 def clear_denominators(vector: Sequence) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Rational subspaces of R^n held exactly.
 
 A :class:`RationalSubspace` carries a saturated lattice basis (the integer
-points of the subspace), the primitive sign-canonical Plucker vector of
-that lattice, and the squared height (= squared norm of the Plucker
-vector = Gram determinant of the basis).  Conversions go both ways:
+points of the subspace) and the primitive sign-canonical Plucker vector of
+that lattice, whose squared norm is the squared height (= Gram determinant
+of the basis).  Conversions go both ways:
 from generating vectors, and back from a decomposable Plucker vector.
 """
 
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .angles import RealSubspace, canonical_angles
+from mpmath import mp
+
+from .angles import RealSubspace, canonical_angles, zero_tol
 from .exact import (
-    IntMat,
     PluckerVec,
     annihilator_rows,
     clear_denominators,
@@ -31,18 +32,24 @@ from .exact import (
 
 @dataclass(frozen=True)
 class RationalSubspace:
-    n: int
-    e: int
-    lattice_basis: IntMat      # n x e, columns form an HNF-canonical saturated basis
+    lattice_basis: tuple[tuple[int, ...], ...]  # e vectors in Z^n, HNF-canonical, saturated
     plucker: PluckerVec
-    height_sq: int
+
+    @property
+    def n(self) -> int:
+        return self.plucker.n
+
+    @property
+    def e(self) -> int:
+        return self.plucker.e
+
+    @property
+    def height_sq(self) -> int:
+        return self.plucker.norm_sq
 
     @property
     def key(self) -> str:
         return self.plucker.key
-
-    def basis_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return self.lattice_basis.columns
 
 
 def from_generators(vectors: Sequence[Sequence]) -> RationalSubspace:
@@ -57,10 +64,10 @@ def from_generators(vectors: Sequence[Sequence]) -> RationalSubspace:
     return _from_basis(saturate(gens))  # HNF-canonical; raises on dependent input
 
 
-def _from_basis(mat: IntMat) -> RationalSubspace:
-    """The subspace whose saturated lattice has the HNF basis ``mat`` (columns)."""
-    pl = normalize_plucker(wedge_plucker(mat), mat.rows, mat.cols)
-    return RationalSubspace(mat.rows, mat.cols, mat, pl, pl.norm_sq)
+def _from_basis(basis: tuple[tuple[int, ...], ...]) -> RationalSubspace:
+    """The subspace whose saturated lattice has the HNF basis ``basis``."""
+    pl = normalize_plucker(wedge_plucker(basis), len(basis[0]), len(basis))
+    return RationalSubspace(basis, pl)
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +133,10 @@ def from_plucker(v: PluckerVec) -> RationalSubspace:
     n, e = v.n, v.e
     if not plucker_relations_check(v.coords, n, e):
         raise ValueError("vector fails the Plucker relations: not decomposable")
-    if e == n:
-        basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    else:
-        basis = kernel_int(annihilator_rows(v.coords, n, e), width=n)  # HNF-canonical
-        if len(basis) != e:
-            raise ValueError("vector is not decomposable (kernel rank %d != %d)" % (len(basis), e))
-    b = _from_basis(IntMat.from_columns(basis))
+    basis = kernel_int(annihilator_rows(v.coords, n, e), width=n)  # HNF-canonical
+    if len(basis) != e:
+        raise ValueError("vector is not decomposable (kernel rank %d != %d)" % (len(basis), e))
+    b = _from_basis(tuple(basis))
     if b.plucker.coords != v.coords:
         raise ValueError("recovered subspace does not reproduce the Plucker vector")
     return b
@@ -140,18 +144,22 @@ def from_plucker(v: PluckerVec) -> RationalSubspace:
 
 def real_view(b: RationalSubspace, precision_bits: int = 128) -> RealSubspace:
     """Orthonormal high-precision basis of the same span."""
-    return RealSubspace.from_vectors(b.basis_vectors(), precision_bits=precision_bits)
+    return RealSubspace.from_vectors(b.lattice_basis, precision_bits=precision_bits)
 
 
 def refine_psi(a: RealSubspace, b: RationalSubspace, j: int):
     """(psi_j(A, B), phi(A, B)) at A's precision, from B's exact basis.
 
     The one mp refinement of a float-screened rational B: scans, going-up
-    and the Dirichlet construction all call it.  The values are raw; a caller
-    that counts psi below :func:`angles.zero_tol` as 0 applies that itself.
+    and the Dirichlet construction all call it.  A psi_j below
+    :func:`angles.zero_tol` is rounding noise: both values are then 0, as
+    phi <= psi_j.
     """
     prof = canonical_angles(a, real_view(b, a.precision_bits))
-    return prof.sines[j - 1], prof.phi
+    psi = prof.sines[j - 1]
+    if psi < zero_tol(a.precision_bits):
+        return mp.mpf(0), mp.mpf(0)
+    return psi, prof.phi
 
 
 def parse_key(text: str) -> PluckerVec:

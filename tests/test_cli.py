@@ -65,6 +65,17 @@ def test_scan_rational_target(tmp_path, capsys):
         assert "rational_target=true" in out
 
 
+def test_scan_rational_hit_is_the_smaller_key(capsys):
+    # two B of height sqrt(2) meet A: mp rounds psi_1 to 1e-39 for the
+    # lex-smaller key and to 0 for the other.  Both are below the zero
+    # tolerance, so the smaller key is the record
+    assert main(["scan", "--target", "gens:2 0 -2 -2 0; 0 1 1 1 -2", "--e", "2", "--j", "1",
+                 "--hmax", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "rational_target=true" in lines[1]
+    assert lines[-1].endswith(",0.0,0.0,5 2 : 0 0 0 1 0 0 1 0 0 0")
+
+
 def test_scan_witness_smoke(tmp_path, capsys):
     code = main(["scan", "--target", "r4:sqrt2", "--e", "2", "--j", "1",
                  "--hmax", "3", "--seed", "7"])
@@ -114,6 +125,15 @@ def test_witness_r4_certificate(tmp_path):
     assert data["irrationality"]["mod4_all_even"]
     assert data["irrationality"]["nonzero_solutions"] == []
     assert data["lower_bound"]["passed"]
+
+
+@pytest.mark.parametrize("claimed,code", [("1e9", 2), ("1e-9", 0)])
+def test_witness_lower_bound_claimed_c(claimed, code, capsys):
+    # c_min is 0.0115 at H <= 4: a claimed constant above it fails the check
+    assert main(["witness", "r4", "--lower-bound", "--hmax", "4", "--claimed-c", claimed]) == code
+    data = json.loads(capsys.readouterr().out)
+    assert data["lower_bound"]["claimed_c"] == float(claimed)
+    assert data["lower_bound"]["passed"] is data["passed"] is (code == 0)
 
 
 def test_witness_r5_residuals(tmp_path):
@@ -246,6 +266,9 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     # a path in a missing directory, which the message names
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--cache", "missing-dir/c42.cache"),
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--out", "missing-dir/scan.csv"),
+    # a Plucker key outside 1 <= e <= n
+    ("height", "--plucker", "3 0 : 1", "--format", "json"),
+    ("height", "--plucker", "3 4 :"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     import subapprox
@@ -286,6 +309,14 @@ def test_props_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("prec", ["64", "256"])
+def test_props_passes_at_any_precision(prec, capsys):
+    # the phi-det tolerance scales with the precision, so 64 bits passes too
+    assert main(["props", "--seed", "0", "--prec", prec]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 5 and all(line.split()[1] == "PASS" for line in out)
 
 
 def test_console_entry_point():

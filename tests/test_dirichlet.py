@@ -429,12 +429,12 @@ def _exhaustive_table(a, b, j, budget):
     from itertools import product
 
     from subapprox.dirichlet import _lll_gram, _projected_gram
-    from subapprox.exact import (IntMat, PluckerVec, complete_to_unimodular,
-                                 normalize_plucker, wedge_plucker)
+    from subapprox.exact import (PluckerVec, complete_to_unimodular, normalize_plucker,
+                                 wedge_plucker)
     from subapprox.grassmann import from_plucker
 
     n, e = b.n, b.e
-    cols = list(b.basis_vectors())
+    cols = list(b.lattice_basis)
     extras = complete_to_unimodular(b.lattice_basis)
     U = _lll_gram(_projected_gram(cols, extras))
     reduced = [tuple(sum(c * u[i] for c, u in zip(row, extras)) for i in range(n)) for row in U]
@@ -444,7 +444,7 @@ def _exhaustive_table(a, b, j, budget):
             continue
         v = tuple(sum(c * r[i] for c, r in zip(coeffs, reduced)) for i in range(n))
         try:
-            raw = wedge_plucker(IntMat.from_columns(cols + [v]))
+            raw = wedge_plucker(cols + [v])
         except ValueError:
             continue
         pl = normalize_plucker(raw, n, e + 1)

@@ -126,7 +126,7 @@ def _enumerate_generic(n: int, e: int, hmax_sq: int):
     routes are tested against.  Returns the rows, unsorted, and the number of
     e-tuples wedged."""
     from subapprox.enumeration import _integer_ball
-    from subapprox.exact import IntMat, normalize_plucker, wedge_plucker
+    from subapprox.exact import normalize_plucker, wedge_plucker
 
     prod_cap = int(_MINK_SQ[e] * hmax_sq * (1 + 1e-9)) + 1
     V = _integer_ball(n, prod_cap)
@@ -140,7 +140,7 @@ def _enumerate_generic(n: int, e: int, hmax_sq: int):
         if len(chosen) == e:
             pairs += 1
             try:
-                raw = wedge_plucker(IntMat.from_columns(chosen))
+                raw = wedge_plucker(chosen)
             except ValueError:
                 return
             pl = normalize_plucker(raw, n, e)
@@ -209,7 +209,7 @@ def test_hyperplanes_are_complements_of_lines():
     # the exact integer orthogonal complement of every line
     lines = enumerate_subspaces(5, 1, 2)
     hyper = enumerate_subspaces(5, 4, 2)
-    want = {from_generators(kernel_int([lines.coords_at(i)])).plucker.coords
+    want = {from_generators(kernel_int([lines.coords_at(i)], width=5)).plucker.coords
             for i in range(len(lines))}
     assert len(hyper) == len(lines)
     assert {hyper.coords_at(i) for i in range(len(hyper))} == want
@@ -744,7 +744,7 @@ def test_float_psi_delta_is_sound(capsys):
                     (7, 2, 2), (4, 3, 2), (6, 3, 3), (7, 2, 3), (4, 2, 3)):
         t = min(d, e)
         base = _rational(rng, lambda: [[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)])
-        base = [list(v) for v in base.basis_vectors()]
+        base = [list(v) for v in base.lattice_basis]
         near = _tilted(rng, base + [[rng.gauss(0, 1) for _ in range(n)] for _ in range(d - t)],
                        mp.mpf(10) ** -12)
         targets = [near] + [rnd_plane(rng.randrange(10 ** 6), n=n, d=d) for _ in range(2)]

@@ -121,9 +121,9 @@ def test_relations_hold_for_random_wedges():
 
 def test_from_plucker_examples():
     b = from_plucker(PluckerVec(4, 2, (1, 0, 0, 0, 0, 0)))
-    assert sorted(b.basis_vectors()) == [(0, 1, 0, 0), (1, 0, 0, 0)]
+    assert sorted(b.lattice_basis) == [(0, 1, 0, 0), (1, 0, 0, 0)]
     b = from_plucker(PluckerVec(4, 2, (1, 0, 1, -1, 0, 1)))
-    assert sorted(b.basis_vectors()) == [(0, 1, 0, 1), (1, 0, 1, 0)]
+    assert sorted(b.lattice_basis) == [(0, 1, 0, 1), (1, 0, 1, 0)]
     with pytest.raises(ValueError):
         from_plucker(PluckerVec(4, 2, (1, 0, 0, 0, 0, 1)))
 

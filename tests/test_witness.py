@@ -88,7 +88,7 @@ def test_r4_det_identity_against_direct_determinant():
             for i in range(4):
                 m[i, 0] = v1[i]
                 m[i, 1] = v2[i]
-                y1, y2 = b.lattice_basis.columns
+                y1, y2 = b.lattice_basis
                 m[i, 2] = y1[i]
                 m[i, 3] = y2[i]
             direct = mp.det(m)
