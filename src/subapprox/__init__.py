@@ -4,7 +4,7 @@ procedures, all verifiable at desk scale."""
 
 __version__ = "0.1.0"
 
-from .exact import PluckerVec, gram_det_sq, normalize_plucker, saturate, wedge_plucker
+from .exact import PluckerVec, gram_det_sq, normalize_plucker, wedge_plucker
 from .angles import (
     AngleProfile,
     PrecisionError,

@@ -24,7 +24,8 @@ from mpmath import mp
 
 from . import __version__
 from .angles import PrecisionError, RealSubspace, canonical_angles, phi_via_det
-from .dirichlet import build_approximant, flag_basis, going_up_search, simultaneous_approx
+from .dirichlet import (build_approximant, flag_basis, going_up_search, line_decomposition,
+                        simultaneous_approx, unit_chord_bound)
 from .enumeration import enumerate_subspaces, estimate_exponent, scan_target
 from .exact import gram_det_sq
 from .grassmann import from_generators, from_plucker, parse_key, real_view, refine_psi
@@ -89,18 +90,18 @@ def parse_target(spec: str, *, n: int | None, d: int | None, prec: int, seed: in
     """Named witnesses (`r4:sqrt2`, `r5:<z>`), explicit generators
     (`gens:...`), or seeded random subspaces (`random:<d>`).
 
-    Returns (RealSubspace, label, is_rational_gens).
+    Returns (RealSubspace, label).
     """
     kind, _, arg = spec.partition(":")
     if kind == "r4":
         tok = arg or "sqrt2"
-        return witness_r4(tok, precision_bits=prec), "r4:%s" % tok, False
+        return witness_r4(tok, precision_bits=prec), "r4:%s" % tok
     if kind == "r5":
         tok = arg or "sqrt3+1/4"
         _, sub = witness_r5(tok, precision_bits=prec)
-        return sub, "r5:%s" % tok, False
+        return sub, "r5:%s" % tok
     if kind == "gens":
-        return RealSubspace.from_vectors(parse_gens(arg), precision_bits=prec), "gens", True
+        return RealSubspace.from_vectors(parse_gens(arg), precision_bits=prec), "gens"
     if kind == "random":
         try:
             dd = int(arg) if arg else d
@@ -110,7 +111,7 @@ def parse_target(spec: str, *, n: int | None, d: int | None, prec: int, seed: in
             raise ParseError("random targets need --n and a dimension")
         rng = random.Random(seed)
         vecs = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(dd)]
-        return RealSubspace.from_vectors(vecs, precision_bits=prec), "random:%d" % dd, False
+        return RealSubspace.from_vectors(vecs, precision_bits=prec), "random:%d" % dd
     raise ParseError("unknown target spec %r" % spec)
 
 
@@ -155,8 +156,8 @@ def cmd_height(args) -> int:
 # --------------------------------------------------------------------- scan
 
 def cmd_scan(args) -> int:
-    target, label, _ = parse_target(args.target, n=args.n, d=args.d,
-                                    prec=args.prec, seed=args.seed)
+    target, label = parse_target(args.target, n=args.n, d=args.d,
+                                 prec=args.prec, seed=args.seed)
     n, d = target.n, target.dim
     if d + args.e > n:
         raise ParseError("need d + e <= n (got d=%d e=%d n=%d)" % (d, args.e, n))
@@ -250,8 +251,8 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------- dirichlet
 
 def cmd_dirichlet(args) -> int:
-    target, label, _ = parse_target(args.target, n=args.n, d=args.d,
-                                    prec=args.prec, seed=args.seed)
+    target, label = parse_target(args.target, n=args.n, d=args.d,
+                                 prec=args.prec, seed=args.seed)
     j = args.j
     fb = flag_basis(target, j)
     x = fb.approximation_vector()
@@ -294,8 +295,8 @@ def cmd_dirichlet(args) -> int:
 # ------------------------------------------------------------------ goingup
 
 def cmd_goingup(args) -> int:
-    target, label, _ = parse_target(args.target, n=args.n, d=args.d,
-                                    prec=args.prec, seed=args.seed)
+    target, label = parse_target(args.target, n=args.n, d=args.d,
+                                 prec=args.prec, seed=args.seed)
     b = from_generators(parse_gens(args.gens))
     res = going_up_search(target, b, args.j, budget=args.budget, weight=args.weight)
     prec = args.prec
@@ -382,8 +383,6 @@ def cmd_props(args) -> int:
     report("phi-det-crosscheck", ok)
 
     # chord bound
-    from .dirichlet import unit_chord_bound
-
     ok = True
     for _ in range(50):
         v = [rng.gauss(0, 1) for _ in range(4)]
@@ -399,8 +398,6 @@ def cmd_props(args) -> int:
     report("unit-chord-bound", ok)
 
     # line decomposition sandwich
-    from .dirichlet import line_decomposition
-
     ok = True
     for _ in range(30):
         d_sub = RealSubspace.from_vectors(

@@ -24,13 +24,7 @@ from mpmath import mp
 from .angles import (PrecisionError, RealSubspace, _to_mpf, canonical_angles, principal_pairs,
                      sin_angle, zero_tol)
 from .enumeration import _U, _contenders, _float_psi, _wedge_matrix
-from .exact import (
-    PluckerVec,
-    complete_to_unimodular,
-    lattice_contains,
-    normalize_plucker,
-    solve_fraction,
-)
+from .exact import PluckerVec, complete_to_unimodular, normalize_plucker
 from .grassmann import RationalSubspace, from_generators, from_plucker, refine_psi
 
 
@@ -377,26 +371,15 @@ class GoingUpResult:
     contained: bool
 
 
-def _projected_gram(basis_cols, extras):
-    """Exact Gram matrix of the completion vectors projected off span(B):
-    <u_i, u_j> - <c_i, (<u_j, b_a>)_a>, where G c_i = (<u_i, b_a>)_a for B's Gram matrix G."""
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    gram_b = [[dot(u, v) for v in basis_cols] for u in basis_cols]
-    rhs = [[dot(u, v) for v in basis_cols] for u in extras]
-    coeffs = [solve_fraction(gram_b, r) for r in rhs]  # G is symmetric: its rows are its columns
-    return [[dot(u, w) - dot(c, r) for w, r in zip(extras, rhs)] for u, c in zip(extras, coeffs)]
-
-
 _LLL_DELTA = Fraction(99, 100)
 
 
-def _lll_gram(gram: list[list[Fraction]]):
-    """LLL on a lattice given only by its Gram matrix; returns the transform."""
+def _lll_gram(gram: list[list]):
+    """LLL on a lattice given only by its (integer or rational) Gram matrix;
+    returns the transform.  The Gram is held as Fractions, so the GSO is exact."""
     m = len(gram)
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    G = [row[:] for row in gram]
+    G = [list(map(Fraction, row)) for row in gram]
 
     def apply_addmul(i, j, q):
         # v_i <- v_i - q v_j
@@ -446,9 +429,14 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     Candidates sweep a coefficient box over an LLL-reduced basis of the
     quotient lattice Z^n / (B cap Z^n), so the short extensions the height
     bound H(C) <= kappa H(B)^((n-e-1)/(n-e)) relies on are always in range.
-    No candidate v lies in B, so no wedge v ^ B is zero.  A psi below the
-    zero tolerance 2^-(prec/2) is rounding noise and counts as 0, and a
-    candidate with psi = 0 scores +inf when weight < 0.
+    The quotient is reduced through its image u -> u ^ eta, eta = B's Plucker
+    vector: that map is H(B) times an isometry on B's orthogonal complement
+    and zero on B, so the integer Gram of the wedged completion vectors is
+    H(B)^2 times the quotient's, and LLL, blind to the scale, returns the
+    same transform.  No candidate v lies in B, so no wedge v ^ B is zero.
+    C is saturated, so it contains B iff B's integer basis wedges C's Plucker
+    vector to 0.  A psi below the zero tolerance 2^-(prec/2) is rounding noise
+    and counts as 0, and a candidate with psi = 0 scores +inf when weight < 0.
     """
     n, e = b.n, b.e
     if e >= n - 1:
@@ -459,12 +447,12 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         raise ValueError("budget must be >= 1")
     prec = a.precision_bits
 
-    extras = complete_to_unimodular(b.lattice_basis)
-    U = _lll_gram(_projected_gram(b.lattice_basis, extras))
     # v ^ eta is linear in v, so one product wedges every candidate; object
     # arrays hold Python ints, which cannot overflow
     ints = functools.partial(np.array, dtype=object)
-    wedged = ints(U) @ ints(extras) @ _wedge_matrix(ints(b.plucker.coords), n, e)
+    W = ints(complete_to_unimodular(b.lattice_basis)) @ _wedge_matrix(ints(b.plucker.coords), n, e)
+    U = _lll_gram((W @ W.T).tolist())
+    wedged = ints(U) @ W
     coeffs = [c for c in itertools.product(range(-budget, budget + 1), repeat=len(U))
               if next((x for x in c if x), 0) > 0]  # spans are insensitive to v -> -v
     heights: dict[tuple[int, ...], int] = {}
@@ -483,7 +471,8 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     best = min(scored, key=lambda s: s[:2])  # exact score ties keep the lex-smaller key
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
-    contained = all(lattice_contains(c_sub.lattice_basis, v) for v in b.lattice_basis)
+    eta_c = _wedge_matrix(ints(c_sub.plucker.coords), n, e + 1)
+    contained = not np.any(ints(b.lattice_basis) @ eta_c)
     with mp.workprec(prec):
         psi_before = refine_psi(a, b, j)[0]
         expo = mp.mpf(n - e - 1) / (n - e)

@@ -1,10 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything in this module is computed over Python's arbitrary-precision
-integers (or ``fractions.Fraction`` where division is unavoidable), so
-results are exact: Gram determinants, all e x e minors of a basis,
-integer kernels, lattice saturation, Hermite normal forms and unimodular
-completions; the last four all come from one integer row echelon.
+integers, so results are exact: Gram determinants, all e x e minors of a
+basis, integer kernels, Hermite normal forms and unimodular completions;
+the last three all come from one integer row echelon.  Rationals enter
+only through :func:`clear_denominators`.
 
 Conventions shared by the whole package:
 
@@ -108,11 +108,12 @@ def wedge_plucker(basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """All e x e minors of the e vectors, indexed by lex-ordered coordinate subsets.
 
     The squared Euclidean norm of the result equals ``gram_det_sq(basis)``
-    (Cauchy-Binet).  Raises if the vectors are dependent (all minors zero).
+    (Cauchy-Binet).  Raises if the vectors are dependent: more of them than
+    coordinates, or all minors zero.
     """
     n, e = len(basis[0]), len(basis)
     if e > n:
-        raise ValueError("need e <= n")
+        raise ValueError("%d vectors in Q^%d are dependent" % (e, n))
     out = tuple(det_int([[v[i] for i in sub] for v in basis]) for sub in subsets(n, e))
     if not any(out):
         raise ValueError("dependent vectors: zero wedge")
@@ -237,58 +238,6 @@ def hnf_rows(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
             if q:
                 m[k] = [a - q * b for a, b in zip(m[k], row)]
     return [tuple(r) for r in m]
-
-
-def saturate(generators: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Basis of span_Q(generators) intersected with Z^n.
-
-    Computed as the integer kernel of the integer kernel (the double
-    orthogonal-complement over Z), which is exact and automatically
-    saturated; the result is HNF-canonical.  Raises on dependent input.
-    """
-    gens = [tuple(map(int, g)) for g in generators]
-    if not gens:
-        raise ValueError("no generators")
-    n = len(gens[0])
-    e = len(gens)
-    comp = kernel_int(gens, width=n)
-    basis = kernel_int(comp, width=n)
-    if len(basis) != e:
-        raise ValueError("dependent generators (rank %d < %d)" % (len(basis), e))
-    return tuple(basis)
-
-
-def solve_fraction(columns: Sequence[Sequence[int]], target: Sequence[int]):
-    """Solve sum_j x_j * columns[j] = target over Q; None if unsolvable."""
-    ncols = len(columns)
-    n = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(n)]
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            return None  # dependent columns not supported here
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, n):
-        if aug[i][ncols] != 0:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
-
-
-def lattice_contains(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    """Whether `vector` is an integer combination of the basis vectors."""
-    sol = solve_fraction(basis, [int(x) for x in vector])
-    if sol is None:
-        return False
-    return all(x.denominator == 1 for x in sol)
 
 
 def complete_to_unimodular(basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

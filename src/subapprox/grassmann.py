@@ -3,8 +3,9 @@
 A :class:`RationalSubspace` carries a saturated lattice basis (the integer
 points of the subspace) and the primitive sign-canonical Plucker vector of
 that lattice, whose squared norm is the squared height (= Gram determinant
-of the basis).  Conversions go both ways:
-from generating vectors, and back from a decomposable Plucker vector.
+of the basis).  Both conversions go through the Plucker vector: generating
+vectors are wedged into it, and a decomposable Plucker vector eta gives the
+integer points as the integer kernel of x -> x ^ eta.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .exact import (
     clear_denominators,
     kernel_int,
     normalize_plucker,
-    saturate,
     subset_index,
     subsets,
     wedge_plucker,
@@ -55,19 +55,15 @@ class RationalSubspace:
 def from_generators(vectors: Sequence[Sequence]) -> RationalSubspace:
     """Build the rational subspace spanned by rational vectors.
 
-    Denominators are cleared, the lattice is saturated, and the result is
-    independent of the particular generating set of the same span.
+    Denominators are cleared and the integer generators wedged; the wedge,
+    made primitive, is the subspace's Plucker vector, and :func:`from_plucker`
+    recovers the integer points from it.  So the result does not depend on
+    the generating set of the span.  Raises on dependent input.
     """
     gens = [clear_denominators(v) for v in vectors]
     if not gens:
         raise ValueError("no generators")
-    return _from_basis(saturate(gens))  # HNF-canonical; raises on dependent input
-
-
-def _from_basis(basis: tuple[tuple[int, ...], ...]) -> RationalSubspace:
-    """The subspace whose saturated lattice has the HNF basis ``basis``."""
-    pl = normalize_plucker(wedge_plucker(basis), len(basis[0]), len(basis))
-    return RationalSubspace(basis, pl)
+    return from_plucker(normalize_plucker(wedge_plucker(gens), len(gens[0]), len(gens)))
 
 
 @lru_cache(maxsize=None)
@@ -126,20 +122,19 @@ def plucker_relations_check(coords: Sequence[int], n: int, e: int) -> bool:
 def from_plucker(v: PluckerVec) -> RationalSubspace:
     """Recover the rational subspace with Plucker vector v.
 
-    v must be decomposable (satisfy the Plucker relations); the subspace is
-    the kernel of x -> x wedge v, saturated.  Round-trips with
-    :func:`from_generators`.
+    v must be decomposable (satisfy the Plucker relations).  The integer
+    kernel of x -> x ^ v is then the subspace's integer points, a saturated
+    lattice, returned as its HNF basis; the basis must wedge back to v.
     """
     n, e = v.n, v.e
     if not plucker_relations_check(v.coords, n, e):
         raise ValueError("vector fails the Plucker relations: not decomposable")
-    basis = kernel_int(annihilator_rows(v.coords, n, e), width=n)  # HNF-canonical
+    basis = tuple(kernel_int(annihilator_rows(v.coords, n, e), width=n))  # HNF-canonical
     if len(basis) != e:
         raise ValueError("vector is not decomposable (kernel rank %d != %d)" % (len(basis), e))
-    b = _from_basis(tuple(basis))
-    if b.plucker.coords != v.coords:
+    if normalize_plucker(wedge_plucker(basis), n, e).coords != v.coords:
         raise ValueError("recovered subspace does not reproduce the Plucker vector")
-    return b
+    return RationalSubspace(basis, v)
 
 
 def real_view(b: RationalSubspace, precision_bits: int = 128) -> RealSubspace:

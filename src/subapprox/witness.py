@@ -32,27 +32,23 @@ _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$"
 def parse_param(token):
     """Parse a witness parameter: `sqrt2`, `3/2`, `1.25`, or `sqrt3+1/4`.
 
-    Returns a callable evaluating the value at a given precision, so checks
-    can re-evaluate the same parameter when precision is doubled.
+    Returns its value as an mpf at the working precision; a caller that
+    doubles the precision parses the token again.
     """
     if isinstance(token, (int, float, Fraction)):
-        return lambda prec: _to_mpf(token)
+        return _to_mpf(token)
     m = _PARAM_RE.match(str(token))
     if not m or (m.group(1) is None and m.group(2) is None):
         raise ValueError("cannot parse parameter %r" % (token,))
     radicand = int(m.group(1)) if m.group(1) else None
     rest = m.group(2).replace(" ", "") if m.group(2) else None
     offset = Fraction(rest) if rest else None
-
-    def ev(prec):
-        total = mp.mpf(0)
-        if radicand is not None:
-            total += mp.sqrt(radicand)
-        if offset is not None:
-            total += _to_mpf(offset)
-        return total
-
-    return ev
+    total = mp.mpf(0)
+    if radicand is not None:
+        total += mp.sqrt(radicand)
+    if offset is not None:
+        total += _to_mpf(offset)
+    return total
 
 
 @dataclass
@@ -67,7 +63,7 @@ class WitnessSpec:
 
 def _r4_vectors(xi, prec):
     with mp.workprec(prec):
-        x = xi if isinstance(xi, mp.mpf) else parse_param(xi)(prec)
+        x = xi if isinstance(xi, mp.mpf) else parse_param(xi)
         if not (0 < x < mp.sqrt(7)):
             raise ValueError("parameter must lie in (0, sqrt(7))")
         s = mp.sqrt(7 - x * x)
@@ -120,7 +116,7 @@ def r4_det_pairing(xi, eta: Sequence[int], precision_bits: int = 128):
     """The 4x4 determinant det[X1 X2 Y1 Y2] via the Laplace pairing
     -n6 + n5 x - n4 s - n3 s - n2 x + 7 n1, with s = sqrt(7 - x^2)."""
     with mp.workprec(precision_bits):
-        x = xi if isinstance(xi, mp.mpf) else parse_param(xi)(precision_bits)
+        x = xi if isinstance(xi, mp.mpf) else parse_param(xi)
         s = mp.sqrt(7 - x * x)
         n1, n2, n3, n4, n5, n6 = [mp.mpf(v) for v in eta]
         return -n6 + n5 * x - n4 * s - n3 * s - n2 * x + 7 * n1
@@ -151,7 +147,7 @@ def _r5_zetas(z, prec):
 def r5_plucker_coords(zeta3, precision_bits: int = 128):
     """The ten Plucker coordinates of the R^5 witness, lex order."""
     with mp.workprec(precision_bits):
-        z = zeta3 if isinstance(zeta3, mp.mpf) else parse_param(zeta3)(precision_bits)
+        z = zeta3 if isinstance(zeta3, mp.mpf) else parse_param(zeta3)
         if z < mp.mpf(5) / 4:
             raise ValueError("parameter must be >= 5/4")
         z1, z2, z4, z5 = _r5_zetas(z, precision_bits)

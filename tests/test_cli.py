@@ -269,6 +269,9 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     # a Plucker key outside 1 <= e <= n
     ("height", "--plucker", "3 0 : 1", "--format", "json"),
     ("height", "--plucker", "3 4 :"),
+    # dependent generators: more vectors than coordinates, and two proportional rows
+    ("height", "--gens", "1 2; 3 4; 5 6"),
+    ("height", "--gens", "1 2 3; 2 4 6"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     import subapprox

@@ -422,13 +422,69 @@ def test_exponent_transfer_under_chained_going_up():
 
 # ------------------------------------- going up: screened against exhaustive
 
+def _solve(a, rhs):
+    """x with a x = rhs for an invertible square matrix a, by Gauss-Jordan
+    elimination over Fractions."""
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, rhs)]
+    k = len(m)
+    for c in range(k):
+        p = next(i for i in range(c, k) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(k):
+            f = m[i][c]
+            if i != c and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[-1] for row in m]
+
+
+def _projected_gram(basis, extras):
+    """Exact Gram matrix of the completion vectors projected off span(B):
+    <u_i, u_j> - <c_i, (<u_j, b_a>)_a>, where G c_i = (<u_i, b_a>)_a for B's
+    Gram matrix G.  The Gram of the quotient lattice Z^n / (B cap Z^n)."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    gram_b = [[dot(u, v) for v in basis] for u in basis]
+    rhs = [[dot(u, v) for v in basis] for u in extras]
+    coeffs = [_solve(gram_b, r) for r in rhs]
+    return [[dot(u, w) - dot(c, r) for w, r in zip(extras, rhs)] for u, c in zip(extras, coeffs)]
+
+
+def test_wedge_gram_reduces_like_the_projected_gram():
+    # u -> u ^ eta is H(B) times an isometry off span(B), so the wedged
+    # completion vectors have H(B)^2 times the quotient's Gram, and LLL, whose
+    # rounded mu and Lovasz test ignore the scale, returns the same transform
+    from subapprox.dirichlet import _lll_gram
+    from subapprox.exact import complete_to_unimodular, wedge_plucker
+
+    rng = random.Random(77)
+    checked = 0
+    while checked < 1000:
+        n = rng.randint(3, 7)
+        e = rng.randint(1, n - 2)
+        bound = rng.choice((1, 3, 9, 1000))
+        try:
+            b = from_generators([[rng.randint(-bound, bound) for _ in range(n)]
+                                 for _ in range(e)])
+        except ValueError:
+            continue
+        extras = complete_to_unimodular(b.lattice_basis)
+        wedged = [wedge_plucker([*b.lattice_basis, u]) for u in extras]  # +-(u ^ eta)
+        wedge_gram = [[sum(x * y for x, y in zip(v, w)) for w in wedged] for v in wedged]
+        projected = _projected_gram(b.lattice_basis, extras)
+        assert wedge_gram == [[b.height_sq * x for x in row] for row in projected]
+        assert _lll_gram(wedge_gram) == _lll_gram(projected)
+        checked += 1
+
+
 def _exhaustive_table(a, b, j, budget):
     """Every going-up candidate key of (A, B), with its squared height and its
     psi_j refined in mp at A's precision prec, 0 below 2^-(prec/2): the search
-    with no float screen."""
+    with no float screen, its quotient reduced through the projected Gram."""
     from itertools import product
 
-    from subapprox.dirichlet import _lll_gram, _projected_gram
+    from subapprox.dirichlet import _lll_gram
     from subapprox.exact import (PluckerVec, complete_to_unimodular, normalize_plucker,
                                  wedge_plucker)
     from subapprox.grassmann import from_plucker

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from subapprox.exact import PluckerVec, gram_det_sq
+from subapprox.exact import (PluckerVec, clear_denominators, gram_det_sq, kernel_int,
+                             normalize_plucker, wedge_plucker)
 from subapprox.grassmann import (
     from_generators,
     from_plucker,
@@ -31,6 +32,44 @@ def test_from_generators_full_space_via_fractions():
 def test_from_generators_dependent_rejected():
     with pytest.raises(ValueError):
         from_generators([(1, 2, 3), (2, 4, 6)])
+    with pytest.raises(ValueError, match="3 vectors in Q\\^2 are dependent"):
+        from_generators([(1, 2), (3, 4), (5, 6)])
+
+
+def _saturate(gens):
+    """span_Q(gens) cap Z^n as the integer kernel of the integer kernel (the
+    double orthogonal complement over Z), HNF-canonical; raises on dependent
+    input.  An oracle independent of the Plucker route."""
+    n = len(gens[0])
+    basis = kernel_int(kernel_int(gens, width=n), width=n)
+    if len(basis) != len(gens):
+        raise ValueError("dependent generators (rank %d < %d)" % (len(basis), len(gens)))
+    return tuple(basis)
+
+
+def test_from_generators_matches_kernel_of_kernel_oracle():
+    rng = random.Random(2024)
+    dependent = 0
+    for i in range(2000):
+        n = rng.randint(1, 7)
+        e = rng.randint(1, n + (i % 10 == 0))  # a few sets with more vectors than Q^n holds
+        bound = rng.choice((1, 2, 5, 20, 10 ** 7))
+        gens = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(e)]
+        if i % 7 == 0 and 2 <= e <= n:  # a combination of two others
+            gens[-1] = [2 * a - 3 * b for a, b in zip(gens[0], gens[1 % (e - 1)])]
+        if i % 5 == 0:
+            gens = [[Fraction(x, rng.randint(1, 6)) for x in g] for g in gens]
+        try:
+            want = _saturate([clear_denominators(g) for g in gens])
+        except ValueError:
+            dependent += 1
+            with pytest.raises(ValueError):
+                from_generators(gens)
+            continue
+        b = from_generators(gens)
+        assert b.lattice_basis == want
+        assert b.plucker == normalize_plucker(wedge_plucker(want), n, e)
+    assert dependent > 200  # the dependent branch is well exercised
 
 
 def test_basis_independence():

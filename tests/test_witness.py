@@ -25,11 +25,15 @@ from subapprox.witness import (
 
 def test_parse_param():
     with mp.workprec(128):
-        assert abs(parse_param("sqrt2")(128) - mp.sqrt(2)) < 1e-35
-        assert parse_param("3/2")(128) == 1.5
-        assert parse_param("1.25")(128) == 1.25
-        assert abs(parse_param("sqrt3+1/4")(128) - (mp.sqrt(3) + 0.25)) < 1e-35
-        assert parse_param(5)(128) == 5
+        assert abs(parse_param("sqrt2") - mp.sqrt(2)) < 1e-35
+        assert parse_param("3/2") == 1.5
+        assert parse_param("1.25") == 1.25
+        assert abs(parse_param("sqrt3+1/4") - (mp.sqrt(3) + 0.25)) < 1e-35
+        assert parse_param(5) == 5
+    # the value is evaluated at the working precision
+    for prec in (64, 256):
+        with mp.workprec(prec):
+            assert parse_param("sqrt2") == mp.sqrt(2)
     with pytest.raises(ValueError):
         parse_param("nope")
 
