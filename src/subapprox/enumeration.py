@@ -26,9 +26,9 @@ shard emitted a subspace, nor on how often.  Completeness for
 (n, e) = (4, 2) is cross-checked against an independent sweep of primitive
 Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
-Scanning a real target over an enumeration produces the strictly-improving
-record sequence of (height, psi_j) observations; a least-squares fit of
-log psi_j against log height estimates the approximation exponent.
+Scanning a real target gives the strictly-improving (height, psi_j) records
+and a log-log fit of the exponent; its screen :func:`_contenders` also serves
+`dirichlet` and `witness`, which owns the lower bound's Hodge pairing.
 """
 
 from __future__ import annotations
@@ -500,31 +500,6 @@ class ExponentEstimate:
     beta_hat: float
     records: tuple[ApproximationRecord, ...]
     fit_residual: float
-
-
-def _det(m):
-    """mp.det of a square mp matrix.  mpmath 1.3's LU decomposition leaves a
-    pivot index None, and mp.det raises TypeError, when a pivot column is
-    exactly 0; the matrix is then singular, so its determinant is 0."""
-    try:
-        return mp.det(m)
-    except TypeError:
-        return mp.mpf(0)
-
-
-def target_plucker(a: RealSubspace):
-    """Unit Plucker coordinate vector of a real subspace (mp floats)."""
-    with mp.workprec(a.precision_bits):
-        coords = [_det(mp.matrix([[row[i] for row in a.basis] for i in sub]))
-                  for sub in subsets(a.n, a.dim)]
-        nrm = mp.sqrt(mp.fsum(c * c for c in coords))
-        return [c / nrm for c in coords]
-
-
-def hodge_pairing_floats(a: RealSubspace, etas: np.ndarray) -> np.ndarray:
-    """|<a, *eta>| per row: the numerator of phi(A, B) * H(B) for d + e = n."""
-    apl = np.array([float(x) for x in target_plucker(a)])
-    return np.abs(_hodge_twist(etas.astype(np.float64), a.n, a.dim) @ apl)
 
 
 # working set of one batch of :func:`_float_psi`; every row is computed on its

@@ -14,17 +14,17 @@ subspace is recovered from them by a least-squares annihilator.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
-from .enumeration import Enumeration, _hodge_twist, hodge_pairing_floats, target_plucker
-from .exact import annihilator_rows
+from .enumeration import _U, Enumeration, _contenders, _hodge_twist
+from .exact import annihilator_rows, subsets
 
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
 
@@ -110,16 +110,6 @@ def r4_irrationality_certificate(search_bound: int = 50) -> dict:
         "mod4_all_even": all_even,
         "passed": not solutions and all_even,
     }
-
-
-def r4_det_pairing(xi, eta: Sequence[int], precision_bits: int = 128):
-    """The 4x4 determinant det[X1 X2 Y1 Y2] via the Laplace pairing
-    -n6 + n5 x - n4 s - n3 s - n2 x + 7 n1, with s = sqrt(7 - x^2)."""
-    with mp.workprec(precision_bits):
-        x = xi if isinstance(xi, mp.mpf) else parse_param(xi)
-        s = mp.sqrt(7 - x * x)
-        n1, n2, n3, n4, n5, n6 = [mp.mpf(v) for v in eta]
-        return -n6 + n5 * x - n4 * s - n3 * s - n2 * x + 7 * n1
 
 
 def _r5_zetas(z, prec):
@@ -264,11 +254,28 @@ def r5_trivial_solution_search(bound: int = 30) -> dict:
     }
 
 
+def _det(m):
+    """mp.det of a square mp matrix, or 0 where mpmath 1.3's LU decomposition
+    meets an exactly zero pivot column and raises TypeError: it is singular."""
+    try:
+        return mp.det(m)
+    except TypeError:
+        return mp.mpf(0)
+
+
+def target_plucker(a: RealSubspace):
+    """Unit Plucker coordinate vector of a real subspace (mp floats)."""
+    with mp.workprec(a.precision_bits):
+        coords = [_det(mp.matrix([[row[i] for row in a.basis] for i in sub]))
+                  for sub in subsets(a.n, a.dim)]
+        nrm = mp.sqrt(mp.fsum(c * c for c in coords))
+        return [c / nrm for c in coords]
+
+
 @dataclass
 class LowerBoundReport:
     exponent: float
     count: int
-    height_max_sq: int
     c_min: object            # mpf: min over B of phi(A,B) H(B)^exponent
     argmin_key: str
     quantiles: dict
@@ -277,67 +284,82 @@ class LowerBoundReport:
     claimed_c: float | None = None
 
     def passed(self) -> bool:
-        if self.rational_target or float(self.c_min) <= 0:
-            return False
-        if self.claimed_c is not None:
-            return float(self.c_min) >= self.claimed_c
-        return True
+        return not self.rational_target and (self.claimed_c is None or self.c_min >= self.claimed_c)
+
+
+def _float_values(apl, enum: Enumeration, exponent: float):
+    """(v, delta): v = |<a, *eta>| H^(exponent - 1) = phi(A, B) H^exponent in
+    float64 for A's mp unit Plucker vector ``apl`` and each row eta of
+    ``enum`` (dim A + e = n), and a bound on |v - v_mp| row by row.
+
+    With u = 2^-53, N = C(n, e), p = (exponent - 1) / 2, P the float H^2^p
+    and first-order terms (Higham, ch. 2-3): rounding a and eta (exact below
+    2^53) costs u H each, and the N-term dot product, in any order and with
+    or without fused multiply-adds, N u sum |a_i eta_i| <= N u H (|a| = 1).
+    fl(exponent - 1) / 2 is within u |p| of p, moving H^2^p by u |p| ln H^2
+    of itself.  numpy's array power, not always libm's pow bit for bit, is
+    taken to be within 4 ulps, 8u: the one assumed constant (at most 0.66
+    ulp was measured over H^2 <= 625 and 52 exponents).  The product adds u.
+    So |v - v_mp| <= (N + 2) u H P + (9 + |p| ln H^2) u v, and delta doubles
+    it for the second-order terms, its own rounding and the mp error (at
+    most N 2^-prec H P, prec >= 64).  This needs P normal and v finite (a
+    subnormal v adds at most 2^-1075 <= u P), so an exponent that takes some
+    H^(exponent - 1) out of that range raises ValueError.
+    """
+    h2 = enum.heights_sq.astype(np.float64)
+    pairing = np.abs(_hodge_twist(enum.pluckers.astype(np.float64), enum.n, enum.n - enum.e)
+                     @ np.array([float(x) for x in apl]))
+    p = (exponent - 1) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = h2 ** p
+        values = pairing * power
+    if not (np.isfinite(values).all() and power.min() >= np.finfo(np.float64).tiny):
+        raise ValueError("H^(exponent - 1) leaves the float64 range at exponent %g" % exponent)
+    delta = 2 * _U * ((math.comb(enum.n, enum.e) + 2) * np.sqrt(h2) * power
+                      + (9 + abs(p) * np.log(h2)) * values)
+    return values, delta
 
 
 def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
                       height_max, *, enumeration: Enumeration,
                       claimed_c: float | None = None) -> LowerBoundReport:
-    """min over all enumerated B of phi(A, B) * H(B)^exponent, with the
-    argmin recomputed at full precision and the distribution summarized.
+    """min over all enumerated B of phi(A, B) * H(B)^exponent at A's
+    precision (dim A + e = n), and the quantiles of the float values.
 
-    The reported minimum is an empirical stand-in for the constant in the
-    decay bound, never the true infimum; when a `claimed_c` is supplied the
-    report additionally states whether the minimum clears it.  Requires
-    dim(witness) + e = n so the determinant pairing applies.
+    The minimum is an empirical stand-in for the constant in the decay
+    bound, never the true infimum; a `claimed_c` is compared with it in mp.
+    The rows of :func:`_float_values` that :func:`_contenders` keeps, as one
+    group, are recomputed in mp: the least value wins, exact ties going to
+    the lexicographically smaller key, and A meets a rational subspace iff
+    that B's pairing is below the zero tolerance.  A non-finite exponent or
+    claimed_c raises ValueError.
     """
-    n = witness.n
-    if witness.dim + e != n:
-        raise ValueError("lower_bound_check needs dim A + e = n")
-    prec = witness.precision_bits
+    n, d = witness.n, witness.dim
+    if d + e != n or (enumeration.n, enumeration.e) != (n, e):
+        raise ValueError("lower_bound_check needs dim A + e = n and an (n, e) enumeration")
+    if not math.isfinite(exponent) or not math.isfinite(0 if claimed_c is None else claimed_c):
+        raise ValueError("the exponent and the claimed constant must be finite")
     enum = enumeration.restrict(height_max)
-    if enum.e != e or enum.n != n:
-        raise ValueError("enumeration dimensions do not match")
     if len(enum) == 0:
         raise ValueError("empty enumeration")
-    h2 = enum.heights_sq.astype(np.float64)
-    pairing = hodge_pairing_floats(witness, enum.pluckers)
-    # phi = pairing / H, so phi * H^exponent = pairing * H^(exponent - 1)
-    values = pairing * h2 ** ((exponent - 1) / 2.0)
-    order = np.argsort(values, kind="stable")
-    arg = int(order[0])
+    apl = target_plucker(witness)
+    values, delta = _float_values(apl, enum, exponent)
 
-    with mp.workprec(prec):
-        apl = target_plucker(witness)
+    rows = np.flatnonzero(_contenders(values - delta, values + delta, [0]))
+    twisted = _hodge_twist(enum.pluckers[rows], n, d).tolist()
+    with mp.workprec(witness.precision_bits):
+        p = (mp.mpf(exponent) - 1) / 2
+        pairs = [mp.fsum(x * t for x, t in zip(apl, tw)) for tw in twisted]
+        c_min, _, pair, arg = min((abs(q) * mp.mpf(h) ** p, enum.coords_at(i), q, i) for q, h, i
+                                  in zip(pairs, enum.heights_sq[rows].tolist(), rows.tolist()))
+        rational = abs(pair) < zero_tol(witness.precision_bits)
 
-        def exact_value(i):
-            twisted = _hodge_twist(enum.pluckers[i], n, witness.dim)
-            pair = mp.fsum(x * int(t) for x, t in zip(apl, twisted))
-            hh = mp.mpf(int(enum.heights_sq[i]))
-            return abs(pair) * hh ** ((mp.mpf(exponent) - 1) / 2)
-
-        # refine the float argmin and near-ties at full precision
-        near = [int(i) for i in order[: min(len(order), 64)]
-                if values[int(i)] <= values[arg] * (1 + 1e-6) + 1e-300]
-        best_i, best_v = None, None
-        for i in near:
-            v = exact_value(i)
-            if best_v is None or v < best_v or (v == best_v and enum.coords_at(i) < enum.coords_at(best_i)):
-                best_i, best_v = i, v
-        rational = best_v < zero_tol(prec)
-
-    qs = {q: float(np.quantile(values, q)) for q in (0.0, 0.01, 0.1, 0.5, 1.0)}
     return LowerBoundReport(
         exponent=float(exponent),
         count=len(enum),
-        height_max_sq=enum.height_max_sq,
-        c_min=best_v,
-        argmin_key=enum.key_at(best_i),
-        quantiles=qs,
+        c_min=c_min,
+        argmin_key=enum.key_at(arg),
+        quantiles={q: float(np.quantile(values, q)) for q in (0.0, 0.01, 0.1, 0.5, 1.0)},
         truncated=enum.truncated,
         rational_target=bool(rational),
         claimed_c=claimed_c,

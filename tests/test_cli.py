@@ -136,6 +136,16 @@ def test_witness_lower_bound_claimed_c(claimed, code, capsys):
     assert data["lower_bound"]["passed"] is data["passed"] is (code == 0)
 
 
+def test_witness_lower_bound_rational_hit_is_decided_on_the_pairing(capsys):
+    # c_min = phi H^-20 is 7.6e-26 here, far below 2^-64, but the argmin's
+    # pairing is not: the sqrt2 witness meets no rational plane
+    assert main(["witness", "r4", "--xi", "sqrt2", "--lower-bound", "--hmax", "12",
+                 "--exponent", "-20"]) == 0
+    lb = json.loads(capsys.readouterr().out)["lower_bound"]
+    assert lb["rational_target"] is False and lb["passed"] is True
+    assert float(lb["c_min"]) < 2.0 ** -64
+
+
 def test_witness_r5_residuals(tmp_path):
     out = tmp_path / "r5.json"
     code = main(["witness", "r5", "--zeta3", "3/2", "--residuals",
@@ -272,6 +282,10 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     # dependent generators: more vectors than coordinates, and two proportional rows
     ("height", "--gens", "1 2; 3 4; 5 6"),
     ("height", "--gens", "1 2 3; 2 4 6"),
+    # a lower-bound exponent or claimed constant that is not finite
+    ("witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", "nan"),
+    ("witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", "inf"),
+    ("witness", "r4", "--lower-bound", "--hmax", "3", "--claimed-c", "nan"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     import subapprox

@@ -766,7 +766,7 @@ def test_float_psi_delta_is_sound(capsys):
 def test_target_plucker_with_a_zero_pivot_column():
     # A = span(e1, e2, e3 + e5): the minor on rows (2, 3, 4) has the zero
     # column e1, which mpmath's LU decomposition cannot pivot
-    from subapprox.enumeration import target_plucker
+    from subapprox.witness import target_plucker
 
     gens = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 1)]
     got = target_plucker(RealSubspace.from_vectors(gens))

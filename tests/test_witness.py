@@ -6,21 +6,28 @@ import pytest
 from mpmath import mp
 
 from subapprox.angles import canonical_angles, phi_via_det
-from subapprox.enumeration import enumerate_subspaces
+from subapprox.enumeration import _hodge_twist, enumerate_subspaces
 from subapprox.grassmann import from_generators, real_view
 from subapprox.witness import (
+    _float_values,
     lower_bound_check,
     parse_param,
-    r4_det_pairing,
     r4_irrationality_certificate,
     r5_plucker_coords,
     r5_relation_residuals,
     r5_trivial_solution_search,
+    target_plucker,
     witness_r4,
     witness_r5,
     _r4_vectors,
     _r5_zetas,
 )
+
+# the benchmark's witness parameters (perfbench/workloads.py): no rational
+# plane meets these R^4 witnesses, and every R^5 one meets span(e1, e4 - e5)
+R4_PARAMS = ("sqrt2", "sqrt5", "sqrt3+1/4", "sqrt2+1/3", "sqrt5-1", "sqrt3-1/2",
+             "sqrt2-1/5", "sqrt5+1/7")
+R5_PARAMS = ("sqrt3+1/4", "3/2", "2", "sqrt2", "7/4", "sqrt3", "sqrt5", "5/2")
 
 
 def test_parse_param():
@@ -76,6 +83,16 @@ def test_r4_quadric_has_near_solutions_catchable():
     assert ((B * B + C * C == 2 * A * A) & (A != 0)).any()
 
 
+def _r4_det_pairing(xi, eta, precision_bits=128):
+    """The 4x4 determinant det[X1 X2 Y1 Y2] via the Laplace pairing
+    -n6 + n5 x - n4 s - n3 s - n2 x + 7 n1, with s = sqrt(7 - x^2)."""
+    with mp.workprec(precision_bits):
+        x = parse_param(xi)
+        s = mp.sqrt(7 - x * x)
+        n1, n2, n3, n4, n5, n6 = [mp.mpf(v) for v in eta]
+        return -n6 + n5 * x - n4 * s - n3 * s - n2 * x + 7 * n1
+
+
 def test_r4_det_identity_against_direct_determinant():
     # Laplace pairing value == det of the stacked 4x4 matrix, for random planes
     rng = random.Random(42)
@@ -96,7 +113,7 @@ def test_r4_det_identity_against_direct_determinant():
                 m[i, 2] = y1[i]
                 m[i, 3] = y2[i]
             direct = mp.det(m)
-            pairing = r4_det_pairing("sqrt2", b.plucker.coords, 192)
+            pairing = _r4_det_pairing("sqrt2", b.plucker.coords, 192)
             assert abs(direct - pairing) < 1e-40 * max(1, abs(direct))
         checked += 1
 
@@ -134,8 +151,6 @@ def test_witness_r5_recovery():
     assert sub.n == 5 and sub.dim == 3
     assert float(sub.gram_residual()) < 1e-30
     # the recovered subspace reproduces the Plucker direction
-    from subapprox.enumeration import target_plucker
-
     with mp.workprec(128):
         got = target_plucker(sub)
         want = spec.derived
@@ -277,3 +292,98 @@ def test_lower_bound_matches_phi_via_det():
             best = v
     with mp.workprec(128):
         assert abs(best - rep.c_min) < 1e-25
+
+
+def _unscreened_min(a, enum, exponent):
+    """(least mp value, its key) over every row of ``enum``, by
+    lower_bound_check's formula |<a, *eta>| H^2^((exponent - 1) / 2) and
+    without its float screen; exact ties keep the lexicographically smaller key."""
+    apl = target_plucker(a)
+    rows, h2 = enum.pluckers.tolist(), enum.heights_sq.tolist()
+    twisted = _hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
+    with mp.workprec(a.precision_bits):
+        p = (mp.mpf(exponent) - 1) / 2
+        power = {h: mp.mpf(h) ** p for h in set(h2)}
+        v, row = min((abs(mp.fsum(x * t for x, t in zip(apl, tw))) * power[h], row)
+                     for tw, h, row in zip(twisted, h2, rows))
+    return v, "%d %d : %s" % (enum.n, enum.e, " ".join(map(str, row)))
+
+
+@pytest.mark.parametrize("kind, param, hmax", [
+    ("r4", "sqrt2", 8), ("r4", "sqrt5-1", 8), ("r4", "sqrt3+1/4", 8),
+    # the least value is one of many exact zero pairings: the float argmin
+    # and its near-ties once missed it
+    ("r5", "5/2", 5),
+])
+def test_lower_bound_is_the_least_mp_value_of_every_row(kind, param, hmax):
+    a = witness_r4(param) if kind == "r4" else witness_r5(param)[1]
+    enum = enumerate_subspaces(a.n, a.n - a.dim, hmax)
+    rep = lower_bound_check(a, a.n - a.dim, 3.0, hmax, enumeration=enum)
+    assert (rep.c_min, rep.argmin_key) == _unscreened_min(a, enum, 3.0)
+
+
+def _exact_ratios(a, enum):
+    """|v - v_mp| / (delta / 2) for every row of _float_values at exponent 3,
+    exactly: v_mp = |<a, *eta>| H^2 for A's mp unit Plucker vector a is a
+    dyadic rational, so v, v_mp and delta / 2 are compared as integers
+    scaled by one power of two."""
+    apl = target_plucker(a)
+    values, delta = _float_values(apl, enum, 3.0)
+    low = min(x.man_exp[1] for x in apl)
+    scaled_a = np.array([int(mp.ldexp(x, -low)) for x in apl], dtype=object)
+    twisted = _hodge_twist(enum.pluckers, enum.n, a.dim).astype(object)
+    exact = np.abs(twisted @ scaled_a) * enum.heights_sq.astype(object)  # v_mp 2^-low
+    mv, ev = np.frexp(values)
+    md, ed = np.frexp(delta)
+    shift = max(-low, 53 - int(ev.min()), 54 - int(ed.min()))
+
+    def scaled(m, e, bits):  # m 2^e 2^shift as an integer, for m in [1/2, 1) or 0
+        return (m * 2.0 ** 53).astype(np.int64).astype(object) << (e - bits + shift).astype(object)
+
+    err = np.abs(scaled(mv, ev, 53) - (exact << (shift + low)))
+    return (err / scaled(md, ed, 54)).astype(np.float64)
+
+
+def _mp_ratios(a, enum, exponent):
+    """|v - v_mp| / (delta / 2) for every row of _float_values, with v_mp at
+    256 bits."""
+    apl = target_plucker(a)
+    values, delta = _float_values(apl, enum, exponent)
+    twisted = _hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
+    h2 = enum.heights_sq.tolist()
+    with mp.workprec(256):
+        p = (mp.mpf(exponent) - 1) / 2
+        power = {h: mp.mpf(h) ** p for h in set(h2)}
+        return np.array([float(abs(v - abs(mp.fsum(x * t for x, t in zip(apl, tw))) * power[h])
+                               / (mp.mpf(dl) / 2))
+                         for tw, h, v, dl in zip(twisted, h2, values.tolist(), delta.tolist())])
+
+
+def test_lower_bound_screen_bound_is_sound(enum_4_2_25, enum_5_2_10, capsys):
+    # |v - v_mp| <= delta / 2 on every row, at exponent 3 for every benchmark
+    # witness over (4,2,12) and (5,2,5), and at other exponents (integer,
+    # half-integer and fractional p = (k - 1) / 2) over smaller enumerations
+    worst = {}
+    e42, e52 = enum_4_2_25.restrict(12), enum_5_2_10.restrict(5)
+    for params, witness, enum in ((R4_PARAMS, witness_r4, e42),
+                                  (R5_PARAMS, lambda z: witness_r5(z)[1], e52)):
+        for param in params:
+            worst["exponent 3"] = max(worst.get("exponent 3", 0.0),
+                                      float(_exact_ratios(witness(param), enum).max()))
+    small = (witness_r4("sqrt2"), e42.restrict(4)), (witness_r5("5/2")[1], e52.restrict(3))
+    for a, enum in small:
+        for k in (-20.0, 0.0, 2.5, 1 / 3, 7.0):
+            worst["other exponents"] = max(worst.get("other exponents", 0.0),
+                                           float(_mp_ratios(a, enum, k).max()))
+    assert max(worst.values()) <= 1, worst
+    with capsys.disabled():
+        print("\nlower-bound screen, largest |v - v_mp| / (delta / 2): "
+              + ", ".join("%s: %.3g" % kv for kv in sorted(worst.items())))
+
+
+@pytest.mark.parametrize("exponent, claimed_c", [(float("nan"), None), (float("inf"), None),
+                                                  (3.0, float("nan")), (1e6, None)])
+def test_lower_bound_refuses_values_outside_float64(exponent, claimed_c):
+    with pytest.raises(ValueError):
+        lower_bound_check(witness_r4("sqrt2"), 2, exponent, 3,
+                          enumeration=enumerate_subspaces(4, 2, 3), claimed_c=claimed_c)
