@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -53,6 +54,11 @@ class ParseError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in exponent notation, `-2e1`, is a value, not a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # bad flags are parse errors, not cert failures
         self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
 

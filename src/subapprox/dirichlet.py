@@ -23,7 +23,7 @@ from mpmath import mp
 
 from .angles import (PrecisionError, RealSubspace, _to_mpf, canonical_angles, principal_pairs,
                      sin_angle, zero_tol)
-from .enumeration import _U, _contenders, _float_psi, _wedge_matrix
+from .enumeration import _U, _decide, _float_psi, _wedge_matrix
 from .exact import PluckerVec, complete_to_unimodular, normalize_plucker
 from .grassmann import RationalSubspace, from_generators, from_plucker, refine_psi
 
@@ -152,8 +152,8 @@ def simultaneous_approx(x: Sequence, q_max: int, *,
     A denominator enters the list iff its best rounding error strictly beats
     every smaller denominator; records are automatically primitive.  Every
     returned entry satisfies the pigeonhole bound quality <= 1 (checked, not
-    assumed).  The exhaustive q-sweep is used up to 10^5; beyond that a
-    lattice-reduction search proposes candidate denominators.
+    assumed).  The candidates are every q up to 10^5, or those a lattice
+    reduction proposes, each its own group of :func:`_decide`.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
@@ -162,33 +162,26 @@ def simultaneous_approx(x: Sequence, q_max: int, *,
         raise ValueError("empty target vector")
     with mp.workprec(precision_bits):
         xv = [_to_mpf(v) for v in x]
-        if q_max <= 100_000:
-            cand_qs = _record_candidates_sweep(xv, q_max)
-        else:
-            cand_qs = _record_candidates_lll(xv, q_max, precision_bits)
-        out: list[DirichletApproximant] = []
-        best = None
-        for q in cand_qs:
+        qs = (np.arange(1, q_max + 1) if q_max <= 100_000
+              else np.array(_record_candidates_lll(xv, q_max, precision_bits)))
+
+        def exact(i):  # a q reduced by g has the bits of q / g's error: it never beats q / g
+            q = int(qs[i])
             p = [int(mp.nint(q * v)) for v in xv]
             g = math.gcd(q, *p)
             q, p = q // g, [pi // g for pi in p]
-            if any(a.q == q for a in out):
-                continue
-            err = max(abs(v - mp.mpf(pi) / q) for v, pi in zip(xv, p))
-            if best is not None and err >= best:
-                continue
-            best = err
+            return max(abs(v - mp.mpf(pi) / q) for v, pi in zip(xv, p)), q, p
+
+        out = []
+        for err, q, p in _decide(*_err_bounds(xv, qs), np.arange(len(qs)), exact):
             quality = err * mp.mpf(q) ** (1 + mp.mpf(1) / N)
             if quality <= 1:
                 out.append(DirichletApproximant(q, tuple(p), err, quality))
-            if err == 0:
-                break
         return out
 
 
-def _record_candidates_sweep(xv, q_max):
-    """Every denominator that can be a record, screened in float64 by
-    :func:`_contenders` with each q its own group.
+def _err_bounds(xv, qs):
+    """(lo, hi): bounds on the mp error err_q of each q of the ascending qs.
 
     err_q = max_i |q x_i - round(q x_i)| / q.  With u = 2^-53: x_i rounded to
     float64 moves q x_i by q u |x_i|, and the product rounds by as much again;
@@ -196,40 +189,28 @@ def _record_candidates_sweep(xv, q_max):
     is exact (Sterbenz), so the float err_q is within 2 u max|x_i| + u err_q
     of the exact one, to first order.  The mp value it stands for is within
     2^-prec max|x_i| of exact, and prec >= 53; 3 u max|x_i| + 2 u err_q
-    covers both and the second-order terms.
+    covers both and the second-order terms.  A q above 2^53 rounds too,
+    which adds u max|x_i| + u err_q.
     """
     xs = np.array([float(v) for v in xv])
-    qs = np.arange(1, q_max + 1, dtype=np.float64)
-    prods = qs[:, None] * xs[None, :]
-    errs = np.abs(prods - np.round(prods)).max(axis=1) / qs
-    delta = 3 * _U * np.abs(xs).max() + 2 * _U * errs
-    cand = _contenders(errs - delta, errs + delta, np.arange(q_max))
-    return [int(q) for q in np.flatnonzero(cand) + 1]
+    qf = qs.astype(np.float64)
+    prods = qf[:, None] * xs[None, :]
+    errs = np.abs(prods - np.round(prods)).max(axis=1) / qf
+    c = 3 if qs[-1] <= 2 ** 53 else 4
+    delta = c * _U * np.abs(xs).max() + (c - 1) * _U * errs
+    return errs - delta, errs + delta
 
 
 def _record_candidates_lll(xv, q_max, prec):
     """Candidate denominators from short vectors of the approximation lattice."""
     N = len(xv)
     C = 1 << (prec // 2)
-    W = int(round(C / q_max ** (1 + 1.0 / N)))
-    basis = []
-    for i in range(N):
-        row = [Fraction(0)] * (N + 1)
-        row[i] = Fraction(C)
-        basis.append(row)
-    last = [Fraction(-int(mp.nint(v * C))) for v in xv] + [Fraction(max(W, 1))]
-    basis.append(last)
+    W = max(int(round(C / q_max ** (1 + 1.0 / N))), 1)
+    basis = [[C if k == i else 0 for k in range(N + 1)] for i in range(N)]
+    basis.append([-int(mp.nint(v * C)) for v in xv] + [W])
     red, _ = lll_reduce(basis)
-    qs = set()
-    for row in red:
-        q = abs(int(row[-1] / max(W, 1)))
-        if 1 <= q <= q_max:
-            qs.add(q)
-        for k in range(2, 40):
-            if 1 <= q * k <= q_max:
-                qs.add(q * k)
-    qs.add(1)
-    return sorted(qs)
+    lead = [abs(int(row[-1] / W)) for row in red]
+    return sorted({1} | {q * k for q in lead for k in range(1, 40) if 1 <= q * k <= q_max})
 
 
 def lll_reduce(basis: list[list[Fraction]]):
@@ -460,15 +441,16 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         pl = normalize_plucker(raw, n, e + 1)
         heights.setdefault(pl.coords, pl.norm_sq)
 
-    keys = _screen_candidates(a, sorted(heights), heights, n, e + 1, j, weight, prec)
-    scored = []  # (score, key, psi)
+    keys = sorted(heights)
+
+    def exact(i):
+        psi = refine_psi(a, from_plucker(PluckerVec(n, e + 1, keys[i])), j)[0]
+        score = (mp.inf if psi == 0 and weight < 0
+                 else mp.sqrt(mp.mpf(heights[keys[i]])) * psi ** mp.mpf(weight))
+        return score, keys[i], psi
+
     with mp.workprec(prec):
-        for key in keys:
-            psi = refine_psi(a, from_plucker(PluckerVec(n, e + 1, key)), j)[0]
-            score = (mp.inf if psi == 0 and weight < 0
-                     else mp.sqrt(mp.mpf(heights[key])) * psi ** mp.mpf(weight))
-            scored.append((score, key, psi))
-    best = min(scored, key=lambda s: s[:2])  # exact score ties keep the lex-smaller key
+        [best] = _decide(*_score_bounds(a, keys, heights, n, e + 1, j, weight, prec), [0], exact)
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
     eta_c = _wedge_matrix(ints(c_sub.plucker.coords), n, e + 1)
@@ -480,17 +462,15 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     return GoingUpResult(c_sub, psi_before, best[2], ratio, len(coeffs), contained)
 
 
-def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
-    """The keys, in order, whose score H(C) psi_j(A, C)^weight can still be
-    the minimum, judged from a float64 psi within delta of the exact one.
+def _score_bounds(a, keys, heights, n, e, j, weight, prec):
+    """(lo, hi): bounds on the log of the score H(C) psi_j(A, C)^weight of
+    each key, from a float64 psi within delta of the exact one.
 
     psi_j lies in [psi - delta, psi + delta] cut to [0, 1], and counts as 0
     below the zero tolerance of prec bits, so a lower end below twice the
     tolerance (a margin for its own rounding) is taken as 0.  The score lies
-    in H times the image of that interval under psi -> psi^weight.  A key is
-    dropped only when its lowest possible score exceeds the highest possible
-    score of some key, so it cannot be the minimum or tie with it.  Scores
-    are compared as logs, log H + weight log psi, so no power underflows;
+    in H times the image of that interval under psi -> psi^weight.  The
+    bounds are on logs, log H + weight log psi, so no power underflows;
     psi = 0 gives log psi = -inf, and weight 0 gives the score H.
     """
     psi, delta = _float_psi(a, np.array(keys, dtype=np.float64), n, e, j)  # no int64 cast
@@ -504,7 +484,5 @@ def _screen_candidates(a, keys, heights, n, e, j, weight, prec):
     # absolute error of a float log score: H^2's conversion and log, psi +- delta's
     # rounding (|weight| u), its log (within 4 ulp), the product and the sum
     # (u each), and the rounding of the mp score it stands for (below 4 u)
-    lo, hi = (log_h + t + sign * 8 * _U * (1 + abs(weight) + np.abs(log_h) + np.abs(t))
-              for t, sign in zip(terms, (-1, 1)))
-    keep = _contenders(lo, hi, [0])
-    return [k for k, kept in zip(keys, keep) if kept]
+    return tuple(log_h + t + sign * 8 * _U * (1 + abs(weight) + np.abs(log_h) + np.abs(t))
+                 for t, sign in zip(terms, (-1, 1)))

@@ -27,8 +27,7 @@ shard emitted a subspace, nor on how often.  Completeness for
 Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
 Scanning a real target gives the strictly-improving (height, psi_j) records
-and a log-log fit of the exponent; its screen :func:`_contenders` also serves
-`dirichlet` and `witness`, which owns the lower bound's Hodge pairing.
+and a log-log fit of the exponent; :func:`_decide` makes every mp choice.
 """
 
 from __future__ import annotations
@@ -260,7 +259,7 @@ def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
 def _run_shards(jobs, workers, max_pairs):
     """Results of the jobs in order, stopping after the one that exceeds max_pairs."""
     rows, pairs = [], 0
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for P, p in (pool.map(lambda job: job(), jobs) if workers > 1 else (job() for job in jobs)):
             rows.append(P)
             pairs += p
@@ -292,6 +291,8 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     """
     if not (1 <= e <= n):
         raise ValueError("need 1 <= e <= n")
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %d" % workers)
     f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
     if f > 3:
         raise ValueError("enumeration supports min(e, n - e) <= 3 (desk scale)")
@@ -664,18 +665,28 @@ def _float_psi(a: RealSubspace, etas, n: int, e: int, j: int):
     return psi, delta
 
 
-def _contenders(lo: np.ndarray, hi: np.ndarray, starts) -> np.ndarray:
-    """Mask of the rows that can be the least of their group and below every
-    earlier group, for values known only to lie in [lo, hi] row by row.
+def _decide(lo: np.ndarray, hi: np.ndarray, starts, exact) -> list:
+    """The strictly decreasing run of group minima of values known in float64
+    to lie in [lo, hi] row by row, decided in mp.
 
-    The rows are sorted into groups that begin at ``starts`` (the first at
-    0).  Row i is kept iff lo_i <= min hi_j over the rows j of its own group
-    and of every earlier one; otherwise some row j there is certainly
-    smaller.  Ties are kept.  This is the one rule by which a float screen
-    chooses the rows that mpmath refines.
+    The groups begin at the rows ``starts`` (the first at 0).  Row i is
+    refined unless lo_i > hi_j for a row j of its group or an earlier one:
+    then j is certainly smaller.  ``exact(i)`` gives (value, key, *payload);
+    a group's least (value, key) joins the run iff its value is below the
+    run's last, and the run ends after a value of 0.  So the run is the one
+    over every row, and ties go to the smaller key.
     """
     bound = np.minimum.accumulate(np.minimum.reduceat(hi, starts))
-    return lo <= np.repeat(bound, np.diff(starts, append=len(hi)))
+    kept = np.flatnonzero(lo <= np.repeat(bound, np.diff(starts, append=len(hi))))
+    groups = np.searchsorted(starts, kept, side="right").tolist()
+    run = []
+    for _, rows in itertools.groupby(zip(groups, kept.tolist()), key=lambda gi: gi[0]):
+        best = min((exact(i) for _, i in rows), key=lambda r: r[:2])
+        if not run or best[0] < run[-1][0]:
+            run.append(best)
+            if best[0] == 0:
+                break
+    return run
 
 
 def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
@@ -683,13 +694,11 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     """Strictly-improving record sequence of psi_j(A, B) over heights <= height_max.
 
     B enters the sequence iff its psi_j beats every subspace of lower or
-    equal height (ties at equal height: smaller psi_j wins, exact ties keep
-    the lexicographically smaller key).  A float64 screen proposes record
-    candidates (:func:`_contenders` over height groups, with the float error
-    bound); each candidate is then recomputed at full precision, so the chain
-    itself is decided at A's precision.  :func:`refine_psi` returns a psi_j
-    below the zero tolerance as 0, so the B of one height that meet A tie and
-    the smaller key ends the scan as a rational hit.
+    equal height; exact ties keep the lexicographically smaller key.
+    :func:`_decide` screens the height groups with the float psi and its
+    error bound and decides the kept rows at A's precision.  :func:`refine_psi`
+    returns a psi_j below the zero tolerance as 0, so a B that meets A ends
+    the scan as a rational hit.
     """
     if j < 1 or j > min(a.dim, e):
         raise ValueError("need 1 <= j <= min(dim A, e)")
@@ -699,32 +708,23 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
         raise ValueError("enumeration is for (n=%d, e=%d), target needs (n=%d, e=%d)"
                          % (enumeration.n, enumeration.e, a.n, e))
     enum = enumeration.restrict(height_max)
-    count = len(enum)
-    result = ScanResult(records=[], j=j, truncated=enum.truncated, scanned=count)
-    if count == 0:
+    result = ScanResult(records=[], j=j, truncated=enum.truncated, scanned=len(enum))
+    if len(enum) == 0:
         return result
 
     psi_f, delta = _float_psi(a, enum.pluckers, enum.n, enum.e, j)
     h2 = enum.heights_sq
     starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
-    cand = np.flatnonzero(_contenders(psi_f - delta, psi_f + delta, starts))
 
-    running = None
+    def exact(i):
+        psi, ph = refine_psi(a, enum.subspace_at(i), j)
+        return psi, enum.coords_at(i), ph, i
+
     with mp.workprec(a.precision_bits):
-        for hh, group in itertools.groupby(cand.tolist(), key=lambda i: int(h2[i])):
-            best = None  # (psi, coords, record); ties keep the lex-smaller key
-            for i in group:
-                coords = enum.coords_at(i)
-                psi, ph = refine_psi(a, enum.subspace_at(i), j)
-                if best is None or psi < best[0] or (psi == best[0] and coords < best[1]):
-                    rec = ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(hh)), psi, ph, j)
-                    best = (psi, coords, rec)
-            if running is None or best[0] < running:
-                result.records.append(best[2])
-                running = best[0]
-                if best[0] == 0:
-                    result.rational_target = True
-                    break
+        run = _decide(psi_f - delta, psi_f + delta, starts, exact)
+        result.records = [ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(int(h2[i]))), psi, ph, j)
+                          for psi, _, ph, i in run]
+    result.rational_target = run[-1][0] == 0
     return result
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
-from .enumeration import _U, Enumeration, _contenders, _hodge_twist
+from .enumeration import _U, Enumeration, _decide, _hodge_twist
 from .exact import annihilator_rows, subsets
 
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
@@ -328,11 +328,11 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
 
     The minimum is an empirical stand-in for the constant in the decay
     bound, never the true infimum; a `claimed_c` is compared with it in mp.
-    The rows of :func:`_float_values` that :func:`_contenders` keeps, as one
-    group, are recomputed in mp: the least value wins, exact ties going to
-    the lexicographically smaller key, and A meets a rational subspace iff
-    that B's pairing is below the zero tolerance.  A non-finite exponent or
-    claimed_c raises ValueError.
+    :func:`_decide` screens the rows of :func:`_float_values` as one group
+    and picks the least mp value, exact ties going to the lexicographically
+    smaller key; A meets a rational subspace iff that B's pairing is below
+    the zero tolerance.  A non-finite exponent or claimed_c raises
+    ValueError.
     """
     n, d = witness.n, witness.dim
     if d + e != n or (enumeration.n, enumeration.e) != (n, e):
@@ -345,13 +345,14 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
     apl = target_plucker(witness)
     values, delta = _float_values(apl, enum, exponent)
 
-    rows = np.flatnonzero(_contenders(values - delta, values + delta, [0]))
-    twisted = _hodge_twist(enum.pluckers[rows], n, d).tolist()
     with mp.workprec(witness.precision_bits):
         p = (mp.mpf(exponent) - 1) / 2
-        pairs = [mp.fsum(x * t for x, t in zip(apl, tw)) for tw in twisted]
-        c_min, _, pair, arg = min((abs(q) * mp.mpf(h) ** p, enum.coords_at(i), q, i) for q, h, i
-                                  in zip(pairs, enum.heights_sq[rows].tolist(), rows.tolist()))
+
+        def exact(i):
+            pair = mp.fsum(x * t for x, t in zip(apl, _hodge_twist(enum.pluckers[i], n, d).tolist()))
+            return abs(pair) * mp.mpf(int(enum.heights_sq[i])) ** p, enum.coords_at(i), pair, i
+
+        [(c_min, _, pair, arg)] = _decide(values - delta, values + delta, [0], exact)
         rational = abs(pair) < zero_tol(witness.precision_bits)
 
     return LowerBoundReport(

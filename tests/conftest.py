@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from subapprox.enumeration import enumerate_subspaces
+from subapprox.enumeration import _decide, enumerate_subspaces
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +20,14 @@ def enum_5_2_10():
     enum = enumerate_subspaces(5, 2, 10, workers=4)
     enum.build_seconds = time.time() - t0
     return enum
+
+
+@pytest.fixture
+def screened():
+    """The rows :func:`_decide` refines for the float bounds [lo, hi]: those
+    it calls ``exact`` on, with exact values that never end the run."""
+    def rows(lo, hi, starts):
+        called = []
+        _decide(lo, hi, starts, lambda i: (called.append(i) or 1, i))
+        return called
+    return rows

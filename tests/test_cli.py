@@ -146,6 +146,17 @@ def test_witness_lower_bound_rational_hit_is_decided_on_the_pairing(capsys):
     assert float(lb["c_min"]) < 2.0 ** -64
 
 
+def test_negative_exponent_notation_parses_as_a_value(capsys):
+    # argparse takes `-2e1` for a flag unless told that it is a number
+    outs = []
+    for exponent in ("-2e1", "-20"):
+        assert main(["witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", exponent,
+                     "--claimed-c", "-1e6"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["lower_bound"]["claimed_c"] == -1e6
+
+
 def test_witness_r5_residuals(tmp_path):
     out = tmp_path / "r5.json"
     code = main(["witness", "r5", "--zeta3", "3/2", "--residuals",
@@ -286,6 +297,9 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", "nan"),
     ("witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", "inf"),
     ("witness", "r4", "--lower-bound", "--hmax", "3", "--claimed-c", "nan"),
+    # fewer than one worker
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "0"),
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "-4"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     import subapprox

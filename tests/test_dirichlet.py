@@ -218,19 +218,61 @@ _SWEEP_TARGETS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP_TARGETS))
-def test_record_candidates_sweep_keeps_every_exact_record(name):
-    # the float screen's candidates hold every exact record, and the records
-    # simultaneous_approx returns are exactly those with quality <= 1
-    from subapprox.dirichlet import _record_candidates_sweep
+def test_record_candidates_sweep_keeps_every_exact_record(name, screened):
+    # the float screen keeps every exact record among all q <= q_max, and the
+    # records simultaneous_approx returns are exactly those with quality <= 1
+    import numpy as np
+
+    from subapprox.dirichlet import _err_bounds
 
     q_max = 3000
     with mp.workprec(128):
         xv = _SWEEP_TARGETS[name]()
     records = _exact_records(xv, q_max)
-    assert {q for q, _ in records} <= set(_record_candidates_sweep(xv, q_max))
+    kept = screened(*_err_bounds(xv, np.arange(1, q_max + 1)), np.arange(q_max))
+    assert {q for q, _ in records} <= {i + 1 for i in kept}
     n = len(xv)
     want = [q for q, err in records if (err * q) ** n * q <= 1]
     assert [r.q for r in simultaneous_approx(xv, q_max)] == want
+
+
+def _unscreened_lll_records(xv, q_max, prec=128):
+    """simultaneous_approx's records over the LLL candidates, every one
+    refined in mp, with reduced denominators seen before skipped."""
+    from subapprox.dirichlet import _record_candidates_lll
+
+    out, best = [], None
+    with mp.workprec(prec):
+        for q in _record_candidates_lll(xv, q_max, prec):
+            p = [int(mp.nint(q * v)) for v in xv]
+            g = math.gcd(q, *p)
+            q, p = q // g, [pi // g for pi in p]
+            if any(a.q == q for a in out):
+                continue
+            err = max(abs(v - mp.mpf(pi) / q) for v, pi in zip(xv, p))
+            if best is not None and err >= best:
+                continue
+            best = err
+            quality = err * mp.mpf(q) ** (1 + mp.mpf(1) / len(xv))
+            if quality <= 1:
+                out.append(DirichletApproximant(q, tuple(p), err, quality))
+            if err == 0:
+                break
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q_max,prec", [(10 ** 6, 128), (10 ** 7, 128), (10 ** 25, 256)])
+def test_lll_route_matches_the_unscreened_candidates(n, q_max, prec):
+    # at 256 bits the lattice proposes denominators above 2^53, which float64
+    # rounds
+    rng = random.Random(100 * n + len(str(q_max)))
+    for _ in range(3):
+        with mp.workprec(prec):
+            xv = [mp.sqrt(rng.randint(2, 10 ** 4)) * rng.choice((-1, 1)) / rng.randint(1, 50)
+                  for _ in range(n)]
+        got = simultaneous_approx(xv, q_max, precision_bits=prec)
+        assert got == _unscreened_lll_records(xv, q_max, prec)
 
 
 # ----------------------------------------------------------- approximant -> B
@@ -597,7 +639,7 @@ def test_going_up_screen_is_not_refused_like_a_large_scan(monkeypatch):
     assert (got.c.key, got.psi_after) == (want.c.key, want.psi_after)
 
 
-def test_going_up_screen_scores_in_the_underflow_range(monkeypatch):
+def test_going_up_screen_scores_in_the_underflow_range(monkeypatch, screened):
     # Float psi 0.5 at H = 1 and 0.499 at H = 100: with weight 1074 the scores
     # are about 4.9e-324 and 5.7e-323, but 0.499^1074 alone underflows to 0;
     # with weight -1074 both overflow.  Compared as logs, the smaller score is
@@ -610,8 +652,8 @@ def test_going_up_screen_scores_in_the_underflow_range(monkeypatch):
     heights = {keys[0]: 1, keys[1]: 100 ** 2}
     monkeypatch.setattr(dirichlet, "_float_psi", lambda *args: (np.array([0.5, 0.499]), 8.9e-14))
     a = rnd_subspace(0, 4, 2)
-    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1074.0, 128) == keys[:1]
-    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1074.0, 128) == keys[:1]
+    for weight in (1074.0, -1074.0):
+        assert screened(*dirichlet._score_bounds(a, keys, heights, 4, 2, 1, weight, 128), [0]) == [0]
 
 
 def test_going_up_screen_matches_exhaustive_at_huge_weight():
@@ -635,7 +677,7 @@ def test_going_up_negative_weight_scores_psi_zero_as_infinite():
     assert picks == [min(table)] * 2
 
 
-def test_going_up_screen_counts_psi_near_the_tolerance_as_zero(monkeypatch):
+def test_going_up_screen_counts_psi_near_the_tolerance_as_zero(monkeypatch, screened):
     # float psi 1.5 * 2^-64 above delta at H = 1: its exact psi may lie below
     # the zero tolerance 2^-64 and score +inf at weight -1, so its float score
     # (about e^44) may not drop a key of score 2e20 (psi 0.5 at H = 1e20)
@@ -648,8 +690,8 @@ def test_going_up_screen_counts_psi_near_the_tolerance_as_zero(monkeypatch):
     near_zero = 8.9e-14 + 1.5 * 2.0 ** -64
     monkeypatch.setattr(dirichlet, "_float_psi", lambda *args: (np.array([near_zero, 0.5]), 8.9e-14))
     a = rnd_subspace(0, 4, 2)
-    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, -1.0, 128) == keys
-    assert dirichlet._screen_candidates(a, keys, heights, 4, 2, 1, 1.0, 128) == keys[:1]
+    assert screened(*dirichlet._score_bounds(a, keys, heights, 4, 2, 1, -1.0, 128), [0]) == [0, 1]
+    assert screened(*dirichlet._score_bounds(a, keys, heights, 4, 2, 1, 1.0, 128), [0]) == [0]
 
 
 def test_going_up_wedge_is_exact_beyond_int64():

@@ -11,6 +11,7 @@ from mpmath import mp
 from subapprox.angles import RealSubspace
 from subapprox.enumeration import (
     CacheCorruption,
+    _decide,
     _quadric_solutions_4_2,
     enumerate_subspaces,
     estimate_exponent,
@@ -778,21 +779,58 @@ def test_target_plucker_with_a_zero_pivot_column():
         assert max(abs(g - sign * w / nrm) for g, w in zip(got, want)) < mp.mpf(2) ** -120
 
 
-def test_contenders_keeps_every_possible_group_minimum():
-    from subapprox.enumeration import _contenders
-
+def test_contenders_keeps_every_possible_group_minimum(screened):
     # groups [0, 1, 2], [3, 4], [5]
     lo = np.array([1.0, 2.0, 3.0, 0.5, 1.8, 1.6])
     hi = np.array([2.0, 2.5, 4.0, 1.5, 3.0, 1.7])
-    keep = _contenders(lo, hi, [0, 3, 5])
     # row 1 ties the group's least upper end (kept); row 4 lies above row 3,
     # and row 5 alone in its group lies above the earlier row 3
-    assert keep.tolist() == [True, True, False, True, False, False]
+    assert screened(lo, hi, [0, 3, 5]) == [0, 1, 3]
     # one group of exact values: the argmin, with its ties
     v = np.array([3.0, 1.0, 2.0, 1.0])
-    assert _contenders(v, v, [0]).tolist() == [False, True, False, True]
+    assert screened(v, v, [0]) == [1, 3]
     # each row its own group: the running minimum, with ties
-    assert _contenders(v, v, np.arange(4)).tolist() == [True, True, False, True]
+    assert screened(v, v, np.arange(4)) == [0, 1, 3]
+
+
+def _run_of_group_minima(values, keys, starts):
+    """The strictly decreasing run of group minima over every row, unscreened:
+    ties go to the smaller key, and the run ends after a value of 0."""
+    run = []
+    for lo, hi in zip(starts, list(starts[1:]) + [len(values)]):
+        best = min((values[i], keys[i], i) for i in range(lo, hi))
+        if not run or best[0] < run[-1][0]:
+            run.append(best)
+            if best[0] == 0:
+                break
+    return run
+
+
+def test_decide_is_the_unscreened_run_of_group_minima():
+    # exact values drawn from a few integers, so that groups tie and meet 0,
+    # each inside a random float interval [lo, hi] around it
+    for seed in range(500):
+        rng = random.Random(seed)
+        rows = rng.randint(1, 30)
+        values = [rng.choice((0, 1, 1, 2, 3, 5, 8)) for _ in range(rows)]
+        keys = rng.sample(range(100), rows)
+        lo = np.array([v - rng.choice((0, rng.random() * 3)) for v in values])
+        hi = np.array([v + rng.choice((0, rng.random() * 3)) for v in values])
+        starts = [0] + sorted(rng.sample(range(1, rows), rng.randint(0, rows - 1)))
+        group = np.searchsorted(starts, np.arange(rows), side="right")
+        possible = {i for i in range(rows) if lo[i] <= hi[group <= group[i]].min()}
+
+        called = []
+
+        def exact(i):
+            assert i in possible, "seed %d: refined a row the screen rules out" % seed
+            called.append(i)
+            return values[i], keys[i], i
+
+        got = _decide(lo, hi, starts, exact)
+        assert got == _run_of_group_minima(values, keys, starts), seed
+        if got[-1][0] == 0:  # no group after the one that reached 0 is refined
+            assert group[max(called)] == group[got[-1][2]], seed
 
 
 def test_estimate_exponent_two_points():
