@@ -157,6 +157,8 @@ def simultaneous_approx(x: Sequence, q_max: int, *,
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
+    if q_max > 2 ** 511:  # the lattice weight takes q_max^(1 + 1/N) <= q_max^2 in float64
+        raise ValueError("q_max must be <= 2^511")
     N = len(x)
     if N == 0:
         raise ValueError("empty target vector")

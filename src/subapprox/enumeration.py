@@ -20,9 +20,13 @@ found through the basis of their saturation.
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
   signs.
 
-The rows of all shards are deduplicated and sorted by (height^2,
-lexicographic key) in one pass, so the result does not depend on which
-shard emitted a subspace, nor on how often.  Completeness for
+Each shard's rows are deduplicated and sorted by (height^2, lexicographic
+key) as the shard finishes, and one final pass merges these sorted runs, so
+the result does not depend on which shard emitted a subspace, nor on how
+often, and memory grows with the output, not with the tuples swept.  Rows
+are kept in the narrowest signed dtype that holds +-floor(height_max) from
+the sweep's height filter through the cache round trip; only
+``Enumeration.pluckers`` is int64.  Completeness for
 (n, e) = (4, 2) is cross-checked against an independent sweep of primitive
 Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
@@ -70,41 +74,64 @@ def _height_cap_sq(height_max) -> int:
     return (f * f).numerator // (f * f).denominator
 
 
+def _signed_dtype(bound: int) -> np.dtype:
+    """The narrowest signed dtype that holds +-bound.  A Plucker coordinate
+    is at most the height, so an enumeration's rows fit _signed_dtype(
+    isqrt(hmax_sq)); no difference or square is taken in that dtype."""
+    return np.min_scalar_type(-bound - 1)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """a in the narrowest signed dtype that holds +-max|a|."""
+    return a.astype(_signed_dtype(max(int(a.max(initial=0)), -int(a.min(initial=0)))), copy=False)
+
+
+def _row_gcd(rows: np.ndarray) -> np.ndarray:
+    """The gcd of each row, >= 0, taken column by column in the rows' dtype."""
+    g = np.zeros(len(rows), dtype=rows.dtype)
+    for col in rows.T:
+        np.gcd(g, col, out=g)
+    return g
+
+
+def _unique_sorted(P: np.ndarray) -> np.ndarray:
+    """The distinct rows of P in P's dtype, sorted by (norm^2, lexicographic).
+    The norms are summed in int64, and the keys are sorted in the narrowest
+    dtypes that hold them, which numpy radix-sorts up to 16 bits; the order
+    is the same as on int64."""
+    Q = _narrow(P)
+    h2 = _narrow(np.einsum("ij,ij->i", P, P, dtype=np.int64))
+    order = np.lexsort(tuple(Q[:, c] for c in range(P.shape[1] - 1, -1, -1)) + (h2,))
+    S = Q[order]
+    first = np.ones(len(S), dtype=bool)
+    first[1:] = np.any(S[1:] != S[:-1], axis=1)
+    return P[order[first]]
+
+
 def _integer_ball(n: int, cap_sq: int) -> np.ndarray:
     """Primitive, sign-canonical integer vectors with 0 < |v|^2 <= cap_sq.
 
     Sorted by (norm^2, lexicographic).  Sign-canonical means the first
-    nonzero coordinate is positive, so each line appears once.
+    nonzero coordinate is positive, so each line appears once.  Each
+    (leading index, lead) chunk is built and filtered in the narrow dtype;
+    only the result is int64.
     """
     r = math.isqrt(cap_sq)
+    dt = _signed_dtype(r)
     chunks = []
     for k in range(n):  # k leading zeros, then a positive coordinate
-        tail = n - k - 1
         for lead in range(1, r + 1):
             budget = cap_sq - lead * lead
-            if budget < 0:
-                break
-            if tail == 0:
-                v = np.zeros((1, n), dtype=np.int64)
-                v[0, k] = lead
-                chunks.append(v)
-                continue
-            rr = math.isqrt(budget)
-            rng = np.arange(-rr, rr + 1, dtype=np.int64)
-            grids = np.meshgrid(*([rng] * tail), indexing="ij")
-            rest = np.stack([g.ravel() for g in grids], axis=1)
-            keep = (rest * rest).sum(1) <= budget
-            rest = rest[keep]
-            v = np.zeros((len(rest), n), dtype=np.int64)
+            rng = np.arange(-math.isqrt(budget), math.isqrt(budget) + 1, dtype=dt)
+            rest = np.zeros((1, 0), dtype=dt)
+            for _ in range(n - k - 1):  # the coordinates after the lead, pruned one at a time
+                rest = np.column_stack([np.repeat(rest, len(rng), axis=0), np.tile(rng, len(rest))])
+                rest = rest[np.einsum("ij,ij->i", rest, rest, dtype=np.int64) <= budget]
+            v = np.zeros((len(rest), n), dtype=dt)
             v[:, k] = lead
             v[:, k + 1:] = rest
-            chunks.append(v)
-    V = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
-    g = np.gcd.reduce(np.abs(V), axis=1)
-    V = V[g == 1]
-    n2 = (V * V).sum(1)
-    order = np.lexsort(tuple(V[:, c] for c in range(n - 1, -1, -1)) + (n2,))
-    return V[order]
+            chunks.append(v[_row_gcd(v) == 1])
+    return _unique_sorted(np.concatenate(chunks)).astype(np.int64)
 
 
 def _canonical_sign_rows(W: np.ndarray) -> np.ndarray:
@@ -162,23 +189,6 @@ class Enumeration:
                            truncated=self.truncated, pair_count=self.pair_count)
 
 
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """a in the narrowest signed dtype that holds +-max|a|."""
-    return a.astype(np.min_scalar_type(-int(np.abs(a).max(initial=0)) - 1))
-
-
-def _unique_sorted(P: np.ndarray) -> np.ndarray:
-    """The distinct rows of P sorted by (norm^2, lexicographic).  The keys are
-    sorted in the narrowest dtypes that hold them, which numpy radix-sorts up
-    to 16 bits; the order is the same as on int64."""
-    Q = _narrow(P)
-    order = np.lexsort(tuple(Q[:, c] for c in range(P.shape[1] - 1, -1, -1)) + (_narrow((P * P).sum(1)),))
-    S = Q[order]
-    first = np.ones(len(S), dtype=bool)
-    first[1:] = np.any(S[1:] != S[:-1], axis=1)
-    return P[order[first]]
-
-
 def _product_cap(e: int, hmax_sq: int) -> int:
     """Exact bound on |v_1|^2 ... |v_e|^2 over the bases the sweep needs.
 
@@ -214,10 +224,12 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     is V[a], lo <= a < hi, and the number of e-tuples wedged.
 
     Each later vector comes strictly later in V, so every set of vectors is
-    tried once; the last one is vectorised.
+    tried once; the last one is vectorised.  Wedges are taken in int64, and
+    the rows that pass the height filter are kept in the narrow row dtype.
     """
     n = V.shape[1]
-    out, pairs = [], 0
+    dt = _signed_dtype(math.isqrt(hmax_sq))
+    out, pairs = [np.zeros((0, math.comb(n, e)), dtype=dt)], 0
     for a in range(lo, hi):
         v1, k1 = V[a], int(n2[a])
         if e == 2:
@@ -232,28 +244,41 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
                 X = X[2 * np.abs(X @ v1) <= k1]
             pairs += len(X)
             W = X @ _wedge_matrix(w, n, e - 1)  # +-(v1 ^ ... ^ x); the sign is canonicalised
-            W = W[(W * W).sum(1) <= hmax_sq]
-            out.append(W[np.gcd.reduce(np.abs(W), axis=1) == 1])
-    rows = np.concatenate(out) if out else np.zeros((0, math.comb(n, e)), dtype=np.int64)
-    return _canonical_sign_rows(rows), pairs
+            W = W[np.einsum("ij,ij->i", W, W) <= hmax_sq].astype(dt)
+            out.append(W[_row_gcd(W) == 1])
+    return _canonical_sign_rows(np.concatenate(out)), pairs
+
+
+def _sorted_run(sweep, n, e):
+    """A shard's (n, e) rows, deduplicated and sorted, and its tuple count:
+    the shard sweeps (n, n - e) when e > n - e, and its rows are Hodge stars."""
+    rows, pairs = sweep()
+    if e > n - e:
+        rows = _canonical_sign_rows(_hodge_twist(rows, n, e))
+    return _unique_sorted(rows), pairs
 
 
 def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
-    """One call per shard of the (n, e) sweep, e <= n - e; each returns
-    (rows, tuples wedged).  Lines and the zero subspace are one shard."""
-    if e == 0:
-        return [lambda: (np.ones((1, 1), dtype=np.int64), 0)]
-    if e == 1:
+    """One call per shard of the (n, e) sweep; each returns (its rows
+    deduplicated and sorted in the narrow row dtype, tuples wedged).  Lines,
+    hyperplanes and the whole space are one shard."""
+    f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
+    dt = _signed_dtype(math.isqrt(hmax_sq))
+    if f == 0:
+        sweeps = [lambda: (np.ones((1, 1), dtype=dt), 0)]
+    elif f == 1:
         def lines():
-            V = _integer_ball(n, hmax_sq)
+            V = _integer_ball(n, hmax_sq).astype(dt)
             return V, len(V)
-        return [lines]
-    cap = _product_cap(e, hmax_sq)
-    V = _integer_ball(n, cap)
-    n2 = (V * V).sum(1)
-    m = int(np.count_nonzero(n2 ** e <= cap))  # candidates for the shortest basis vector
-    return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), e, cap, hmax_sq)
-            for lo in range(0, m, _SHARD_SIZE)]
+        sweeps = [lines]
+    else:
+        cap = _product_cap(f, hmax_sq)
+        V = _integer_ball(n, cap)
+        n2 = np.einsum("ij,ij->i", V, V)
+        m = int(np.count_nonzero(n2 ** f <= cap))  # candidates for the shortest basis vector
+        sweeps = [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, cap, hmax_sq)
+                  for lo in range(0, m, _SHARD_SIZE)]
+    return [functools.partial(_sorted_run, sweep, n, e) for sweep in sweeps]
 
 
 def _run_shards(jobs, workers, max_pairs):
@@ -274,7 +299,7 @@ def _hodge_twist(P: np.ndarray, n: int, e: int) -> np.ndarray:
     of the e-subsets: the complement of the i-th (n - e)-subset is the
     (N-1-i)-th e-subset, so these are the Hodge stars, whose subspaces are the
     orthogonal complements, and <a, *eta> is the dot product of a with the twist."""
-    return P[..., ::-1] * np.array([laplace_sign(s) for s in subsets(n, e)])
+    return P[..., ::-1] * np.array([laplace_sign(s) for s in subsets(n, e)], dtype=P.dtype)
 
 
 def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = None,
@@ -293,8 +318,7 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
         raise ValueError("need 1 <= e <= n")
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)
-    f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
-    if f > 3:
+    if min(e, n - e) > 3:
         raise ValueError("enumeration supports min(e, n - e) <= 3 (desk scale)")
     hmax_sq = _height_cap_sq(height_max)
 
@@ -304,16 +328,20 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
         if cached is not None and cached[1] == cached[0]:
             return Enumeration(n, e, hmax_sq, cached[2])
 
-    jobs = _shard_jobs(n, f, hmax_sq)  # builds the integer ball, so only after a complete load
-    swept, done = (cached[1], [cached[2]]) if cached and cached[0] == len(jobs) else (0, [])
+    jobs = _shard_jobs(n, e, hmax_sq)  # builds the integer ball, so only after a complete load
+    nshards = len(jobs)
+    swept, runs = 0, []
+    if cached and cached[0] == nshards:
+        swept, runs = cached[1], [cached[2].astype(_signed_dtype(math.isqrt(hmax_sq)))]
     parts, pairs = _run_shards(jobs[swept:], workers, max_pairs)
-    if f != e:
-        parts = [_canonical_sign_rows(_hodge_twist(P, n, e)) for P in parts]
-    rows = _unique_sorted(np.concatenate(done + parts))
+    del jobs, cached  # the integer ball, held by the shards, and the int64 rows of a load
     swept += len(parts)
+    rows = _unique_sorted(np.concatenate(runs + parts))  # merges the sorted runs
+    del runs, parts
     if cache_path is not None:
-        _write_cache(cache_path, n, e, hmax_sq, len(jobs), swept, rows)
-    return Enumeration(n, e, hmax_sq, rows, truncated=swept < len(jobs), pair_count=pairs)
+        _write_cache(cache_path, n, e, hmax_sq, nshards, swept, rows)
+    return Enumeration(n, e, hmax_sq, rows.astype(np.int64), truncated=swept < nshards,
+                       pair_count=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -346,56 +374,72 @@ def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
 
 
 def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
+    """Refuse rows, of any integer dtype, that no complete or partial sweep
+    writes.  Every coordinate is bounded before a square is taken, sums are
+    taken in int64, and no N x C integer temporary is made."""
     if len(rows) == 0:
         return
-    h2 = (rows * rows).sum(1)
-    if h2.max(initial=0) > hmax_sq or h2.min(initial=1) < 1:
+    # |p_i| <= |p| <= isqrt(hmax_sq); no sweep reaches a coordinate whose
+    # square, summed over a row, leaves int64
+    bound = math.isqrt(min(hmax_sq, np.iinfo(np.int64).max // rows.shape[1]))
+    if int(rows.max()) > bound or int(rows.min()) < -bound:
+        raise CacheCorruption("cached subspace out of height range in %s" % path)
+    h2 = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
+    if h2.max() > hmax_sq or h2.min() < 1:
         raise CacheCorruption("cached subspace out of height range in %s" % path)
     for rel in plucker_relations(n, e):
         acc = np.zeros(len(rows), dtype=np.int64)
         for c, i, j in rel:
-            acc += c * rows[:, i] * rows[:, j]
+            acc += c * np.multiply(rows[:, i], rows[:, j], dtype=np.int64)
         if np.any(acc != 0):
             raise CacheCorruption("cached vector fails the Plucker relations in %s" % path)
-    g = np.gcd.reduce(np.abs(rows), axis=1)
-    if np.any(g != 1):
+    if np.any(_row_gcd(rows) != 1):
         raise CacheCorruption("cached vector is not primitive in %s" % path)
-    step = np.diff(rows, axis=0)
-    lead = np.take_along_axis(step, np.argmax(step != 0, axis=1)[:, None], 1)[:, 0]
+    if np.any(np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], 1) < 0):
+        raise CacheCorruption("cached vector is not sign-canonical in %s" % path)
+    prev, succ = rows[:-1], rows[1:]
+    first = np.argmax(prev != succ, axis=1)[:, None]  # 0 for a repeated row
+    lex_up = np.take_along_axis(prev, first, 1) < np.take_along_axis(succ, first, 1)
     dh = np.diff(h2)
-    if np.any((dh < 0) | ((dh == 0) & (lead <= 0))):
+    if np.any((dh < 0) | ((dh == 0) & ~lex_up[:, 0])):
         raise CacheCorruption("cached rows are not strictly increasing in (height, key) in %s" % path)
 
 
-_HEADER = re.compile(r"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)")
-_TRAILER = re.compile(r"end|swept (\d+)")
+_HEADER = re.compile(rb"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)")
+_TRAILER = re.compile(rb"end|swept (\d+)")
 
 
 def _load_cache(path, n, e, hmax_sq):
-    """(shard count, shards swept, validated rows) of the cache at path, or
-    None when it holds another enumeration or is of another version."""
-    with open(path) as fh:
-        header = _HEADER.fullmatch(fh.readline().strip())
-        if header is None:
-            raise CacheCorruption("not a subapprox cache: %s" % path)
-        version, *fields = header.groups()
-        *key, nshards = map(int, fields)
-        if version != _CACHE_VERSION or key != [n, e, hmax_sq]:
-            return None
-        text, _, trailer = ("\n" + fh.read()).rpartition("\n# ")
-    tail = _TRAILER.fullmatch(trailer.strip())
+    """(shard count, shards swept, validated int64 rows) of the cache at
+    path, or None when it holds another enumeration or is of another version.
+    The bytes are read once, and one loadtxt call parses the counted rows
+    from one copy with the row prefixes stripped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    nl = data.find(b"\n") if b"\n" in data else len(data)  # the header's end
+    header = _HEADER.fullmatch(data[:nl].strip())
+    if header is None:
+        raise CacheCorruption("not a subapprox cache: %s" % path)
+    version, *fields = header.groups()
+    *key, nshards = map(int, fields)
+    if version.decode() != _CACHE_VERSION or key != [n, e, hmax_sq]:
+        return None
+    cut = data.rfind(b"\n# ", nl)  # the newline before the trailer
+    tail = _TRAILER.fullmatch(data[cut + 3:].strip()) if cut >= 0 else None
     swept = int(tail[1] or nshards) if tail else None
     if swept is None or swept > nshards:
         raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
                               % (path, nshards))
-    prefix, ncols = "%d %d : " % (n, e), math.comb(n, e)
-    count = text.count("\n" + prefix)
-    body = text.replace("\n" + prefix, "\n")
-    if ":" in body or "#" in body:
-        raise CacheCorruption("line in %s is not a `%s` row" % (path, prefix.strip()))
-    try:  # loadtxt warns on blank text
-        rows = (np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-                if count or body.strip() else np.zeros((0, ncols), dtype=np.int64))
+    prefix, ncols = b"\n%d %d : " % (n, e), math.comb(n, e)
+    count = data.count(prefix, nl, cut)
+    if data.count(b"\n", nl, cut) != count:
+        raise CacheCorruption("line in %s is not a `%d %d :` row" % (path, n, e))
+    try:
+        with io.BytesIO(data.replace(prefix, b"\n")) as fh:  # the prefix is nowhere else
+            del data
+            fh.seek(nl + 1)
+            rows = (np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2, max_rows=count)
+                    if count else np.zeros((0, ncols), dtype=np.int64))
     except ValueError as err:
         raise CacheCorruption("malformed row in %s: %s" % (path, err)) from None
     if rows.shape != (count, ncols):

@@ -300,6 +300,8 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     # fewer than one worker
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "0"),
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "-4"),
+    # a q_max whose power q_max^(1 + 1/N) leaves float64
+    ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "1" + "0" * 400),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     import subapprox

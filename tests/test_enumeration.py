@@ -49,6 +49,18 @@ def test_lines_count_matches_brute_force():
     assert len(enum) == cnt
 
 
+@pytest.mark.parametrize("hmax", [127, 128, 130])
+def test_lines_at_the_row_dtype_edges(hmax):
+    # rows are int8 up to height 127 and int16 from 128 on; the norms and the
+    # order must not wrap in either
+    want = sorted(((x, y) for x in range(hmax + 1) for y in range(-hmax, hmax + 1)
+                   if (x > 0 or y > 0) and x * x + y * y <= hmax * hmax and math.gcd(x, y) == 1),
+                  key=lambda v: (v[0] ** 2 + v[1] ** 2, v))
+    enum = enumerate_subspaces(2, 1, hmax)
+    assert enum.pluckers.dtype == np.int64
+    assert enum.pluckers.tolist() == [list(v) for v in want]
+
+
 def test_coordinate_planes_height_1():
     enum = enumerate_subspaces(4, 2, 1)
     assert len(enum) == 6
@@ -125,36 +137,38 @@ _MINK_SQ = {1: 1.0, 2: 16.0 / math.pi ** 2, 3: 36.0 / math.pi ** 2}
 def _enumerate_generic(n: int, e: int, hmax_sq: int):
     """Reference sweep (pure python, exact wedges): the oracle the vectorized
     routes are tested against.  Returns the rows, unsorted, and the number of
-    e-tuples wedged."""
+    e-tuples wedged.  Each prefix's wedge is carried down the recursion: the
+    (k + 1)-minors of (u_1, ..., u_k, v) are the Laplace expansions along v
+    of the k-minors of the u's."""
     from subapprox.enumeration import _integer_ball
-    from subapprox.exact import normalize_plucker, wedge_plucker
+    from subapprox.exact import normalize_plucker, subset_index
 
     prod_cap = int(_MINK_SQ[e] * hmax_sq * (1 + 1e-9)) + 1
     V = _integer_ball(n, prod_cap)
-    n2 = (V * V).sum(1)
+    n2 = [int(x) for x in (V * V).sum(1)]
     vecs = [tuple(int(x) for x in v) for v in V]
+    expand = [[[((-1) ** (k + p), S[p], subset_index(n, k)[S[:p] + S[p + 1:]]) for p in range(k + 1)]
+               for S in subsets(n, k + 1)] for k in range(e)]
     keys = set()
     pairs = 0
 
-    def rec(start, chosen, prod):
+    def rec(start, k, wedge, prod):
         nonlocal pairs
-        if len(chosen) == e:
+        if k == e:
             pairs += 1
-            try:
-                raw = wedge_plucker(chosen)
-            except ValueError:
-                return
-            pl = normalize_plucker(raw, n, e)
-            if pl.norm_sq <= hmax_sq:
-                keys.add(pl.coords)
+            g = math.gcd(*wedge)  # 0 for dependent vectors
+            if g and sum(x * x for x in wedge) <= hmax_sq * g * g:
+                keys.add(normalize_plucker(wedge, n, e).coords)
             return
+        coefs = [[(c, sign * wedge[j]) for sign, c, j in terms if wedge[j]] for terms in expand[k]]
         for i in range(start, len(vecs)):
-            p = prod * int(n2[i])
+            p = prod * n2[i]
             if p > prod_cap:
                 break
-            rec(i, chosen + [vecs[i]], p)
+            v = vecs[i]
+            rec(i, k + 1, [sum(v[c] * a for c, a in terms) for terms in coefs], p)
 
-    rec(0, [], 1)
+    rec(0, 0, [1], 1)
     P = np.array(sorted(keys), dtype=np.int64) if keys else np.zeros((0, math.comb(n, e)), dtype=np.int64)
     return P, pairs
 
@@ -177,7 +191,7 @@ def test_enumeration_e3_duality_with_planes():
     assert np.array_equal(np.sort(e53.heights_sq), np.sort(e52.heights_sq))
 
 
-@pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (5, 2, 3), (6, 2, 2), (6, 3, 1)])
+@pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (5, 2, 3), (6, 2, 2), (6, 3, 1), (6, 3, 2)])
 def test_sweep_matches_reference_sweep(n, e, hmax):
     # the reduced plane sweep and the e=3 sweep, row for row against the oracle
     from subapprox.enumeration import _unique_sorted
@@ -351,6 +365,11 @@ def _corrupt_first_row(lines, row):
     return lines[:i] + [row] + lines[i + 1:]
 
 
+def _insert_after(lines, row, new):
+    i = lines.index(row) + 1
+    return lines[:i] + [new] + lines[i:]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 0 0 0"),  # ragged
     lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 x 0 0 1"),  # not an integer
@@ -364,9 +383,12 @@ def _corrupt_first_row(lines, row):
     lambda lines: lines[:2] + lines[1:],  # a row twice
     lambda lines: lines[1:],  # no header
     lambda lines: [lines[0].split(" e=")[0]] + lines[1:],  # header without e, hmax_sq, shards
+    # a coordinate of 2^32, whose int64 square wraps to 0: height 1 if squared first
+    lambda lines: _insert_after(lines, "4 2 : 1 0 0 0 0 0", "4 2 : 1 0 0 0 4294967296 0"),
+    lambda lines: _corrupt_first_row(lines, "4 2 : 0 0 0 0 0 -1"),  # first nonzero negative
 ], ids=["ragged", "non_integer", "long_row", "other_dimension", "no_prefix", "no_trailer",
         "end_inside_rows", "end_before_last_shard", "rows_out_of_order", "repeated_row",
-        "no_header", "short_header"])
+        "no_header", "short_header", "coordinate_2_pow_32", "negated_row"])
 def test_corrupt_cache_raises_and_exits_3(tmp_path, capsys, corrupt):
     from subapprox.cli import main
 
@@ -460,6 +482,50 @@ def test_narrow_keys_hold_plus_and_minus_max(values, dtype):
     from subapprox.enumeration import _narrow
 
     assert _narrow(np.array(values, dtype=np.int64)).dtype == dtype
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)])
+def test_row_dtype_holds_plus_and_minus_the_bound(bound, dtype):
+    from subapprox.enumeration import _signed_dtype
+
+    dt = _signed_dtype(bound)
+    assert dt == dtype
+    assert np.array([bound, -bound], dtype=np.int64).astype(dt).tolist() == [bound, -bound]
+
+
+def test_validate_rows_compares_narrow_rows_without_wrapping():
+    # in int8, 100 - (-100) wraps to -56: a difference would call these two
+    # lines of one height out of order
+    from subapprox.enumeration import _validate_rows
+
+    rows = np.array([[1, -100], [1, 100]], dtype=np.int8)
+    _validate_rows(rows, 2, 1, 10001, "lines.cache")
+    with pytest.raises(CacheCorruption, match="lines.cache"):
+        _validate_rows(rows[::-1], 2, 1, 10001, "lines.cache")
+
+
+def test_memory_grows_with_the_output(tmp_path):
+    # a cold build holds each shard's rows deduplicated and narrow, and a load
+    # holds the file's bytes once beside the rows it parses
+    import tracemalloc
+
+    from subapprox.enumeration import _load_cache
+
+    path = str(tmp_path / "c42.cache")
+    tracemalloc.start()
+    try:
+        enum = enumerate_subspaces(4, 2, 12, cache_path=path)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        size = tracemalloc.get_traced_memory()[0]
+        loaded = _load_cache(path, 4, 2, 144)
+        load = tracemalloc.get_traced_memory()[1] - size
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded[2], enum.pluckers)
+    assert build <= 2 * enum.pluckers.nbytes
+    assert load <= 3 * enum.pluckers.nbytes
 
 
 def test_cache_resume_from_truncation(tmp_path):
