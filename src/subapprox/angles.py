@@ -42,9 +42,10 @@ def _to_mpf(x):
 
 
 def _svd_values(a: "mp.matrix"):
+    """The singular values of a, descending; a is overwritten."""
     if a.rows < a.cols:
         a = a.T
-    s = mp.svd_r(a, compute_uv=False)
+    s = mp.svd_r(a, compute_uv=False, overwrite_a=True)
     return sorted((s[i] for i in range(s.rows)), reverse=True)
 
 
@@ -151,9 +152,10 @@ def canonical_angles(a: RealSubspace, b: RealSubspace) -> AngleProfile:
         X = large.mat()   # rows orthonormal
         Y = small.mat()
         G = Y * X.T       # t x dim(large)
-        cosines = _svd_values(G)  # descending <-> angles ascending
-        # projection complement of the smaller basis off the larger subspace
+        # projection complement of the smaller basis off the larger subspace,
+        # formed before G's SVD, which may overwrite G
         S = Y - G * X
+        cosines = _svd_values(G)  # descending <-> angles ascending
         sines_small = sorted(_svd_values(S))
         sines = []
         for i in range(t):

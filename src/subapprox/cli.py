@@ -495,8 +495,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind (a ParseError, which is a
     ValueError, a PrecisionError, or an OSError such as an unwritable --out)
-    is reported on one line and exits 3.  A --cache or --out path in a
-    missing directory is refused before any work."""
+    is reported on one line and exits 3.  A --cache or --out path that is
+    a directory, or lies in a missing one, is refused before any work."""
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "prec", MIN_PREC) < MIN_PREC:
@@ -505,6 +505,8 @@ def main(argv=None) -> int:
             path = getattr(args, flag, None)
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ParseError("--%s %s: no such directory" % (flag, path))
+            if path and os.path.isdir(path):
+                raise ParseError("--%s %s: is a directory" % (flag, path))
         return args.func(args)
     except (ValueError, PrecisionError, OSError) as exc:
         sys.stderr.write("%s: %s\n" % ("parse error" if isinstance(exc, ParseError) else "error", exc))

@@ -13,8 +13,8 @@ found through the basis of their saturation.
   sweep.  Each plane is emitted about once; only ties on the boundary of the
   reduction conditions emit it twice.
 * 3-subspaces (n >= 6): for e <= 3 the successive minima of a lattice are
-  attained by a basis, so Minkowski's product bound
-  lam_1 lam_2 lam_3 <= (6 / pi) H makes the sweep complete.
+  attained by a basis, so Minkowski's second theorem in Hermite form,
+  lam_1^2 lam_2^2 lam_3^2 <= gamma_3^3 H^2 = 2 H^2, makes the sweep complete.
 * e > n - e: the Hodge star maps a saturated lattice to its orthogonal
   complement, which has the same height, so the (n, e) subspaces are the
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
@@ -25,8 +25,9 @@ key) as the shard finishes, and one final pass merges these sorted runs, so
 the result does not depend on which shard emitted a subspace, nor on how
 often, and memory grows with the output, not with the tuples swept.  Rows
 are kept in the narrowest signed dtype that holds +-floor(height_max) from
-the sweep's height filter through the cache round trip; only
-``Enumeration.pluckers`` is int64.  Completeness for
+the sweep's height filter through the cache round trip to
+``Enumeration.pluckers``, and every sum of rows names a dtype that holds
+it; no int64 copy of the rows is made.  Completeness for
 (n, e) = (4, 2) is cross-checked against an independent sweep of primitive
 Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
@@ -98,23 +99,26 @@ def _unique_sorted(P: np.ndarray) -> np.ndarray:
     """The distinct rows of P in P's dtype, sorted by (norm^2, lexicographic).
     The norms are summed in int64, and the keys are sorted in the narrowest
     dtypes that hold them, which numpy radix-sorts up to 16 bits; the order
-    is the same as on int64."""
+    is the same as on int64.  The rows are gathered once and compared
+    column by column, so no N x C bool array is made."""
     Q = _narrow(P)
     h2 = _narrow(np.einsum("ij,ij->i", P, P, dtype=np.int64))
-    order = np.lexsort(tuple(Q[:, c] for c in range(P.shape[1] - 1, -1, -1)) + (h2,))
-    S = Q[order]
-    first = np.ones(len(S), dtype=bool)
-    first[1:] = np.any(S[1:] != S[:-1], axis=1)
-    return P[order[first]]
+    S = P[np.lexsort(tuple(Q[:, c] for c in range(P.shape[1] - 1, -1, -1)) + (h2,))]
+    del Q, h2
+    first = np.zeros(len(S), dtype=bool)
+    for col in S.T:
+        first[1:] |= col[1:] != col[:-1]
+    first[:1] = True
+    return S if first.all() else S[first]
 
 
 def _integer_ball(n: int, cap_sq: int) -> np.ndarray:
     """Primitive, sign-canonical integer vectors with 0 < |v|^2 <= cap_sq.
 
-    Sorted by (norm^2, lexicographic).  Sign-canonical means the first
-    nonzero coordinate is positive, so each line appears once.  Each
-    (leading index, lead) chunk is built and filtered in the narrow dtype;
-    only the result is int64.
+    Sorted by (norm^2, lexicographic), in the narrowest signed dtype that
+    holds +-isqrt(cap_sq).  Sign-canonical means the first nonzero
+    coordinate is positive, so each line appears once.  Each (leading index,
+    lead) chunk is built and filtered in that dtype.
     """
     r = math.isqrt(cap_sq)
     dt = _signed_dtype(r)
@@ -131,7 +135,7 @@ def _integer_ball(n: int, cap_sq: int) -> np.ndarray:
             v[:, k] = lead
             v[:, k + 1:] = rest
             chunks.append(v[_row_gcd(v) == 1])
-    return _unique_sorted(np.concatenate(chunks)).astype(np.int64)
+    return _unique_sorted(np.concatenate(chunks))
 
 
 def _canonical_sign_rows(W: np.ndarray) -> np.ndarray:
@@ -145,7 +149,11 @@ class Enumeration:
     """The set of rational subspaces of dimension e and height <= height_max.
 
     ``pluckers`` holds one canonical primitive Plucker vector per row,
-    sorted by (squared height, lexicographic coordinates).
+    sorted by (squared height, lexicographic coordinates), in a signed
+    integer dtype that holds +-isqrt(height_max_sq): the narrowest one for
+    an enumeration built or loaded by :func:`enumerate_subspaces` (int8 up
+    to height 127).  A coordinate fits, but a sum or product of them may
+    not, so callers widen the rows before any arithmetic on them.
     """
 
     n: int
@@ -160,7 +168,10 @@ class Enumeration:
 
     @functools.cached_property
     def heights_sq(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.pluckers, self.pluckers)  # no N x C temporary
+        """The squared heights, summed in a dtype that holds height_max_sq
+        and the rows' own; no N x C temporary."""
+        dt = np.promote_types(self.pluckers.dtype, _signed_dtype(self.height_max_sq))
+        return np.einsum("ij,ij->i", self.pluckers, self.pluckers, dtype=dt)
 
     def coords_at(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.pluckers[i])
@@ -199,9 +210,9 @@ def _product_cap(e: int, hmax_sq: int) -> int:
         # reduced pair, |v1| <= |v2| and 2 |<v1, v2>| <= |v1|^2:
         # H^2 = |v1|^2 |v2|^2 - <v1, v2>^2 >= |v1|^2 |v2|^2 - |v1|^4 / 4 >= 3/4 |v1|^2 |v2|^2
         return 4 * hmax_sq // 3
-    # Minkowski's second theorem: prod lam_i^2 <= (2^3 / V_3)^2 H^2 = (36 / pi^2) H^2,
-    # and 36 / pi^2 < 73 / 20 because pi^2 > 9.8696 > 720 / 73 = 9.8630...
-    return 73 * hmax_sq // 20
+    # Minkowski's second theorem in Hermite form: prod lam_i^2 <= gamma_3^3 H^2,
+    # and the Hermite constant gamma_3 is 2^(1/3) (the e = 2 cap is gamma_2^2 = 4/3)
+    return 2 * hmax_sq
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,8 +235,11 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     is V[a], lo <= a < hi, and the number of e-tuples wedged.
 
     Each later vector comes strictly later in V, so every set of vectors is
-    tried once; the last one is vectorised.  Wedges are taken in int64, and
-    the rows that pass the height filter are kept in the narrow row dtype.
+    tried once; the last one is vectorised.  V's dtype holds +-2 prod_cap,
+    and every dot product, minor and wedge formed here, and every partial sum
+    of one, is at most sqrt(prod_cap) in absolute value by Cauchy-Schwarz, so
+    none wraps.  Norms are summed in int64, and the rows that pass the
+    height filter are kept in the narrow row dtype.
     """
     n = V.shape[1]
     dt = _signed_dtype(math.isqrt(hmax_sq))
@@ -244,7 +258,7 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
                 X = X[2 * np.abs(X @ v1) <= k1]
             pairs += len(X)
             W = X @ _wedge_matrix(w, n, e - 1)  # +-(v1 ^ ... ^ x); the sign is canonicalised
-            W = W[np.einsum("ij,ij->i", W, W) <= hmax_sq].astype(dt)
+            W = W[np.einsum("ij,ij->i", W, W, dtype=np.int64) <= hmax_sq].astype(dt)
             out.append(W[_row_gcd(W) == 1])
     return _canonical_sign_rows(np.concatenate(out)), pairs
 
@@ -268,13 +282,14 @@ def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
         sweeps = [lambda: (np.ones((1, 1), dtype=dt), 0)]
     elif f == 1:
         def lines():
-            V = _integer_ball(n, hmax_sq).astype(dt)
+            V = _integer_ball(n, hmax_sq)
             return V, len(V)
         sweeps = [lines]
     else:
         cap = _product_cap(f, hmax_sq)
         V = _integer_ball(n, cap)
-        n2 = np.einsum("ij,ij->i", V, V)
+        n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
+        V = V.astype(_signed_dtype(2 * cap))
         m = int(np.count_nonzero(n2 ** f <= cap))  # candidates for the shortest basis vector
         sweeps = [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, cap, hmax_sq)
                   for lo in range(0, m, _SHARD_SIZE)]
@@ -332,16 +347,16 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     nshards = len(jobs)
     swept, runs = 0, []
     if cached and cached[0] == nshards:
-        swept, runs = cached[1], [cached[2].astype(_signed_dtype(math.isqrt(hmax_sq)))]
+        swept, runs = cached[1], [cached[2]]
     parts, pairs = _run_shards(jobs[swept:], workers, max_pairs)
-    del jobs, cached  # the integer ball, held by the shards, and the int64 rows of a load
+    del jobs, cached  # the integer ball, held by the shards
     swept += len(parts)
-    rows = _unique_sorted(np.concatenate(runs + parts))  # merges the sorted runs
+    rows = np.concatenate(runs + parts)
     del runs, parts
+    rows = _unique_sorted(rows)  # merges the sorted runs
     if cache_path is not None:
         _write_cache(cache_path, n, e, hmax_sq, nshards, swept, rows)
-    return Enumeration(n, e, hmax_sq, rows.astype(np.int64), truncated=swept < nshards,
-                       pair_count=pairs)
+    return Enumeration(n, e, hmax_sq, rows, truncated=swept < nshards, pair_count=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +366,42 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
 # first k shards of a truncated sweep.
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 1 << 14  # rows per `%` format, so the text of all rows is never held at once
+_BLOCK_ROWS = 1 << 14  # rows per block of text, so the text of all rows is never held at once
+
+
+def _token_table(bound: int) -> np.ndarray:
+    """The bytes of `" %d" % v` for v = 0, ..., bound, -bound, ..., -1, one
+    row each, right-aligned and padded on the left with zero bytes: row v
+    is v's token for v >= 0, and row v, counted from the end as in Python,
+    for v < 0."""
+    tokens = [b" %d" % v for v in itertools.chain(range(bound + 1), range(-bound, 0))]
+    w = max(map(len, tokens))
+    return np.frombuffer(b"".join(t.rjust(w, b"\0") for t in tokens), dtype=np.uint8).reshape(-1, w)
 
 
 def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
     """Write the sorted rows of the first ``swept`` shards to a sibling temp
-    file and move it over path, so a failed write leaves the old file whole."""
-    line = "%d %d : " % (n, e) + " ".join(["%d"] * rows.shape[1]) + "\n"
+    file and move it over path, so a failed write leaves the old file whole.
+
+    Each block of rows becomes text by a gather from :func:`_token_table`,
+    between a prefix and a newline column, with the padding bytes dropped:
+    the bytes of `"%d %d :" + " %d" * C + "\n"` row by row."""
+    table = _token_table(max(int(rows.max(initial=0)), -int(rows.min(initial=0))))
+    prefix = np.frombuffer(b"%d %d :" % (n, e), dtype=np.uint8)
+    width = len(prefix) + rows.shape[1] * table.shape[1] + 1
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
-                     % (_CACHE_VERSION, n, e, hmax_sq, nshards))
+        with open(tmp, "wb") as fh:
+            fh.write(b"# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
+                     % (_CACHE_VERSION.encode(), n, e, hmax_sq, nshards))
             for lo in range(0, len(rows), _BLOCK_ROWS):
                 block = rows[lo:lo + _BLOCK_ROWS]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
-            fh.write("# end\n" if swept == nshards else "# swept %d\n" % swept)
+                text = np.empty((len(block), width), dtype=np.uint8)
+                text[:, :len(prefix)] = prefix
+                text[:, len(prefix):-1] = np.take(table, block, axis=0).reshape(len(block), -1)
+                text[:, -1] = ord("\n")
+                fh.write(text[text != 0].tobytes())
+            fh.write(b"# end\n" if swept == nshards else b"# swept %d\n" % swept)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -410,10 +445,11 @@ _TRAILER = re.compile(rb"end|swept (\d+)")
 
 
 def _load_cache(path, n, e, hmax_sq):
-    """(shard count, shards swept, validated int64 rows) of the cache at
-    path, or None when it holds another enumeration or is of another version.
-    The bytes are read once, and one loadtxt call parses the counted rows
-    from one copy with the row prefixes stripped."""
+    """(shard count, shards swept, validated rows) of the cache at path, or
+    None when it holds another enumeration or is of another version.  The
+    bytes are read once, and one loadtxt call parses the counted rows from
+    one copy with the row prefixes stripped, straight into the row dtype of
+    hmax_sq: a coordinate outside it is a malformed row."""
     with open(path, "rb") as fh:
         data = fh.read()
     nl = data.find(b"\n") if b"\n" in data else len(data)  # the header's end
@@ -430,7 +466,7 @@ def _load_cache(path, n, e, hmax_sq):
     if swept is None or swept > nshards:
         raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
                               % (path, nshards))
-    prefix, ncols = b"\n%d %d : " % (n, e), math.comb(n, e)
+    prefix, ncols, dt = b"\n%d %d : " % (n, e), math.comb(n, e), _signed_dtype(math.isqrt(hmax_sq))
     count = data.count(prefix, nl, cut)
     if data.count(b"\n", nl, cut) != count:
         raise CacheCorruption("line in %s is not a `%d %d :` row" % (path, n, e))
@@ -438,8 +474,8 @@ def _load_cache(path, n, e, hmax_sq):
         with io.BytesIO(data.replace(prefix, b"\n")) as fh:  # the prefix is nowhere else
             del data
             fh.seek(nl + 1)
-            rows = (np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2, max_rows=count)
-                    if count else np.zeros((0, ncols), dtype=np.int64))
+            rows = (np.loadtxt(fh, dtype=dt, comments=None, ndmin=2, max_rows=count)
+                    if count else np.zeros((0, ncols), dtype=dt))
     except ValueError as err:
         raise CacheCorruption("malformed row in %s: %s" % (path, err)) from None
     if rows.shape != (count, ncols):
@@ -549,7 +585,7 @@ class ExponentEstimate:
 
 # working set of one batch of :func:`_float_psi`; every row is computed on its
 # own, so the batch size changes no bit of the result
-_BATCH_BYTES = 1 << 22
+_BATCH_BYTES = 1 << 20
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -720,12 +756,15 @@ def _decide(lo: np.ndarray, hi: np.ndarray, starts, exact) -> list:
     run's last, and the run ends after a value of 0.  So the run is the one
     over every row, and ties go to the smaller key.
     """
+    starts = np.asarray(starts)
+    ends = np.append(starts[1:], len(hi))
     bound = np.minimum.accumulate(np.minimum.reduceat(hi, starts))
-    kept = np.flatnonzero(lo <= np.repeat(bound, np.diff(starts, append=len(hi))))
-    groups = np.searchsorted(starts, kept, side="right").tolist()
     run = []
-    for _, rows in itertools.groupby(zip(groups, kept.tolist()), key=lambda gi: gi[0]):
-        best = min((exact(i) for _, i in rows), key=lambda r: r[:2])
+    # only the groups with a kept row, each sliced on its own: no row-length temporary
+    for g in np.flatnonzero(np.minimum.reduceat(lo, starts) <= bound).tolist():
+        s = int(starts[g])
+        kept = np.flatnonzero(lo[s:ends[g]] <= bound[g])
+        best = min((exact(s + i) for i in kept.tolist()), key=lambda r: r[:2])
         if not run or best[0] < run[-1][0]:
             run.append(best)
             if best[0] == 0:
@@ -756,16 +795,19 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     if len(enum) == 0:
         return result
 
-    psi_f, delta = _float_psi(a, enum.pluckers, enum.n, enum.e, j)
     h2 = enum.heights_sq
-    starts = np.flatnonzero(np.diff(h2, prepend=-1))  # one group per height
+    starts = np.flatnonzero(np.r_[True, h2[1:] != h2[:-1]])  # one group per height
+    lo, delta = _float_psi(a, enum.pluckers, enum.n, enum.e, j)  # psi, made its lower end in place
+    hi = lo + delta
+    lo -= delta
+    del delta
 
     def exact(i):
         psi, ph = refine_psi(a, enum.subspace_at(i), j)
         return psi, enum.coords_at(i), ph, i
 
     with mp.workprec(a.precision_bits):
-        run = _decide(psi_f - delta, psi_f + delta, starts, exact)
+        run = _decide(lo, hi, starts, exact)
         result.records = [ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(int(h2[i]))), psi, ph, j)
                           for psi, _, ph, i in run]
     result.rational_target = run[-1][0] == 0

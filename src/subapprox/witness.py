@@ -307,7 +307,7 @@ def _float_values(apl, enum: Enumeration, exponent: float):
     H^(exponent - 1) out of that range raises ValueError.
     """
     h2 = enum.heights_sq.astype(np.float64)
-    pairing = np.abs(_hodge_twist(enum.pluckers.astype(np.float64), enum.n, enum.n - enum.e)
+    pairing = np.abs(_hodge_twist(enum.pluckers, enum.n, enum.n - enum.e).astype(np.float64)
                      @ np.array([float(x) for x in apl]))
     p = (exponent - 1) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -337,6 +337,29 @@ def test_missing_directory_refused_before_the_sweep(argv, monkeypatch, tmp_path,
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--target", "r4", "--e", "2", "--j", "1", "--hmax", "14", "--out", "a-dir"),
+    ("scan", "--target", "r4", "--e", "2", "--j", "1", "--hmax", "14", "--cache", "a-dir"),
+    ("witness", "r4", "--lower-bound", "--hmax", "14", "--out", "a-dir"),
+    ("witness", "r4", "--lower-bound", "--hmax", "14", "--cache", "a-dir"),
+])
+def test_directory_path_refused_before_the_sweep(argv, monkeypatch, tmp_path, capsys):
+    # an --out or --cache naming an existing directory exits 3 at once, not
+    # with `Is a directory` after the whole scan
+    from subapprox import enumeration
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started before the path was checked")
+
+    monkeypatch.setattr(enumeration, "_shard_jobs", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("a-dir")
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a-dir" in err and "is a directory" in err
+    assert os.listdir(tmp_path) == ["a-dir"] and not os.listdir("a-dir")
+
+
 def test_props_passes(capsys):
     code = main(["props", "--seed", "1"])
     out = capsys.readouterr().out

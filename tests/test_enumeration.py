@@ -51,14 +51,16 @@ def test_lines_count_matches_brute_force():
 
 @pytest.mark.parametrize("hmax", [127, 128, 130])
 def test_lines_at_the_row_dtype_edges(hmax):
-    # rows are int8 up to height 127 and int16 from 128 on; the norms and the
-    # order must not wrap in either
+    # rows are int8 up to height 127 and int16 from 128 on, from the sweep
+    # to the result; the norms, the order and heights_sq, whose squares
+    # reach hmax^2, must not wrap in either
     want = sorted(((x, y) for x in range(hmax + 1) for y in range(-hmax, hmax + 1)
                    if (x > 0 or y > 0) and x * x + y * y <= hmax * hmax and math.gcd(x, y) == 1),
                   key=lambda v: (v[0] ** 2 + v[1] ** 2, v))
     enum = enumerate_subspaces(2, 1, hmax)
-    assert enum.pluckers.dtype == np.int64
+    assert enum.pluckers.dtype == (np.int8 if hmax <= 127 else np.int16)
     assert enum.pluckers.tolist() == [list(v) for v in want]
+    assert enum.heights_sq.tolist() == [x * x + y * y for x, y in want]
 
 
 def test_coordinate_planes_height_1():
@@ -201,6 +203,15 @@ def test_sweep_matches_reference_sweep(n, e, hmax):
     assert np.array_equal(fast.pluckers, _unique_sorted(ref))
 
 
+def test_e3_sweep_is_bounded_by_the_hermite_cap():
+    # a basis attaining the successive minima has prod |v_i|^2 <= gamma_3^3 H^2
+    # = 2 H^2; Minkowski's volume form, 73/20 H^2, swept 432,120 triples here
+    from subapprox.enumeration import _product_cap
+
+    assert _product_cap(3, 4) == 8
+    assert enumerate_subspaces(6, 3, 2).pair_count == 66960
+
+
 def _hodge_duals(enum):
     """Canonical coordinates of the Hodge duals of an enumeration's rows: the
     reversed Plucker vector twisted by the Laplace signs of the (n-e)-subsets."""
@@ -326,11 +337,12 @@ def _load_cache_per_line(path, n, e, hmax_sq):
 
 
 def _assert_loads_like_per_line(path, n, e, hmax_sq):
-    from subapprox.enumeration import _load_cache
+    from subapprox.enumeration import _load_cache, _signed_dtype
 
     got, want = _load_cache(path, n, e, hmax_sq), _load_cache_per_line(path, n, e, hmax_sq)
     assert got[:2] == want[:2]
-    assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
+    # the rows parse straight into the narrow row dtype, not int64
+    assert got[2].dtype == _signed_dtype(math.isqrt(hmax_sq)) and np.array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("n, e, hmax, max_pairs", [
@@ -507,7 +519,8 @@ def test_validate_rows_compares_narrow_rows_without_wrapping():
 
 def test_memory_grows_with_the_output(tmp_path):
     # a cold build holds each shard's rows deduplicated and narrow, and a load
-    # holds the file's bytes once beside the rows it parses
+    # holds the file's bytes once beside the rows it parses; both peaks are
+    # stated in bytes of the rows as int64, which no step copies them into
     import tracemalloc
 
     from subapprox.enumeration import _load_cache
@@ -524,8 +537,29 @@ def test_memory_grows_with_the_output(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded[2], enum.pluckers)
-    assert build <= 2 * enum.pluckers.nbytes
-    assert load <= 3 * enum.pluckers.nbytes
+    int64_bytes = len(enum) * math.comb(4, 2) * 8
+    assert build <= int64_bytes
+    assert load <= 1.25 * int64_bytes
+
+
+def test_cold_scan_memory_stays_below_its_int64_rows(tmp_path, capsys):
+    # a cold (4, 2, 14) scan that writes its cache holds its 235,946 rows
+    # narrow from the sweep to the float screen: its whole traced peak stays
+    # below the bytes those rows take as int64 (11.3 MB)
+    import tracemalloc
+
+    from subapprox.cli import main
+
+    argv = ["scan", "--target", "r4", "--e", "2", "--j", "1", "--hmax", "14",
+            "--cache", str(tmp_path / "c42.cache"), "--workers", "1"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "scanned=235946" in capsys.readouterr().out
+    assert peak <= 235946 * math.comb(4, 2) * 8
 
 
 def test_cache_resume_from_truncation(tmp_path):

@@ -387,3 +387,28 @@ def test_lower_bound_refuses_values_outside_float64(exponent, claimed_c):
     with pytest.raises(ValueError):
         lower_bound_check(witness_r4("sqrt2"), 2, exponent, 3,
                           enumeration=enumerate_subspaces(4, 2, 3), claimed_c=claimed_c)
+
+
+@pytest.mark.parametrize("kind, n, e, hmax", [("r4", 4, 2, 12), ("r5", 5, 2, 6)])
+def test_narrow_rows_scan_and_bound_like_their_int64_copy(kind, n, e, hmax):
+    # an int8 enumeration and its int64 copy give the same floats, records,
+    # minimum, argmin and quantiles, bit for bit; r5 takes the Hodge twist of
+    # (5, 2) rows
+    from subapprox.enumeration import Enumeration, _float_psi, scan_target
+
+    narrow = enumerate_subspaces(n, e, hmax)
+    wide = Enumeration(n, e, narrow.height_max_sq, narrow.pluckers.astype(np.int64))
+    assert narrow.pluckers.dtype == np.int8
+    a = witness_r4("sqrt2") if kind == "r4" else witness_r5("sqrt3+1/4")[1]
+    apl = target_plucker(a)
+    for got, want in zip(_float_values(apl, narrow, 3.0), _float_values(apl, wide, 3.0)):
+        assert np.array_equal(got, want)
+    got, want = (lower_bound_check(a, e, 3.0, hmax, enumeration=enum) for enum in (narrow, wide))
+    assert (got.c_min, got.argmin_key, got.quantiles, got.rational_target) == \
+        (want.c_min, want.argmin_key, want.quantiles, want.rational_target)
+    for j in range(1, min(a.dim, e) + 1):
+        for got, want in zip(_float_psi(a, narrow.pluckers, n, e, j), _float_psi(a, wide.pluckers, n, e, j)):
+            assert np.array_equal(got, want)
+        got, want = (scan_target(a, e, j, hmax, enumeration=enum) for enum in (narrow, wide))
+        assert got.records and got.records == want.records
+        assert (got.rational_target, got.scanned) == (want.rational_target, want.scanned)
