@@ -90,7 +90,7 @@ def test_criterion_2_enumeration(enum_4_2_25, enum_5_2_10):
     """All emitted subspaces satisfy the Plucker relations exactly; the (4,2)
     count matches the independent primitive-Plucker-vector sweep."""
     t0 = time.time()
-    p4 = enum_4_2_25.pluckers
+    p4 = enum_4_2_25.pluckers.astype(np.int64)  # the rows are int8; products reach 625
     rel = p4[:, 0] * p4[:, 5] - p4[:, 1] * p4[:, 4] + p4[:, 2] * p4[:, 3]
     bad4 = int(np.count_nonzero(rel))
     prim4 = int(np.count_nonzero(np.gcd.reduce(np.abs(p4), axis=1) != 1))

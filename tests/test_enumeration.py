@@ -74,7 +74,7 @@ def test_coordinate_planes_height_1():
 def test_every_emitted_subspace_is_decomposable():
     enum = enumerate_subspaces(4, 2, 5)
     assert len(enum) == 3194  # cross-checked against the quadric sweep
-    P = enum.pluckers
+    P = enum.pluckers.astype(np.int64)  # widened before any arithmetic
     rel = P[:, 0] * P[:, 5] - P[:, 1] * P[:, 4] + P[:, 2] * P[:, 3]
     assert not np.any(rel)
     g = np.gcd.reduce(np.abs(P), axis=1)
@@ -146,7 +146,7 @@ def _enumerate_generic(n: int, e: int, hmax_sq: int):
     from subapprox.exact import normalize_plucker, subset_index
 
     prod_cap = int(_MINK_SQ[e] * hmax_sq * (1 + 1e-9)) + 1
-    V = _integer_ball(n, prod_cap)
+    V = _integer_ball(n, prod_cap).astype(np.int64)  # widened before any arithmetic
     n2 = [int(x) for x in (V * V).sum(1)]
     vecs = [tuple(int(x) for x in v) for v in V]
     expand = [[[((-1) ** (k + p), S[p], subset_index(n, k)[S[:p] + S[p + 1:]]) for p in range(k + 1)]
