@@ -47,6 +47,7 @@ EXIT_CERT = 2
 EXIT_PARSE = 3
 EXIT_TRUNCATED = 4
 MIN_PREC = 64  # bits; the float screens' error bounds assume the mp values are this accurate
+WORKERS_HELP = "accepted only as 1: the enumeration runs serially"
 
 
 class ParseError(ValueError):
@@ -92,7 +93,7 @@ def parse_gens(text: str):
     return rows
 
 
-def parse_target(spec: str, *, n: int | None, d: int | None, prec: int, seed: int):
+def parse_target(spec: str, *, n: int | None, prec: int, seed: int):
     """Named witnesses (`r4:sqrt2`, `r5:<z>`), explicit generators
     (`gens:...`), or seeded random subspaces (`random:<d>`).
 
@@ -109,15 +110,15 @@ def parse_target(spec: str, *, n: int | None, d: int | None, prec: int, seed: in
     if kind == "gens":
         return RealSubspace.from_vectors(parse_gens(arg), precision_bits=prec), "gens"
     if kind == "random":
+        if n is None or not arg:
+            raise ParseError("random targets are `random:<d>` and need --n")
         try:
-            dd = int(arg) if arg else d
+            d = int(arg)
         except ValueError:
             raise ParseError("bad random target dimension %r" % arg)
-        if n is None or dd is None:
-            raise ParseError("random targets need --n and a dimension")
         rng = random.Random(seed)
-        vecs = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(dd)]
-        return RealSubspace.from_vectors(vecs, precision_bits=prec), "random:%d" % dd
+        vecs = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(d)]
+        return RealSubspace.from_vectors(vecs, precision_bits=prec), "random:%d" % d
     raise ParseError("unknown target spec %r" % spec)
 
 
@@ -162,15 +163,14 @@ def cmd_height(args) -> int:
 # --------------------------------------------------------------------- scan
 
 def cmd_scan(args) -> int:
-    target, label = parse_target(args.target, n=args.n, d=args.d,
-                                 prec=args.prec, seed=args.seed)
+    target, label = parse_target(args.target, n=args.n, prec=args.prec, seed=args.seed)
     n, d = target.n, target.dim
     if d + args.e > n:
         raise ParseError("need d + e <= n (got d=%d e=%d n=%d)" % (d, args.e, n))
     if not (1 <= args.j <= min(d, args.e)):
         raise ParseError("need 1 <= j <= min(d, e)")
     enum = enumerate_subspaces(n, args.e, args.hmax, cache_path=args.cache,
-                               workers=args.workers, max_pairs=args.max_pairs)
+                               max_pairs=args.max_pairs)
     res = scan_target(target, args.e, args.j, args.hmax, enumeration=enum)
     prec = args.prec
     lines = [
@@ -233,8 +233,7 @@ def cmd_witness(args) -> int:
             passed = passed and cert["passed"]
     if args.lower_bound:
         e = sub.n - sub.dim
-        enum = enumerate_subspaces(sub.n, e, args.hmax, cache_path=args.cache,
-                                   workers=args.workers)
+        enum = enumerate_subspaces(sub.n, e, args.hmax, cache_path=args.cache)
         rep = lower_bound_check(sub, e, args.exponent, args.hmax,
                                 enumeration=enum, claimed_c=args.claimed_c)
         report["lower_bound"] = {
@@ -257,8 +256,7 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------- dirichlet
 
 def cmd_dirichlet(args) -> int:
-    target, label = parse_target(args.target, n=args.n, d=args.d,
-                                 prec=args.prec, seed=args.seed)
+    target, label = parse_target(args.target, n=args.n, prec=args.prec, seed=args.seed)
     j = args.j
     fb = flag_basis(target, j)
     x = fb.approximation_vector()
@@ -301,8 +299,7 @@ def cmd_dirichlet(args) -> int:
 # ------------------------------------------------------------------ goingup
 
 def cmd_goingup(args) -> int:
-    target, label = parse_target(args.target, n=args.n, d=args.d,
-                                 prec=args.prec, seed=args.seed)
+    target, label = parse_target(args.target, n=args.n, prec=args.prec, seed=args.seed)
     b = from_generators(parse_gens(args.gens))
     res = going_up_search(target, b, args.j, budget=args.budget, weight=args.weight)
     prec = args.prec
@@ -429,7 +426,6 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--d", type=int, default=None)
         sp.add_argument("--prec", type=int, default=128)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
@@ -449,7 +445,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--hmax", type=float, required=True)
     sp.add_argument("--cache", default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--max-pairs", type=int, default=None)
     sp.set_defaults(func=cmd_scan)
 
@@ -467,7 +463,7 @@ def build_parser() -> _Parser:
                     help="assert min phi H^exponent >= this constant")
     sp.add_argument("--hmax", type=float, default=5.0)
     sp.add_argument("--cache", default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_witness)
 
@@ -496,11 +492,15 @@ def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind (a ParseError, which is a
     ValueError, a PrecisionError, or an OSError such as an unwritable --out)
     is reported on one line and exits 3.  A --cache or --out path that is
-    a directory, or lies in a missing one, is refused before any work."""
+    a directory, or lies in a missing one, and a --workers other than 1 are
+    refused before any work."""
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "prec", MIN_PREC) < MIN_PREC:
             raise ParseError("precision must be >= %d bits" % MIN_PREC)
+        if getattr(args, "workers", 1) != 1:
+            raise ParseError("--workers %d: the enumeration runs serially, so only 1 is accepted"
+                             % args.workers)
         for flag in ("cache", "out"):
             path = getattr(args, flag, None)
             if path and not os.path.isdir(os.path.dirname(path) or "."):

@@ -20,6 +20,7 @@ found through the basis of their saturation.
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
   signs.
 
+The shards are swept serially, in order, by one loop.
 Each shard's rows are deduplicated and sorted by (height^2, lexicographic
 key) as the shard finishes, and one final pass merges these sorted runs, so
 the result does not depend on which shard emitted a subspace, nor on how
@@ -43,7 +44,6 @@ import itertools
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -263,50 +263,26 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     return _canonical_sign_rows(np.concatenate(out)), pairs
 
 
-def _sorted_run(sweep, n, e):
-    """A shard's (n, e) rows, deduplicated and sorted, and its tuple count:
-    the shard sweeps (n, n - e) when e > n - e, and its rows are Hodge stars."""
-    rows, pairs = sweep()
-    if e > n - e:
-        rows = _canonical_sign_rows(_hodge_twist(rows, n, e))
-    return _unique_sorted(rows), pairs
-
-
 def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
-    """One call per shard of the (n, e) sweep; each returns (its rows
-    deduplicated and sorted in the narrow row dtype, tuples wedged).  Lines,
-    hyperplanes and the whole space are one shard."""
+    """One call per shard of the (n, min(e, n - e)) sweep, in shard order;
+    each returns (the canonical rows it emits in the narrow row dtype,
+    tuples wedged).  Lines, hyperplanes and the whole space are one shard."""
     f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
     dt = _signed_dtype(math.isqrt(hmax_sq))
     if f == 0:
-        sweeps = [lambda: (np.ones((1, 1), dtype=dt), 0)]
-    elif f == 1:
+        return [lambda: (np.ones((1, 1), dtype=dt), 0)]
+    if f == 1:
         def lines():
             V = _integer_ball(n, hmax_sq)
             return V, len(V)
-        sweeps = [lines]
-    else:
-        cap = _product_cap(f, hmax_sq)
-        V = _integer_ball(n, cap)
-        n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
-        V = V.astype(_signed_dtype(2 * cap))
-        m = int(np.count_nonzero(n2 ** f <= cap))  # candidates for the shortest basis vector
-        sweeps = [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, cap, hmax_sq)
-                  for lo in range(0, m, _SHARD_SIZE)]
-    return [functools.partial(_sorted_run, sweep, n, e) for sweep in sweeps]
-
-
-def _run_shards(jobs, workers, max_pairs):
-    """Results of the jobs in order, stopping after the one that exceeds max_pairs."""
-    rows, pairs = [], 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for P, p in (pool.map(lambda job: job(), jobs) if workers > 1 else (job() for job in jobs)):
-            rows.append(P)
-            pairs += p
-            if max_pairs is not None and pairs > max_pairs:
-                pool.shutdown(cancel_futures=True)
-                break
-    return rows, pairs
+        return [lines]
+    cap = _product_cap(f, hmax_sq)
+    V = _integer_ball(n, cap)
+    n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
+    V = V.astype(_signed_dtype(2 * cap))
+    m = int(np.count_nonzero(n2 ** f <= cap))  # candidates for the shortest basis vector
+    return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, cap, hmax_sq)
+            for lo in range(0, m, _SHARD_SIZE)]
 
 
 def _hodge_twist(P: np.ndarray, n: int, e: int) -> np.ndarray:
@@ -318,21 +294,21 @@ def _hodge_twist(P: np.ndarray, n: int, e: int) -> np.ndarray:
 
 
 def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = None,
-                        workers: int = 1, max_pairs: int | None = None) -> Enumeration:
+                        max_pairs: int | None = None) -> Enumeration:
     """Every rational subspace of dimension e in R^n with height <= height_max.
 
-    Needs min(e, n - e) <= 3.  Dedup is by canonical Plucker key; the result
-    is sorted by (height^2, lexicographic key), so downstream consumers are
-    independent of enumeration order.  ``max_pairs`` bounds the sweep: no
-    shard starts once more than that many tuples have been wedged, and a
-    result with a shard left unswept carries ``truncated=True`` (never
-    silent).  With ``cache_path`` a complete cache is loaded, a partial one
-    resumed after its last swept shard.
+    Needs min(e, n - e) <= 3.  The shards are swept one after another, in
+    order; each one's rows are Hodge-twisted when e > n - e, deduplicated and
+    sorted as it finishes, and one final pass merges these runs, so the
+    result is sorted by (height^2, lexicographic key) and downstream
+    consumers are independent of enumeration order.  ``max_pairs`` bounds
+    the sweep: no shard starts once more than that many tuples have been
+    wedged, and a result with a shard left unswept carries
+    ``truncated=True`` (never silent).  With ``cache_path`` a complete cache
+    is loaded, a partial one resumed after its last swept shard.
     """
     if not (1 <= e <= n):
         raise ValueError("need 1 <= e <= n")
-    if workers < 1:
-        raise ValueError("workers must be >= 1, got %d" % workers)
     if min(e, n - e) > 3:
         raise ValueError("enumeration supports min(e, n - e) <= 3 (desk scale)")
     hmax_sq = _height_cap_sq(height_max)
@@ -345,14 +321,21 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
 
     jobs = _shard_jobs(n, e, hmax_sq)  # builds the integer ball, so only after a complete load
     nshards = len(jobs)
-    swept, runs = 0, []
+    swept, runs, pairs = 0, [], 0
     if cached and cached[0] == nshards:
         swept, runs = cached[1], [cached[2]]
-    parts, pairs = _run_shards(jobs[swept:], workers, max_pairs)
+    while swept < nshards:
+        shard, p = jobs[swept]()
+        if e > n - e:
+            shard = _canonical_sign_rows(_hodge_twist(shard, n, e))
+        runs.append(_unique_sorted(shard))
+        del shard
+        swept, pairs = swept + 1, pairs + p
+        if max_pairs is not None and pairs > max_pairs:
+            break
     del jobs, cached  # the integer ball, held by the shards
-    swept += len(parts)
-    rows = np.concatenate(runs + parts)
-    del runs, parts
+    rows = np.concatenate(runs)
+    del runs
     rows = _unique_sorted(rows)  # merges the sorted runs
     if cache_path is not None:
         _write_cache(cache_path, n, e, hmax_sq, nshards, swept, rows)

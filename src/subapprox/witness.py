@@ -229,23 +229,33 @@ _R5_SEARCH_QUADRICS = (
 def r5_trivial_solution_search(bound: int = 30) -> dict:
     """Exhaustively check the four-variable quadric system has only the zero
     solution in the integer box |n_i| <= bound (integers suffice: the system
-    is homogeneous of degree 2)."""
+    is homogeneous of degree 2).
+
+    The first quadric is k a^2 + a l(b, c, d) + g(b, c, d) with l linear.
+    g + a l is evaluated once over the (b, c, d) box, at a = -bound, and
+    moved on by l in place; each a's zero set is where it equals -k a^2.
+    The other quadrics are evaluated only there."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    box = (len(rng),) * 3
     solutions = []
     B, C, D = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
     first, *rest = _R5_SEARCH_QUADRICS
-    for a in rng:
-        # the first quadric over the box, the others only where it vanishes
-        zero = np.broadcast_to(first(a, B, C, D) == 0, (len(rng),) * 3)
-        b, c, d = (rng[i] for i in np.nonzero(zero))
+    k = first(1, 0, 0, 0)
+    rem = np.broadcast_to(first(-bound, B, C, D), box) - k * bound * bound  # g + a l at a = -bound
+    lb, lc, ld = ((first(1, *u) - first(-1, *u)) // 2 for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    lin = lb * B + lc * C + ld * D
+    zero = np.empty(box, dtype=bool)
+    for a in rng.tolist():
+        b, c, d = (rng[i] for i in np.nonzero(np.equal(rem, -k * a * a, out=zero)))
+        rem += lin
         ok = np.ones(len(b), dtype=bool)
         for q in rest:
             ok &= q(a, b, c, d) == 0
         for bcd in zip(b[ok].tolist(), c[ok].tolist(), d[ok].tolist()):
             if a or any(bcd):
-                solutions.append((int(a),) + bcd)
+                solutions.append((a,) + bcd)
     return {
         "kind": "r5-trivial-solutions",
         "bound": bound,

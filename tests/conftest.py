@@ -9,7 +9,7 @@ from subapprox.enumeration import _decide, enumerate_subspaces
 def enum_4_2_25():
     """Planes of R^4 up to height 25; shared by the heavyweight criteria."""
     t0 = time.time()
-    enum = enumerate_subspaces(4, 2, 25, workers=4)
+    enum = enumerate_subspaces(4, 2, 25)
     enum.build_seconds = time.time() - t0
     return enum
 
@@ -17,7 +17,7 @@ def enum_4_2_25():
 @pytest.fixture(scope="session")
 def enum_5_2_10():
     t0 = time.time()
-    enum = enumerate_subspaces(5, 2, 10, workers=4)
+    enum = enumerate_subspaces(5, 2, 10)
     enum.build_seconds = time.time() - t0
     return enum
 

@@ -14,6 +14,15 @@ def run_cli(*argv, capsys=None):
     return code
 
 
+def _env_with_src():
+    """The environment with this package's source directory on PYTHONPATH,
+    for a child interpreter."""
+    import subapprox
+
+    src = os.path.dirname(os.path.dirname(subapprox.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_height_gens(capsys):
     code = main(["height", "--gens", "1 0 1 0; 0 1 0 1"])
     out = capsys.readouterr().out
@@ -302,20 +311,34 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "-4"),
     # a q_max whose power q_max^(1 + 1/N) leaves float64
     ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "1" + "0" * 400),
+    # more than one worker: the enumeration runs serially
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "2"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
-    import subapprox
-
-    src = os.path.dirname(os.path.dirname(subapprox.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "subapprox.cli", *argv],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+                          capture_output=True, text=True, env=_env_with_src(), cwd=tmp_path)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(("error: ", "parse error: ")) and proc.stderr.count("\n") == 1
     assert all(a in proc.stderr for a in argv if a.startswith("missing-dir/"))
     assert ".tmp" not in proc.stderr
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--target", "random", "--n", "4", "--d", "2", "--e", "2", "--hmax", "2"),
+    ("dirichlet", "--target", "random", "--n", "4", "--d", "2", "--qmax", "5"),
+    ("goingup", "--target", "random", "--n", "4", "--d", "2", "--gens", "1 0 0 0"),
+])
+def test_random_target_dimension_is_named_by_the_target(argv, capsys):
+    # `random:<d>` names the dimension; there is no --d option
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 3
+    assert "--d" in capsys.readouterr().err
+    i = argv.index("--d")
+    assert main([*argv[:i], *argv[i + 2:]]) == 3  # a bare `random` asks for `random:<d>`
+    assert "random:<d>" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -373,6 +396,13 @@ def test_props_passes_at_any_precision(prec, capsys):
     assert main(["props", "--seed", "0", "--prec", prec]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 5 and all(line.split()[1] == "PASS" for line in out)
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the enumeration runs serially, so the CLI loads no concurrent.futures
+    code = "import sys, subapprox.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env_with_src())
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_console_entry_point():

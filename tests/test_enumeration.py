@@ -11,8 +11,11 @@ from mpmath import mp
 from subapprox.angles import RealSubspace
 from subapprox.enumeration import (
     CacheCorruption,
+    Enumeration,
     _decide,
     _quadric_solutions_4_2,
+    _shard_jobs,
+    _unique_sorted,
     enumerate_subspaces,
     estimate_exponent,
     plucker_sweep_count_4_2,
@@ -252,20 +255,50 @@ def test_budget_spent_by_last_shard_is_not_truncation(tmp_path):
     assert open(path).read().strip().endswith("# end")
 
 
+def test_shards_start_until_the_budget_is_exceeded(tmp_path):
+    # no shard starts once more than max_pairs tuples have been wedged, so a
+    # budget that shard 0 meets exactly still sweeps shard 1
+    p0, p1 = (job()[1] for job in _shard_jobs(4, 2, 64)[:2])
+    for budget, trailer in ((p0 - 1, "# swept 1"), (p0, "# swept 2"), (p0 + p1, "# end")):
+        path = str(tmp_path / ("c42-%d.cache" % budget))
+        enum = enumerate_subspaces(4, 2, 8, max_pairs=budget, cache_path=path)
+        assert enum.truncated == (trailer != "# end")
+        assert open(path).read().splitlines()[-1] == trailer
+
+
+def _shards_merged(order):
+    """The (4,2,8) enumeration with its shards swept in the given order, each
+    one's rows deduplicated and sorted, and the runs merged by one
+    :func:`_unique_sorted`."""
+    jobs = _shard_jobs(4, 2, 64)
+    runs = [_unique_sorted(jobs[i]()[0]) for i in order]
+    return Enumeration(4, 2, 64, _unique_sorted(np.concatenate(runs)))
+
+
+# the (4,2,8) shards swept backwards and in a shuffled order
+_SHARD_ORDERS = ([2, 1, 0], random.Random(1).sample(range(3), 3))
+
+
 def test_workers_and_order_invariance():
-    e1 = enumerate_subspaces(4, 2, 6, workers=1)
-    e2 = enumerate_subspaces(4, 2, 6, workers=4)
-    assert np.array_equal(e1.pluckers, e2.pluckers)
+    # the rows do not depend on the order in which the shards are swept
+    full = enumerate_subspaces(4, 2, 8)
+    assert len(_shard_jobs(4, 2, 64)) == 3
+    assert _SHARD_ORDERS[1] not in ([0, 1, 2], [2, 1, 0])
+    for order in _SHARD_ORDERS:
+        merged = _shards_merged(order)
+        assert merged.pluckers.dtype == full.pluckers.dtype
+        assert np.array_equal(merged.pluckers, full.pluckers)
 
 
 def test_scan_records_invariant_under_shard_order():
+    # and neither do the scan records, bit for bit (mpf equality is exact)
     a = rnd_plane(42)
-    e1 = enumerate_subspaces(4, 2, 6, workers=1)
-    e2 = enumerate_subspaces(4, 2, 6, workers=3)
-    r1 = scan_target(a, 2, 1, 6, enumeration=e1)
-    r2 = scan_target(a, 2, 1, 6, enumeration=e2)
-    assert [(r.subspace_key, float(r.psi_j)) for r in r1.records] == \
-           [(r.subspace_key, float(r.psi_j)) for r in r2.records]
+    full = enumerate_subspaces(4, 2, 8)
+    for j in (1, 2):
+        want = scan_target(a, 2, j, 8, enumeration=full)
+        assert len(want.records) > 1
+        for order in _SHARD_ORDERS:
+            assert scan_target(a, 2, j, 8, enumeration=_shards_merged(order)) == want
 
 
 def test_truncation_is_flagged():

@@ -251,6 +251,22 @@ def test_r5_search_catches_planted_solution(monkeypatch):
     assert want and w.r5_trivial_solution_search(6)["nonzero_solutions"] == want
 
 
+def test_r5_search_steps_a_first_quadric_with_a_linear_term(monkeypatch):
+    # the search moves g + a l along a; a first quadric a^2 + a b - c d, whose
+    # l = b is not 0 at some of its solutions, checks that step against a
+    # plain loop
+    import itertools
+
+    import subapprox.witness as w
+
+    system = (lambda a, b, c, d: a * a + a * b - c * d, lambda a, b, c, d: a * c - b * d)
+    want = [v for v in itertools.product(range(-4, 5), repeat=4)
+            if any(v) and all(q(*v) == 0 for q in system)]
+    assert any(a and b for a, b, _, _ in want)
+    monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
+    assert w.r5_trivial_solution_search(4)["nonzero_solutions"] == want
+
+
 def test_lower_bound_check_coordinate_planes():
     a = witness_r4("sqrt2")
     enum = enumerate_subspaces(4, 2, 1)
