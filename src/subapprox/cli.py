@@ -47,7 +47,6 @@ EXIT_CERT = 2
 EXIT_PARSE = 3
 EXIT_TRUNCATED = 4
 MIN_PREC = 64  # bits; the float screens' error bounds assume the mp values are this accurate
-WORKERS_HELP = "accepted only as 1: the enumeration runs serially"
 
 
 class ParseError(ValueError):
@@ -61,7 +60,22 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):  # bad flags are parse errors, not cert failures
-        self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
+        self.exit(EXIT_PARSE, "parse error: %s\n" % message)
+
+
+def _int_type(accept, refusal: str):
+    """An argparse type: an int that ``accept`` takes, else ``refusal % value``."""
+    def parse(text):
+        if not accept(value := int(text)):
+            raise argparse.ArgumentTypeError(refusal % value)
+        return value
+    parse.__name__ = "int"  # names the type in argparse's "invalid int value"
+    return parse
+
+
+_PREC = _int_type(lambda bits: bits >= MIN_PREC, "%%d: precision must be >= %d bits" % MIN_PREC)
+_WORKERS = _int_type(lambda w: w == 1, "%d: the enumeration runs serially, so only 1 is accepted")
+_COUNT = _int_type(lambda m: m >= 0, "%d: a count must be >= 0")
 
 
 def _digits(prec: int) -> int:
@@ -426,7 +440,7 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--prec", type=int, default=128)
+        sp.add_argument("--prec", type=_PREC, default=128)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
         sp.add_argument("--target", required=True,
@@ -445,15 +459,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--hmax", type=float, required=True)
     sp.add_argument("--cache", default=None)
-    sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    sp.add_argument("--max-pairs", type=int, default=None)
+    sp.add_argument("--workers", type=_WORKERS, default=1)
+    sp.add_argument("--max-pairs", type=_COUNT, default=None)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("witness", help="witness certificates")
     sp.add_argument("kind", choices=("r4", "r5"))
     sp.add_argument("--xi", default="sqrt2")
     sp.add_argument("--zeta3", default="sqrt3+1/4")
-    sp.add_argument("--prec", type=int, default=128)
+    sp.add_argument("--prec", type=_PREC, default=128)
     sp.add_argument("--mod4", action="store_true", help="emit the mod-4 table certificate")
     sp.add_argument("--search-bound", type=int, default=None)
     sp.add_argument("--residuals", action="store_true")
@@ -463,7 +477,7 @@ def build_parser() -> _Parser:
                     help="assert min phi H^exponent >= this constant")
     sp.add_argument("--hmax", type=float, default=5.0)
     sp.add_argument("--cache", default=None)
-    sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    sp.add_argument("--workers", type=_WORKERS, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_witness)
 
@@ -483,24 +497,19 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("props", help="run the randomized property suites")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--prec", type=int, default=128)
+    sp.add_argument("--prec", type=_PREC, default=128)
     sp.set_defaults(func=cmd_props)
     return p
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input of any kind (a ParseError, which is a
-    ValueError, a PrecisionError, or an OSError such as an unwritable --out)
-    is reported on one line and exits 3.  A --cache or --out path that is
-    a directory, or lies in a missing one, and a --workers other than 1 are
-    refused before any work."""
+    """Run one subcommand; bad input of any kind (an option argparse refuses,
+    a ParseError, which is a ValueError, a PrecisionError, or an OSError such
+    as an unwritable --out) is reported on one line and exits 3.  A --cache
+    or --out path that is a directory, or lies in a missing one, is refused
+    before any work."""
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "prec", MIN_PREC) < MIN_PREC:
-            raise ParseError("precision must be >= %d bits" % MIN_PREC)
-        if getattr(args, "workers", 1) != 1:
-            raise ParseError("--workers %d: the enumeration runs serially, so only 1 is accepted"
-                             % args.workers)
         for flag in ("cache", "out"):
             path = getattr(args, flag, None)
             if path and not os.path.isdir(os.path.dirname(path) or "."):

@@ -23,8 +23,8 @@ from mpmath import mp
 
 from .angles import (PrecisionError, RealSubspace, _to_mpf, canonical_angles, principal_pairs,
                      sin_angle, zero_tol)
-from .enumeration import _U, _decide, _float_psi, _wedge_matrix
-from .exact import PluckerVec, complete_to_unimodular, normalize_plucker
+from .enumeration import _U, _decide, _float_psi
+from .exact import PluckerVec, annihilator, complete_to_unimodular, normalize_plucker
 from .grassmann import RationalSubspace, from_generators, from_plucker, refine_psi
 
 
@@ -433,7 +433,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     # v ^ eta is linear in v, so one product wedges every candidate; object
     # arrays hold Python ints, which cannot overflow
     ints = functools.partial(np.array, dtype=object)
-    W = ints(complete_to_unimodular(b.lattice_basis)) @ _wedge_matrix(ints(b.plucker.coords), n, e)
+    W = ints(complete_to_unimodular(b.lattice_basis)) @ annihilator(ints(b.plucker.coords), n, e)
     U = _lll_gram((W @ W.T).tolist())
     wedged = ints(U) @ W
     coeffs = [c for c in itertools.product(range(-budget, budget + 1), repeat=len(U))
@@ -455,7 +455,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         [best] = _decide(*_score_bounds(a, keys, heights, n, e + 1, j, weight, prec), [0], exact)
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
-    eta_c = _wedge_matrix(ints(c_sub.plucker.coords), n, e + 1)
+    eta_c = annihilator(ints(c_sub.plucker.coords), n, e + 1)
     contained = not np.any(ints(b.lattice_basis) @ eta_c)
     with mp.workprec(prec):
         psi_before = refine_psi(a, b, j)[0]

@@ -52,7 +52,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import RealSubspace
-from .exact import PluckerVec, laplace_sign, subsets, wedge_terms
+from .exact import PluckerVec, annihilator, hodge_twist, wedge_terms
 from .grassmann import RationalSubspace, from_plucker, plucker_relations, refine_psi
 
 # first-vector candidates per shard; fixed, so a partial cache's `# swept <k>`
@@ -215,21 +215,6 @@ def _product_cap(e: int, hmax_sq: int) -> int:
     return 2 * hmax_sq
 
 
-@functools.lru_cache(maxsize=None)
-def _wedge_index(n: int, e: int) -> tuple[np.ndarray, ...]:
-    """:func:`~subapprox.exact.wedge_terms` as index arrays."""
-    return tuple(np.array(c) for c in wedge_terms(n, e))
-
-
-def _wedge_matrix(eta: np.ndarray, n: int, e: int) -> np.ndarray:
-    """M in eta's dtype with x @ M = x ^ eta for the Plucker vector eta of an
-    e-blade: the transposed annihilator, since the wedge is linear in x."""
-    T, k, sign, S = _wedge_index(n, e)
-    M = np.zeros((n, math.comb(n, e + 1)), dtype=eta.dtype)
-    M[k, T] = sign * eta[S]
-    return M
-
-
 def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     """Canonical rows of the subspaces with a swept basis whose first vector
     is V[a], lo <= a < hi, and the number of e-tuples wedged.
@@ -250,14 +235,14 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
             prefixes = [(v1, a, k1)]
         else:  # v3 is no shorter than v2, so k1 k2^2 <= prod_cap
             stop = int(np.searchsorted(n2, math.isqrt(prod_cap // k1), side="right"))
-            minors = V[a + 1:stop] @ _wedge_matrix(v1, n, 1)
+            minors = V[a + 1:stop] @ annihilator(v1, n, 1)
             prefixes = [(minors[b - a - 1], b, k1 * int(n2[b])) for b in range(a + 1, stop)]
         for w, last, prod in prefixes:
             X = V[last + 1:int(np.searchsorted(n2, prod_cap // prod, side="right"))]
             if e == 2:  # Lagrange-Gauss reduced
                 X = X[2 * np.abs(X @ v1) <= k1]
             pairs += len(X)
-            W = X @ _wedge_matrix(w, n, e - 1)  # +-(v1 ^ ... ^ x); the sign is canonicalised
+            W = X @ annihilator(w, n, e - 1)  # +-(v1 ^ ... ^ x); the sign is canonicalised
             W = W[np.einsum("ij,ij->i", W, W, dtype=np.int64) <= hmax_sq].astype(dt)
             out.append(W[_row_gcd(W) == 1])
     return _canonical_sign_rows(np.concatenate(out)), pairs
@@ -283,14 +268,6 @@ def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
     m = int(np.count_nonzero(n2 ** f <= cap))  # candidates for the shortest basis vector
     return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, cap, hmax_sq)
             for lo in range(0, m, _SHARD_SIZE)]
-
-
-def _hodge_twist(P: np.ndarray, n: int, e: int) -> np.ndarray:
-    """The (n, n - e) Plucker rows P reversed and twisted by the Laplace signs
-    of the e-subsets: the complement of the i-th (n - e)-subset is the
-    (N-1-i)-th e-subset, so these are the Hodge stars, whose subspaces are the
-    orthogonal complements, and <a, *eta> is the dot product of a with the twist."""
-    return P[..., ::-1] * np.array([laplace_sign(s) for s in subsets(n, e)], dtype=P.dtype)
 
 
 def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = None,
@@ -327,7 +304,7 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     while swept < nshards:
         shard, p = jobs[swept]()
         if e > n - e:
-            shard = _canonical_sign_rows(_hodge_twist(shard, n, e))
+            shard = _canonical_sign_rows(hodge_twist(shard, n, e))
         runs.append(_unique_sorted(shard))
         del shard
         swept, pairs = swept + 1, pairs + p
@@ -572,21 +549,12 @@ _BATCH_BYTES = 1 << 20
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-@functools.lru_cache(maxsize=None)
-def _wedge_slots(n: int, e: int) -> tuple[np.ndarray, ...]:
-    """:func:`~subapprox.exact.wedge_terms` as (k, sign, S) arrays of shape
-    (e + 1, C(n, e + 1)): (x ^ w)_T is the sum over p of
-    sign[p, T] x[k[p, T]] w[S[p, T]]."""
-    m = math.comb(n, e + 1)
-    if m == 0:  # grade e + 1 > n, where x ^ w = 0
-        return (np.zeros((e + 1, 0), dtype=np.intp),) * 3
-    return tuple(c.reshape(m, e + 1).T for c in _wedge_index(n, e)[1:])
-
-
 def _wedge_cols(x: np.ndarray, w: np.ndarray, n: int, k: int) -> np.ndarray:
     """x_i ^ w in float64 for each row x_i of x and each column w of the
-    grade-k array w, shape (len(x), C(n, k + 1), w.shape[1])."""
-    idx, sign, src = _wedge_slots(n, k)
+    grade-k array w, shape (len(x), C(n, k + 1), w.shape[1]).  The table
+    :func:`~subapprox.exact.wedge_terms` is viewed as (k + 1, C(n, k + 1))
+    arrays: (x ^ w)_T is the sum over p of sign[p, T] x[idx[p, T]] w[src[p, T]]."""
+    idx, sign, src = (c.reshape(-1, k + 1).T for c in wedge_terms(n, k)[1:])
     coef = (sign * x[:, idx])[..., None]  # the eta-linear table, (len(x), k + 1, C(n, k + 1), 1)
     out = coef[:, 0] * w[src[0]]
     tmp = np.empty_like(out)

@@ -1,10 +1,12 @@
-"""Exact integer linear algebra.
+"""Exact integer linear algebra and the package's one exterior-algebra table.
 
-Everything in this module is computed over Python's arbitrary-precision
-integers, so results are exact: Gram determinants, all e x e minors of a
-basis, integer kernels, Hermite normal forms and unimodular completions;
-the last three all come from one integer row echelon.  Rationals enter
-only through :func:`clear_denominators`.
+Gram determinants, wedges, integer kernels, Hermite normal forms and
+unimodular completions are computed over Python's integers, so they are
+exact; the last three come from one integer row echelon, and rationals
+enter only through :func:`clear_denominators`.  Every wedge x ^ eta of the
+package is read off :func:`wedge_terms` through :func:`annihilator`, and
+every Hodge star is :func:`hodge_twist`.  Both keep their input's dtype, so
+object arrays of Python ints stay exact at any size.
 
 Conventions shared by the whole package:
 
@@ -25,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def subsets(n: int, e: int) -> tuple[tuple[int, ...], ...]:
@@ -38,23 +42,37 @@ def subset_index(n: int, e: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def wedge_terms(n: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """Index columns (T, k, sign, S) of the terms of x ^ eta for an e-blade eta:
+def wedge_terms(n: int, e: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (T, k, sign, S) of the terms of x ^ eta for an e-blade eta:
     (x ^ eta)_T = sum of sign * x[k] * eta[S] over the terms of T, where T
     indexes the (e+1)-subsets, k = T[pos], sign = (-1)^pos and S indexes
-    T without k.  The annihilator x -> x ^ eta of every route is this table."""
+    T without k.  The terms of T are the e + 1 consecutive ones from
+    (e + 1) T; the arrays are read-only and empty when e + 1 > n."""
     idx = subset_index(n, e)
     terms = [(t, k, (-1) ** pos, idx[sub[:pos] + sub[pos + 1:]])
              for t, sub in enumerate(subsets(n, e + 1)) for pos, k in enumerate(sub)]
-    return tuple(zip(*terms))
+    cols = np.array(terms, dtype=np.intp).reshape(-1, 4).T.copy()
+    cols.setflags(write=False)
+    return tuple(cols)
 
 
-def annihilator_rows(eta: Sequence, n: int, e: int) -> list[list]:
-    """Rows of x -> x ^ eta, indexed by the (e+1)-subsets, with entries of eta's type."""
-    rows = [[0] * n for _ in range(math.comb(n, e + 1))]
-    for t, k, sign, s in zip(*wedge_terms(n, e)):
-        rows[t][k] = sign * eta[s]
-    return rows
+def annihilator(eta: np.ndarray, n: int, e: int) -> np.ndarray:
+    """M in eta's dtype with x @ M = x ^ eta for the Plucker vector eta of an
+    e-blade: the transposed annihilator, since the wedge is linear in x.  Its
+    kernel is the span of the blade.  An object eta of Python ints or mpfs
+    gives an object M of the same, each entry +-eta[S] or the int 0."""
+    T, k, sign, S = wedge_terms(n, e)
+    M = np.zeros((n, math.comb(n, e + 1)), dtype=eta.dtype)
+    M[k, T] = sign * eta[S]
+    return M
+
+
+def hodge_twist(P: np.ndarray, n: int, e: int) -> np.ndarray:
+    """The (n, n - e) Plucker rows P reversed and twisted by the Laplace signs
+    of the e-subsets: the complement of the i-th (n - e)-subset is the
+    (N-1-i)-th e-subset, so these are the Hodge stars, whose subspaces are the
+    orthogonal complements, and <a, *eta> is the dot product of a with the twist."""
+    return P[..., ::-1] * np.array([laplace_sign(s) for s in subsets(n, e)], dtype=P.dtype)
 
 
 def laplace_sign(subset: Sequence[int]) -> int:
@@ -105,19 +123,23 @@ def gram_det_sq(basis: Sequence[Sequence[int]]) -> int:
 
 
 def wedge_plucker(basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """All e x e minors of the e vectors, indexed by lex-ordered coordinate subsets.
-
-    The squared Euclidean norm of the result equals ``gram_det_sq(basis)``
-    (Cauchy-Binet).  Raises if the vectors are dependent: more of them than
-    coordinates, or all minors zero.
+    """All e x e minors of the e vectors, indexed by lex-ordered coordinate
+    subsets: v_1 ^ (v_2 ^ (... ^ v_e)) through :func:`annihilator` over
+    Python ints.  The squared norm of the result is ``gram_det_sq(basis)``
+    (Cauchy-Binet).  Raises ValueError if the vectors differ in length (the
+    reshape) or are dependent: more of them than coordinates, or all minors
+    zero.
     """
     n, e = len(basis[0]), len(basis)
     if e > n:
         raise ValueError("%d vectors in Q^%d are dependent" % (e, n))
-    out = tuple(det_int([[v[i] for i in sub] for v in basis]) for sub in subsets(n, e))
-    if not any(out):
+    vs = np.array([[int(x) for x in v] for v in basis], dtype=object).reshape(e, n)
+    w = vs[-1]
+    for grade, v in enumerate(vs[-2::-1], start=1):
+        w = v @ annihilator(w, n, grade)
+    if not any(w):
         raise ValueError("dependent vectors: zero wedge")
-    return out
+    return tuple(w.tolist())
 
 
 @dataclass(frozen=True)

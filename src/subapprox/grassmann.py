@@ -15,18 +15,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
 from mpmath import mp
 
 from .angles import RealSubspace, canonical_angles, zero_tol
 from .exact import (
     PluckerVec,
-    annihilator_rows,
+    annihilator,
     clear_denominators,
     kernel_int,
     normalize_plucker,
-    subset_index,
-    subsets,
     wedge_plucker,
+    wedge_terms,
 )
 
 
@@ -72,39 +72,31 @@ def plucker_relations(n: int, e: int) -> tuple[tuple[tuple[int, int, int], ...],
 
     Each relation is a tuple of terms (coeff, i, j) meaning
     sum coeff * p[i] * p[j] = 0.  The set may be redundant; a vector is
-    decomposable iff all of them vanish.
+    decomposable iff all of them vanish.  They are the coordinates of
+    (iota_alpha p) ^ p, p contracted by each (e-1)-subset alpha and wedged
+    with p, both read off the table; each is made primitive with a positive
+    first coefficient and kept where it first occurs.
     """
     if e in (0, 1) or e >= n - 1:
         return ()
-    idx = subset_index(n, e)
-    rels = []
-    seen = set()
-    for alpha in subsets(n, e - 1):
-        aset = set(alpha)
-        for beta in subsets(n, e + 1):
+    T1, k1, sign1, A = wedge_terms(n, e - 1)  # e_k ^ e_alpha = sign1 e_T1
+    k, sign, S = (c.reshape(-1, e + 1) for c in wedge_terms(n, e)[1:])  # row beta: (x ^ p)_beta
+    # (iota_alpha p)[k] = iota_sign[alpha, k] p[iota_at[alpha, k]], and 0 for k in alpha
+    iota_sign = np.zeros((math.comb(n, e - 1), n), dtype=np.intp)
+    iota_at = np.zeros_like(iota_sign)
+    iota_sign[A, k1], iota_at[A, k1] = sign1, T1
+    rels = {}  # an ordered set: each relation where it first occurs
+    for sg, at_alpha in zip(iota_sign, iota_at):
+        at = at_alpha[k]
+        for cs, lo, hi in zip((sign * sg[k]).tolist(), np.minimum(at, S).tolist(),
+                              np.maximum(at, S).tolist()):
             acc: dict[tuple[int, int], int] = {}
-            for pos, b in enumerate(beta):
-                if b in aset:
-                    continue
-                merged = sorted(alpha + (b,))
-                # sign of moving b into sorted position within alpha+(b)
-                inv = sum(1 for a in alpha if a > b)
-                rest = tuple(x for x in beta if x != b)
-                i, j = idx[tuple(merged)], idx[rest]
-                pair = (min(i, j), max(i, j))
-                acc[pair] = acc.get(pair, 0) + (-1) ** (pos + inv)
+            for c, pair in zip(cs, zip(lo, hi)):
+                acc[pair] = acc.get(pair, 0) + c
             terms = sorted((i, j, c) for (i, j), c in acc.items() if c != 0)
-            if not terms:
-                continue
-            g = math.gcd(*(abs(c) for _, _, c in terms))
-            terms = [(i, j, c // g) for i, j, c in terms]
-            if terms[0][2] < 0:
-                terms = [(i, j, -c) for i, j, c in terms]
-            norm = tuple(terms)
-            if norm in seen:
-                continue
-            seen.add(norm)
-            rels.append(tuple((c, i, j) for i, j, c in norm))
+            if terms:
+                g = math.gcd(*(c for _, _, c in terms)) * (1 if terms[0][2] > 0 else -1)
+                rels.setdefault(tuple((c // g, i, j) for i, j, c in terms))
     return tuple(rels)
 
 
@@ -129,7 +121,8 @@ def from_plucker(v: PluckerVec) -> RationalSubspace:
     n, e = v.n, v.e
     if not plucker_relations_check(v.coords, n, e):
         raise ValueError("vector fails the Plucker relations: not decomposable")
-    basis = tuple(kernel_int(annihilator_rows(v.coords, n, e), width=n))  # HNF-canonical
+    M = annihilator(np.array(v.coords, dtype=object), n, e)
+    basis = tuple(kernel_int(M.T.tolist(), width=n))  # HNF-canonical
     if len(basis) != e:
         raise ValueError("vector is not decomposable (kernel rank %d != %d)" % (len(basis), e))
     if normalize_plucker(wedge_plucker(basis), n, e).coords != v.coords:

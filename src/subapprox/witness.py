@@ -23,8 +23,8 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
-from .enumeration import _U, Enumeration, _decide, _hodge_twist
-from .exact import annihilator_rows, subsets
+from .enumeration import _U, Enumeration, _decide
+from .exact import annihilator, hodge_twist, subsets
 
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
 
@@ -205,7 +205,8 @@ def _r5_recover(coords, prec):
     """Kernel of x -> x wedge p as the span; the ratio sigma_3/sigma_1 of the
     annihilator's singular values reports how decomposable p was."""
     with mp.workprec(prec):
-        u, s, v = mp.svd_r(mp.matrix(annihilator_rows(coords, 5, 3)))
+        rows = annihilator(np.array(coords, dtype=object), 5, 3).T  # mpfs and int zeros
+        u, s, v = mp.svd_r(mp.matrix(rows.tolist()))
         order = sorted(range(5), key=lambda i: -abs(s[i]))
         ann_res = abs(s[order[2]]) / abs(s[order[0]])
         basis = [[v[order[k], j] for j in range(5)] for k in (2, 3, 4)]
@@ -317,7 +318,7 @@ def _float_values(apl, enum: Enumeration, exponent: float):
     H^(exponent - 1) out of that range raises ValueError.
     """
     h2 = enum.heights_sq.astype(np.float64)
-    pairing = np.abs(_hodge_twist(enum.pluckers, enum.n, enum.n - enum.e).astype(np.float64)
+    pairing = np.abs(hodge_twist(enum.pluckers, enum.n, enum.n - enum.e).astype(np.float64)
                      @ np.array([float(x) for x in apl]))
     p = (exponent - 1) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,7 +360,7 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
         p = (mp.mpf(exponent) - 1) / 2
 
         def exact(i):
-            pair = mp.fsum(x * t for x, t in zip(apl, _hodge_twist(enum.pluckers[i], n, d).tolist()))
+            pair = mp.fsum(x * t for x, t in zip(apl, hodge_twist(enum.pluckers[i], n, d).tolist()))
             return abs(pair) * mp.mpf(int(enum.heights_sq[i])) ** p, enum.coords_at(i), pair, i
 
         [(c_min, _, pair, arg)] = _decide(values - delta, values + delta, [0], exact)

@@ -313,6 +313,11 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("dirichlet", "--target", "random:2", "--n", "4", "--qmax", "1" + "0" * 400),
     # more than one worker: the enumeration runs serially
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "2"),
+    # refused by argparse itself: a negative tuple budget, an unrecognized
+    # flag and an --e that is not an integer
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "3", "--max-pairs", "-1"),
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--bogus"),
+    ("scan", "--target", "r4", "--e", "x", "--hmax", "2"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "subapprox.cli", *argv],

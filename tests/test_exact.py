@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from mpmath import mp
 
 from subapprox.exact import (
-    annihilator_rows,
+    annihilator,
     clear_denominators,
     complete_to_unimodular,
     det_int,
@@ -194,24 +196,64 @@ def test_clear_denominators():
     assert clear_denominators([1, 2]) == (1, 2)
 
 
+def _minors(vectors):
+    """The reference wedge: the Bareiss e x e minor of each lex-ordered subset."""
+    n = len(vectors[0])
+    return [det_int([[v[i] for i in sub] for v in vectors]) for sub in subsets(n, len(vectors))]
+
+
 @pytest.mark.parametrize("n,e", [(4, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3)])
 def test_annihilator_is_the_wedge_with_the_blade(n, e):
-    # x -> x ^ eta, applied to v, is the Bareiss wedge of B's basis and v up to
-    # the sign (-1)^e of moving v to the front
+    # v @ annihilator(eta) is v ^ eta, the minors of B's basis and v up to the
+    # sign (-1)^e of moving v to the front: in int64, in object arrays of
+    # Python ints beyond 2^63, and for an mpf eta, whose entries are +-eta[S]
     rng = random.Random(100 * n + e)
     for _ in range(10):
         basis = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(e)]
         v = tuple(rng.randint(-9, 9) for _ in range(n))
-        try:
-            eta = wedge_plucker(basis)
-        except ValueError:
+        eta = _minors(basis)
+        if not any(eta):
             continue
-        got = [sum(a * x for a, x in zip(row, v)) for row in annihilator_rows(eta, n, e)]
-        assert got == [(-1) ** e * w for w in _wedge_or_zero(basis + [v])]
+        M = annihilator(np.array(eta), n, e)
+        assert M.dtype == np.int64
+        assert (np.array(v) @ M).tolist() == [(-1) ** e * w for w in _minors(basis + [v])]
+        narrow = annihilator(np.array(eta, dtype=np.int16), n, e)
+        assert narrow.dtype == np.int16 and (narrow == M).all()
+
+        big_basis = [tuple(x * (2 ** 64 + 3) for x in basis[0]), *basis[1:]]
+        big_v = tuple(x * 2 ** 65 for x in v)
+        big = annihilator(np.array(_minors(big_basis), dtype=object), n, e)
+        got = (np.array(big_v, dtype=object) @ big).tolist()
+        assert got == [(-1) ** e * w for w in _minors(big_basis + [big_v])]
+        assert all(type(x) is int for x in got) and (not any(got) or max(map(abs, got)) >= 2 ** 63)
+
+        with mp.workprec(96):
+            scaled = [mp.mpf(w) * mp.pi for w in eta]
+            real = annihilator(np.array(scaled, dtype=object), n, e)
+            assert real.dtype == object
+            assert all(isinstance(x, mp.mpf) or x == 0 for x in real.flat)
+            assert [[x * mp.pi for x in row] for row in M.tolist()] == real.tolist()
 
 
-def _wedge_or_zero(basis):
-    try:
-        return wedge_plucker(basis)
-    except ValueError:
-        return [0] * len(subsets(len(basis[0]), len(basis)))
+def test_wedge_plucker_is_the_bareiss_minors():
+    # the table wedge v_1 ^ (v_2 ^ ...) against det_int per subset, for every
+    # e <= n <= 7, with entries beyond 2^63; dependent sets still raise
+    rng = random.Random(44)
+    for n in range(1, 8):
+        for e in range(1, n + 1):
+            for _ in range(6):
+                basis = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(e)]
+                want = _minors(basis)
+                if not any(want):
+                    with pytest.raises(ValueError):
+                        wedge_plucker(basis)
+                    continue
+                assert wedge_plucker(basis) == tuple(want)
+                big = [tuple(x << 64 for x in basis[0]), *basis[1:]]
+                assert wedge_plucker(big) == tuple(w << 64 for w in want)
+                if e >= 2:  # the last vector a combination of the others
+                    last = tuple(3 * a - 2 * b for a, b in zip(basis[0], basis[-2]))
+                    with pytest.raises(ValueError):
+                        wedge_plucker([*basis[:-1], last])
+            with pytest.raises(ValueError):
+                wedge_plucker([(1,) * n] * (n + 1))

@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from subapprox.exact import (PluckerVec, clear_denominators, gram_det_sq, kernel_int,
-                             normalize_plucker, wedge_plucker)
+                             normalize_plucker, subset_index, wedge_plucker)
 from subapprox.grassmann import (
     from_generators,
     from_plucker,
@@ -135,6 +137,47 @@ def test_relations_53_match_known_system():
             canon = tuple((i, j, -c) for i, j, c in canon)
         got.add(canon)
     assert got == expected
+
+
+def _relations_oracle(n, e):
+    """The relations derived from subset positions: for each (e-1)-subset
+    alpha and (e+1)-subset beta, the sum over b in beta, b not in alpha, of
+    (-1)^(pos + inv) p[alpha + b] p[beta - b], where pos is b's position in
+    beta and inv counts the a in alpha above b; normalized and deduplicated
+    as plucker_relations documents."""
+    if e in (0, 1) or e >= n - 1:
+        return ()
+    idx = subset_index(n, e)
+    rels, seen = [], set()
+    for alpha in itertools.combinations(range(n), e - 1):
+        for beta in itertools.combinations(range(n), e + 1):
+            acc = {}
+            for pos, b in enumerate(beta):
+                if b in alpha:
+                    continue
+                inv = sum(1 for a in alpha if a > b)
+                i = idx[tuple(sorted(alpha + (b,)))]
+                j = idx[tuple(x for x in beta if x != b)]
+                pair = (min(i, j), max(i, j))
+                acc[pair] = acc.get(pair, 0) + (-1) ** (pos + inv)
+            terms = sorted((i, j, c) for (i, j), c in acc.items() if c != 0)
+            if not terms:
+                continue
+            g = math.gcd(*(abs(c) for _, _, c in terms))
+            terms = [(i, j, c // g) for i, j, c in terms]
+            if terms[0][2] < 0:
+                terms = [(i, j, -c) for i, j, c in terms]
+            if tuple(terms) not in seen:
+                seen.add(tuple(terms))
+                rels.append(tuple((c, i, j) for i, j, c in terms))
+    return tuple(rels)
+
+
+def test_relations_match_the_subset_oracle():
+    # the table's (iota_alpha p) ^ p against the derivation from subset positions
+    for n in range(1, 10):
+        for e in range(1, n + 1):
+            assert plucker_relations(n, e) == _relations_oracle(n, e), (n, e)
 
 
 def test_relations_check_examples():

@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp
 
 from subapprox.angles import canonical_angles, phi_via_det
-from subapprox.enumeration import _hodge_twist, enumerate_subspaces
+from subapprox.enumeration import enumerate_subspaces
+from subapprox.exact import hodge_twist
 from subapprox.grassmann import from_generators, real_view
 from subapprox.witness import (
     _float_values,
@@ -316,7 +317,7 @@ def _unscreened_min(a, enum, exponent):
     without its float screen; exact ties keep the lexicographically smaller key."""
     apl = target_plucker(a)
     rows, h2 = enum.pluckers.tolist(), enum.heights_sq.tolist()
-    twisted = _hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
+    twisted = hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
     with mp.workprec(a.precision_bits):
         p = (mp.mpf(exponent) - 1) / 2
         power = {h: mp.mpf(h) ** p for h in set(h2)}
@@ -347,7 +348,7 @@ def _exact_ratios(a, enum):
     values, delta = _float_values(apl, enum, 3.0)
     low = min(x.man_exp[1] for x in apl)
     scaled_a = np.array([int(mp.ldexp(x, -low)) for x in apl], dtype=object)
-    twisted = _hodge_twist(enum.pluckers, enum.n, a.dim).astype(object)
+    twisted = hodge_twist(enum.pluckers, enum.n, a.dim).astype(object)
     exact = np.abs(twisted @ scaled_a) * enum.heights_sq.astype(object)  # v_mp 2^-low
     mv, ev = np.frexp(values)
     md, ed = np.frexp(delta)
@@ -365,7 +366,7 @@ def _mp_ratios(a, enum, exponent):
     256 bits."""
     apl = target_plucker(a)
     values, delta = _float_values(apl, enum, exponent)
-    twisted = _hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
+    twisted = hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
     h2 = enum.heights_sq.tolist()
     with mp.workprec(256):
         p = (mp.mpf(exponent) - 1) / 2
@@ -428,3 +429,16 @@ def test_narrow_rows_scan_and_bound_like_their_int64_copy(kind, n, e, hmax):
         got, want = (scan_target(a, e, j, hmax, enumeration=enum) for enum in (narrow, wide))
         assert got.records and got.records == want.records
         assert (got.rational_target, got.scanned) == (want.rational_target, want.scanned)
+
+
+def test_r5_relations_are_the_grassmann_plucker_relations():
+    # each hand-typed quadric p_a p_b - p_c p_d - p_e p_f is -1 times the
+    # matching (5, 3) relation read off the wedge table, term for term
+    from subapprox.grassmann import plucker_relations
+    from subapprox.witness import _R5_RELATIONS
+
+    rels = plucker_relations(5, 3)
+    assert len(rels) == len(_R5_RELATIONS)
+    for (ab, cd, ef), rel in zip(_R5_RELATIONS, rels):
+        typed = sorted([(1, *ab), (-1, *cd), (-1, *ef)], key=lambda t: t[1:])
+        assert typed == [(-c, i, j) for c, i, j in rel]
