@@ -1,41 +1,25 @@
 """Diophantine approximation of subspaces: heights, Plucker coordinates,
 canonical angles, height-bounded enumeration and constructive approximation
-procedures, all verifiable at desk scale."""
+procedures, all verifiable at desk scale.
+
+The names below are the library API: the types a caller builds or catches,
+and the entry points of the constructions.  Everything else is reached
+through its module."""
 
 __version__ = "0.1.0"
 
-from .exact import PluckerVec, gram_det_sq, normalize_plucker, wedge_plucker
-from .angles import (
-    AngleProfile,
-    PrecisionError,
-    RealSubspace,
-    canonical_angles,
-    phi,
-    phi_via_det,
-    principal_pairs,
-    sin_angle,
-)
+from .exact import PluckerVec, wedge_plucker
+from .angles import PrecisionError, RealSubspace, canonical_angles
 from .grassmann import (
     RationalSubspace,
     from_generators,
     from_plucker,
     parse_key,
-    plucker_relations_check,
     real_view,
+    refine_psi,
 )
-from .enumeration import (
-    ApproximationRecord,
-    Enumeration,
-    ExponentEstimate,
-    ScanResult,
-    enumerate_subspaces,
-    estimate_exponent,
-    plucker_sweep_count_4_2,
-    scan_target,
-)
+from .enumeration import enumerate_subspaces, estimate_exponent, scan_target
 from .witness import (
-    LowerBoundReport,
-    WitnessSpec,
     lower_bound_check,
     r4_irrationality_certificate,
     r5_trivial_solution_search,
@@ -43,13 +27,8 @@ from .witness import (
     witness_r5,
 )
 from .dirichlet import (
-    DirichletApproximant,
-    FlagBasis,
     build_approximant,
-    direct_sum_angle_bound,
     flag_basis,
     going_up_search,
-    line_decomposition,
     simultaneous_approx,
-    unit_chord_bound,
 )

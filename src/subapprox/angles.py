@@ -87,27 +87,6 @@ class RealSubspace:
     def mat(self) -> "mp.matrix":
         return mp.matrix(self.basis)
 
-    def gram_residual(self):
-        """max |<b_i, b_j> - delta_ij|, for orthonormality checks."""
-        with mp.workprec(self.precision_bits):
-            worst = mp.mpf(0)
-            for i, u in enumerate(self.basis):
-                for j, v in enumerate(self.basis):
-                    g = mp.fsum(a * b for a, b in zip(u, v))
-                    worst = max(worst, abs(g - (1 if i == j else 0)))
-            return worst
-
-    def contains_residual(self, vector) -> "mp.mpf":
-        """Distance from a unit-normalized vector to the subspace."""
-        with mp.workprec(self.precision_bits):
-            v = [_to_mpf(x) for x in vector]
-            nrm = mp.sqrt(mp.fsum(a * a for a in v))
-            v = [a / nrm for a in v]
-            for u in self.basis:
-                c = mp.fsum(a * b for a, b in zip(v, u))
-                v = [a - c * b for a, b in zip(v, u)]
-            return mp.sqrt(mp.fsum(a * a for a in v))
-
 
 @dataclass(frozen=True)
 class AngleProfile:
@@ -200,18 +179,13 @@ def principal_pairs(a: RealSubspace, b: RealSubspace):
     return pairs, canonical_angles(a, b)
 
 
-def phi(a: RealSubspace, b: RealSubspace):
-    """Product of the sines of all principal angles."""
-    return canonical_angles(a, b).phi
-
-
 def phi_via_det(a: RealSubspace, b_lattice_basis: Sequence[Sequence[int]]):
     """Proximity product via the determinant route, for complementary dimensions,
     at A's precision.
 
     With M the square matrix stacking an orthonormal basis of A and a lattice
     basis of B as columns, returns |det M| / (D(A-basis) * H(B)); it must
-    agree with :func:`phi` up to rounding.
+    agree with ``canonical_angles(a, b).phi`` up to rounding.
     """
     e = len(b_lattice_basis)
     n = len(b_lattice_basis[0])

@@ -33,12 +33,12 @@ from .grassmann import from_generators, from_plucker, parse_key, real_view, refi
 from .witness import (
     lower_bound_check,
     r4_irrationality_certificate,
+    r4_vectors,
     r5_plucker_coords,
     r5_relation_residuals,
     r5_residual_tol,
     r5_trivial_solution_search,
     witness_r4,
-    witness_r4_spec,
     witness_r5,
 )
 
@@ -76,6 +76,7 @@ def _int_type(accept, refusal: str):
 _PREC = _int_type(lambda bits: bits >= MIN_PREC, "%%d: precision must be >= %d bits" % MIN_PREC)
 _WORKERS = _int_type(lambda w: w == 1, "%d: the enumeration runs serially, so only 1 is accepted")
 _COUNT = _int_type(lambda m: m >= 0, "%d: a count must be >= 0")
+_BOUND = _int_type(lambda b: b >= 1, "%d: a search bound must be >= 1")
 
 
 def _digits(prec: int) -> int:
@@ -109,21 +110,21 @@ def parse_gens(text: str):
 
 def parse_target(spec: str, *, n: int | None, prec: int, seed: int):
     """Named witnesses (`r4:sqrt2`, `r5:<z>`), explicit generators
-    (`gens:...`), or seeded random subspaces (`random:<d>`).
+    (`gens:...`), or seeded random subspaces (`random:<d>`).  A target other
+    than `random:<d>` fixes n, and an --n that differs from it is refused.
 
     Returns (RealSubspace, label).
     """
     kind, _, arg = spec.partition(":")
     if kind == "r4":
         tok = arg or "sqrt2"
-        return witness_r4(tok, precision_bits=prec), "r4:%s" % tok
-    if kind == "r5":
+        target, label = witness_r4(tok, precision_bits=prec), "r4:%s" % tok
+    elif kind == "r5":
         tok = arg or "sqrt3+1/4"
-        _, sub = witness_r5(tok, precision_bits=prec)
-        return sub, "r5:%s" % tok
-    if kind == "gens":
-        return RealSubspace.from_vectors(parse_gens(arg), precision_bits=prec), "gens"
-    if kind == "random":
+        target, label = witness_r5(tok, precision_bits=prec)[1], "r5:%s" % tok
+    elif kind == "gens":
+        target, label = RealSubspace.from_vectors(parse_gens(arg), precision_bits=prec), "gens"
+    elif kind == "random":
         if n is None or not arg:
             raise ParseError("random targets are `random:<d>` and need --n")
         try:
@@ -132,8 +133,12 @@ def parse_target(spec: str, *, n: int | None, prec: int, seed: int):
             raise ParseError("bad random target dimension %r" % arg)
         rng = random.Random(seed)
         vecs = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(d)]
-        return RealSubspace.from_vectors(vecs, precision_bits=prec), "random:%d" % d
-    raise ParseError("unknown target spec %r" % spec)
+        target, label = RealSubspace.from_vectors(vecs, precision_bits=prec), "random:%d" % d
+    else:
+        raise ParseError("unknown target spec %r" % spec)
+    if n is not None and n != target.n:
+        raise ParseError("--n %d contradicts target %s, which lies in R^%d" % (n, spec, target.n))
+    return target, label
 
 
 def _emit(text: str, out: str | None):
@@ -216,12 +221,11 @@ def cmd_witness(args) -> int:
     if args.kind == "r4":
         tok = args.xi
         report["param"] = tok
-        spec4 = witness_r4_spec(tok, precision_bits=prec)
-        sub = witness_r4(tok, precision_bits=prec)
-        report["spanning_vectors"] = [[fmt_mpf(x, prec) for x in v]
-                                      for v in spec4.derived]
-        if args.mod4 or args.search_bound:
-            cert = r4_irrationality_certificate(args.search_bound or 50)
+        vectors = r4_vectors(tok, prec)
+        sub = RealSubspace.from_vectors(vectors, precision_bits=prec)
+        report["spanning_vectors"] = [[fmt_mpf(x, prec) for x in v] for v in vectors]
+        if args.mod4 or args.search_bound is not None:
+            cert = r4_irrationality_certificate(50 if args.search_bound is None else args.search_bound)
             report["irrationality"] = cert
             passed = passed and cert["passed"]
     else:
@@ -241,7 +245,7 @@ def cmd_witness(args) -> int:
                 "passed": bool(ok),
             }
             passed = passed and ok
-        if args.search_bound:
+        if args.search_bound is not None:
             cert = r5_trivial_solution_search(args.search_bound)
             report["trivial_solutions"] = cert
             passed = passed and cert["passed"]
@@ -469,7 +473,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--zeta3", default="sqrt3+1/4")
     sp.add_argument("--prec", type=_PREC, default=128)
     sp.add_argument("--mod4", action="store_true", help="emit the mod-4 table certificate")
-    sp.add_argument("--search-bound", type=int, default=None)
+    sp.add_argument("--search-bound", type=_BOUND, default=None)
     sp.add_argument("--residuals", action="store_true")
     sp.add_argument("--lower-bound", action="store_true")
     sp.add_argument("--exponent", type=float, default=3.0)

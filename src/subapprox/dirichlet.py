@@ -1,6 +1,6 @@
 """Constructive approximation machinery: flag bases, simultaneous rational
-approximation, approximant assembly, direct-sum angle bounds, and a
-search-based going-up step.
+approximation, approximant assembly, the line-decomposition and chord
+bounds, and a search-based going-up step.
 
 The pipeline mirrors the constructive lower-bound argument: inside a target
 subspace F pick an orthonormal flag (f_1, ..., f_j) whose l-th vector has
@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .angles import (PrecisionError, RealSubspace, _to_mpf, canonical_angles, principal_pairs,
-                     sin_angle, zero_tol)
+from .angles import PrecisionError, RealSubspace, _to_mpf, principal_pairs, sin_angle, zero_tol
 from .enumeration import _U, _decide, _float_psi
 from .exact import PluckerVec, annihilator, complete_to_unimodular, normalize_plucker
 from .grassmann import RationalSubspace, from_generators, from_plucker, refine_psi
@@ -246,62 +245,7 @@ def build_approximant(flag: FlagBasis, approximant: DirichletApproximant):
 
 
 @dataclass(frozen=True)
-class DirectSumBound:
-    lhs: object            # psi_k(F, B)
-    rhs: object            # sum_i psi_{d_i}(F_i, B_i)
-    constant_bound: object  # constructive constant: lhs <= constant_bound * rhs
-    k: int
-
-
-def direct_sum_angle_bound(f_parts: Sequence[RealSubspace],
-                           b_parts: Sequence[RealSubspace]) -> DirectSumBound:
-    """psi_k of direct sums against the sum of blockwise proximities, at the
-    lowest precision of the parts.
-
-    Also derives a per-instance constant from the principal-line
-    decomposition (sqrt(2) * max block dim * the coefficient norm of the
-    chosen line basis), so the inequality lhs <= c * rhs is checkable
-    without fitting.
-    """
-    if len(f_parts) != len(b_parts) or not f_parts:
-        raise ValueError("need matching nonempty part lists")
-    n = f_parts[0].n
-    dims = [p.dim for p in f_parts]
-    if [q.dim for q in b_parts] != dims:
-        raise ValueError("block dimensions differ")
-    prec = min(p.precision_bits for p in (*f_parts, *b_parts))
-    k = sum(dims)
-    f_all = RealSubspace.from_vectors([row for p in f_parts for row in p.basis], precision_bits=prec)
-    b_all = RealSubspace.from_vectors([row for p in b_parts for row in p.basis], precision_bits=prec)
-    if f_all.dim != k or b_all.dim != k:
-        raise ValueError("parts are not independent")
-    with mp.workprec(prec):
-        lhs = canonical_angles(f_all, b_all).sines[-1]
-        rhs = mp.mpf(0)
-        lines_a = []
-        for fp, bp in zip(f_parts, b_parts):
-            rhs += canonical_angles(fp, bp).sines[-1]
-            pairs, _ = principal_pairs(fp, bp)
-            lines_a.extend(x for x, _ in pairs)
-        # coefficient norm of the a-line basis: max row norm of its pseudo-inverse
-        u, s, v = mp.svd_r(mp.matrix([[vec[r] for vec in lines_a] for r in range(n)]))
-        smin = min(abs(s[i]) for i in range(k))
-        if smin == 0:
-            raise ValueError("degenerate line basis")
-        pinv_rows = mp.mpf(0)
-        # pinv = V^T S^-1 U^T; row norms bounded by 1/smin, computed exactly below
-        vt = v.T
-        for i in range(k):
-            row = [mp.fsum(vt[i, a] / s[a] * u[r, a] for a in range(k)) for r in range(n)]
-            pinv_rows = max(pinv_rows, mp.sqrt(mp.fsum(x * x for x in row)))
-        constant = mp.sqrt(2) * max(dims) * pinv_rows
-    return DirectSumBound(lhs, rhs, constant, k)
-
-
-@dataclass(frozen=True)
 class LineDecomposition:
-    a_lines: tuple
-    b_lines: tuple
     line_sines: tuple
     psi_k: object
     sum_lines: object    # sum of line sines; psi_k <= sum <= k * psi_k
@@ -317,8 +261,7 @@ def line_decomposition(d_sub: RealSubspace, e_sub: RealSubspace) -> LineDecompos
     with mp.workprec(prec):
         sines = tuple(sin_angle(x, y, precision_bits=prec) for x, y in pairs)
         total = mp.fsum(sines)
-    return LineDecomposition(tuple(x for x, _ in pairs), tuple(y for _, y in pairs),
-                             sines, prof.sines[-1], total)
+    return LineDecomposition(sines, prof.sines[-1], total)
 
 
 def unit_chord_bound(x: Sequence, y: Sequence, precision_bits: int = 128):
@@ -355,6 +298,7 @@ class GoingUpResult:
 
 
 _LLL_DELTA = Fraction(99, 100)
+MAX_CANDIDATES = 10 ** 6  # the largest going-up coefficient box; each candidate is a Python-int wedge
 
 
 def _lll_gram(gram: list[list]):
@@ -420,6 +364,8 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     C is saturated, so it contains B iff B's integer basis wedges C's Plucker
     vector to 0.  A psi below the zero tolerance 2^-(prec/2) is rounding noise
     and counts as 0, and a candidate with psi = 0 scores +inf when weight < 0.
+    A box of more than MAX_CANDIDATES coefficient vectors, (2 budget + 1)^(n - e),
+    raises ValueError before any is made.
     """
     n, e = b.n, b.e
     if e >= n - 1:
@@ -428,6 +374,9 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         raise ValueError("need 1 <= j <= min(dim A, dim B)")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if (2 * budget + 1) ** (n - e) > MAX_CANDIDATES:
+        raise ValueError("budget %d: the box has (2b + 1)^%d = %d candidates, more than %d"
+                         % (budget, n - e, (2 * budget + 1) ** (n - e), MAX_CANDIDATES))
     prec = a.precision_bits
 
     # v ^ eta is linear in v, so one product wedges every candidate; object

@@ -46,14 +46,14 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from mpmath import mp
 
 from .angles import RealSubspace
 from .exact import PluckerVec, annihilator, hodge_twist, wedge_terms
-from .grassmann import RationalSubspace, from_plucker, plucker_relations, refine_psi
+from .grassmann import RationalSubspace, from_plucker, refine_psi, relation_values
 
 # first-vector candidates per shard; fixed, so a partial cache's `# swept <k>`
 # names the same shards on every run
@@ -179,15 +179,8 @@ class Enumeration:
     def key_at(self, i: int) -> str:
         return "%d %d : %s" % (self.n, self.e, " ".join(map(str, self.coords_at(i))))
 
-    def plucker_at(self, i: int) -> PluckerVec:
-        return PluckerVec(self.n, self.e, self.coords_at(i))
-
     def subspace_at(self, i: int) -> RationalSubspace:
-        return from_plucker(self.plucker_at(i))
-
-    def subspaces(self) -> Iterator[RationalSubspace]:
-        for i in range(len(self)):
-            yield self.subspace_at(i)
+        return from_plucker(PluckerVec(self.n, self.e, self.coords_at(i)))
 
     def restrict(self, height_max) -> "Enumeration":
         cap = _height_cap_sq(height_max)
@@ -382,12 +375,8 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
     h2 = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
     if h2.max() > hmax_sq or h2.min() < 1:
         raise CacheCorruption("cached subspace out of height range in %s" % path)
-    for rel in plucker_relations(n, e):
-        acc = np.zeros(len(rows), dtype=np.int64)
-        for c, i, j in rel:
-            acc += c * np.multiply(rows[:, i], rows[:, j], dtype=np.int64)
-        if np.any(acc != 0):
-            raise CacheCorruption("cached vector fails the Plucker relations in %s" % path)
+    if any(v.any() for v in relation_values(rows, n, e)):
+        raise CacheCorruption("cached vector fails the Plucker relations in %s" % path)
     if np.any(_row_gcd(rows) != 1):
         raise CacheCorruption("cached vector is not primitive in %s" % path)
     if np.any(np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], 1) < 0):
@@ -530,7 +519,6 @@ class ApproximationRecord:
 @dataclass
 class ScanResult:
     records: list[ApproximationRecord]
-    j: int
     truncated: bool = False
     rational_target: bool = False
     scanned: int = 0
@@ -539,7 +527,6 @@ class ScanResult:
 @dataclass(frozen=True)
 class ExponentEstimate:
     beta_hat: float
-    records: tuple[ApproximationRecord, ...]
     fit_residual: float
 
 
@@ -742,7 +729,7 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
         raise ValueError("enumeration is for (n=%d, e=%d), target needs (n=%d, e=%d)"
                          % (enumeration.n, enumeration.e, a.n, e))
     enum = enumeration.restrict(height_max)
-    result = ScanResult(records=[], j=j, truncated=enum.truncated, scanned=len(enum))
+    result = ScanResult(records=[], truncated=enum.truncated, scanned=len(enum))
     if len(enum) == 0:
         return result
 
@@ -775,5 +762,4 @@ def estimate_exponent(records: Sequence[ApproximationRecord]) -> ExponentEstimat
     ys = np.log([p for _, p in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
-    return ExponentEstimate(float(-slope), tuple(records),
-                            float(np.sqrt(np.mean(resid ** 2))))
+    return ExponentEstimate(float(-slope), float(np.sqrt(np.mean(resid ** 2))))

@@ -100,15 +100,44 @@ def plucker_relations(n: int, e: int) -> tuple[tuple[tuple[int, int, int], ...],
     return tuple(rels)
 
 
+_BLOCK_BYTES = 1 << 20  # term products held at once by relation_values
+
+
+@lru_cache(maxsize=None)
+def _relation_terms(n: int, e: int) -> np.ndarray:
+    """:func:`plucker_relations` as a (3, terms, relations) int64 array of
+    (c, i, j): column r holds relation r's terms c p[i] p[j], padded with
+    c = 0."""
+    rels = plucker_relations(n, e)
+    width = max(map(len, rels), default=0)
+    padded = [rel + ((0, 0, 0),) * (width - len(rel)) for rel in rels]
+    return np.array(padded, dtype=np.int64).reshape(len(rels), width, 3).T
+
+
+def relation_values(P: np.ndarray, n: int, e: int):
+    """Every :func:`plucker_relations` quadric at every row of P, yielded in
+    blocks of consecutive rows: an array per block, a column per relation.
+    Integer rows are multiplied in int64, which the caller keeps from
+    overflowing; object rows (Python ints, or mpfs at the working precision)
+    in their own dtype.  A row is decomposable iff its values are all 0."""
+    c, i, j = _relation_terms(n, e)
+    if not c.size:
+        return
+    dt = P.dtype if P.dtype == object else np.int64
+    c = c.astype(dt)  # Python ints for object rows
+    step = max(1, _BLOCK_BYTES // (8 * c.size))
+    for lo in range(0, len(P), step):
+        prods = np.multiply(P[lo:lo + step, i], P[lo:lo + step, j], dtype=dt)
+        prods *= c
+        yield prods.sum(axis=1)
+
+
 def plucker_relations_check(coords: Sequence[int], n: int, e: int) -> bool:
     """True iff all quadratic Plucker relations vanish exactly."""
     coords = [int(x) for x in coords]
     if len(coords) != math.comb(n, e):
         raise ValueError("expected %d coordinates" % math.comb(n, e))
-    for rel in plucker_relations(n, e):
-        if sum(c * coords[i] * coords[j] for c, i, j in rel) != 0:
-            return False
-    return True
+    return not any(v.any() for v in relation_values(np.array([coords], dtype=object), n, e))
 
 
 def from_plucker(v: PluckerVec) -> RationalSubspace:

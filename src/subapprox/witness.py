@@ -25,7 +25,9 @@ from mpmath import mp
 from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
 from .enumeration import _U, Enumeration, _decide
 from .exact import annihilator, hodge_twist, subsets
+from .grassmann import relation_values
 
+MAX_BOX_CELLS = 10 ** 7  # the largest (2b + 1)^3 search box; the R^5 search holds ~17 bytes a cell
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
 
 
@@ -53,15 +55,15 @@ def parse_param(token):
 
 @dataclass
 class WitnessSpec:
-    kind: str                 # "R4" or "R5"
-    param: object             # token or number as given
     precision_bits: int
-    derived: tuple            # R4: the two spanning vectors; R5: 10 Plucker coords
+    derived: tuple            # the 10 Plucker coordinates
     relation_residuals: tuple = ()
     annihilator_residual: object = None
 
 
-def _r4_vectors(xi, prec):
+def r4_vectors(xi, prec):
+    """The spanning vectors (0,1,x,sqrt(7-x^2)) and (1,0,-sqrt(7-x^2),x) of
+    the R^4 witness, at prec bits."""
     with mp.workprec(prec):
         x = xi if isinstance(xi, mp.mpf) else parse_param(xi)
         if not (0 < x < mp.sqrt(7)):
@@ -73,14 +75,19 @@ def _r4_vectors(xi, prec):
 
 
 def witness_r4(xi="sqrt2", precision_bits: int = 128) -> RealSubspace:
-    """The plane of R^4 spanned by (0,1,x,sqrt(7-x^2)) and (1,0,-sqrt(7-x^2),x)."""
-    v1, v2 = _r4_vectors(xi, precision_bits)
-    return RealSubspace.from_vectors([v1, v2], precision_bits=precision_bits)
+    """The plane of R^4 spanned by :func:`r4_vectors`."""
+    return RealSubspace.from_vectors(r4_vectors(xi, precision_bits), precision_bits=precision_bits)
 
 
-def witness_r4_spec(xi="sqrt2", precision_bits: int = 128) -> WitnessSpec:
-    v1, v2 = _r4_vectors(xi, precision_bits)
-    return WitnessSpec("R4", xi, precision_bits, (v1, v2))
+def _search_range(bound: int) -> np.ndarray:
+    """The integers -bound..bound of a search box's axis, after refusing a
+    bound below 1 or a box of more than MAX_BOX_CELLS cells."""
+    if bound < 1:
+        raise ValueError("a search bound must be >= 1")
+    if (2 * bound + 1) ** 3 > MAX_BOX_CELLS:
+        raise ValueError("search bound %d: the box has (2b + 1)^3 = %d cells, more than %d"
+                         % (bound, (2 * bound + 1) ** 3, MAX_BOX_CELLS))
+    return np.arange(-bound, bound + 1, dtype=np.int64)
 
 
 def r4_irrationality_certificate(search_bound: int = 50) -> dict:
@@ -90,9 +97,7 @@ def r4_irrationality_certificate(search_bound: int = 50) -> dict:
     (b) the mod-4 reduction table: every residue class solving
         b^2 + c^2 = 3 a^2 (mod 4) has a, b, c all even.
     """
-    if search_bound < 1:
-        raise ValueError("search_bound must be >= 1")
-    rng = np.arange(-search_bound, search_bound + 1, dtype=np.int64)
+    rng = _search_range(search_bound)
     A, B, C = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
     mask = (B * B + C * C == 7 * A * A)
     sol = np.argwhere(np.broadcast_to(mask, (len(rng),) * 3))
@@ -145,31 +150,16 @@ def r5_plucker_coords(zeta3, precision_bits: int = 128):
                 2 * z2 - z5, -z, z, z4, z5)
 
 
-_R5_RELATIONS = (  # the (5,3) Grassmannian quadrics, 0-based coordinate indices
-    ((1, 4), (2, 3), (0, 5)),
-    ((1, 7), (2, 6), (0, 8)),
-    ((3, 7), (4, 6), (0, 9)),
-    ((3, 8), (5, 6), (1, 9)),
-    ((4, 8), (5, 7), (2, 9)),
-)
-
-
 def r5_relation_residuals(coords, precision_bits: int | None = None):
-    """Residuals p_a p_b - p_c p_d - p_e p_f of the five (5,3) quadrics.
+    """Residuals of the five (5,3) quadrics, each the negated value of
+    :func:`grassmann.relation_values`, so signed p_a p_b - p_c p_d - p_e p_f.
 
     Evaluate well above the precision the coordinates were built at, so the
     result measures the coordinates' own residual rather than roundoff.
     """
-    def ev():
-        out = []
-        for (a, b), (c, d), (e, f) in _R5_RELATIONS:
-            out.append(coords[a] * coords[b] - coords[c] * coords[d] - coords[e] * coords[f])
-        return tuple(out)
-
-    if precision_bits is None:
-        return ev()
-    with mp.workprec(precision_bits):
-        return ev()
+    with mp.workprec(precision_bits or mp.prec):
+        [values] = relation_values(np.array([coords], dtype=object), 5, 3)
+        return tuple(-v for v in values[0])
 
 
 def witness_r5(zeta3="sqrt3+1/4", precision_bits: int = 128):
@@ -185,7 +175,7 @@ def witness_r5(zeta3="sqrt3+1/4", precision_bits: int = 128):
             residuals = r5_relation_residuals(coords)
             if max(abs(r) for r in residuals) <= r5_residual_tol(coords, prec):
                 subspace, ann_res = _r5_recover(coords, prec)
-                spec = WitnessSpec("R5", zeta3, prec, tuple(coords),
+                spec = WitnessSpec(prec, tuple(coords),
                                    relation_residuals=residuals,
                                    annihilator_residual=ann_res)
                 return spec, subspace
@@ -236,9 +226,7 @@ def r5_trivial_solution_search(bound: int = 30) -> dict:
     g + a l is evaluated once over the (b, c, d) box, at a = -bound, and
     moved on by l in place; each a's zero set is where it equals -k a^2.
     The other quadrics are evaluated only there."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    rng = _search_range(bound)
     box = (len(rng),) * 3
     solutions = []
     B, C, D = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)

@@ -26,7 +26,6 @@ from subapprox.angles import RealSubspace, canonical_angles, phi_via_det
 from subapprox.cli import main
 from subapprox.dirichlet import (
     build_approximant,
-    direct_sum_angle_bound,
     flag_basis,
     going_up_search,
     line_decomposition,
@@ -49,6 +48,8 @@ from subapprox.witness import (
     r5_trivial_solution_search,
     witness_r4,
 )
+
+from oracles import direct_sum_angle_bound
 
 
 def _report(num, ok, detail):

@@ -8,12 +8,13 @@ from subapprox.angles import (
     AngleProfile,
     RealSubspace,
     canonical_angles,
-    phi,
     phi_via_det,
     principal_pairs,
     sin_angle,
 )
 from subapprox.grassmann import from_generators, real_view
+
+from oracles import gram_residual
 
 
 def rs(*vectors, prec=128):
@@ -52,7 +53,7 @@ def test_orthonormalization_residual():
     rng = random.Random(5)
     for prec in (128, 256):
         a = random_subspace(rng, 5, 3, prec)
-        assert float(a.gram_residual()) < 2.0 ** (-prec + 8)
+        assert float(gram_residual(a)) < 2.0 ** (-prec + 8)
 
 
 def test_canonical_angles_identical_subspaces():
@@ -165,7 +166,7 @@ def test_phi_matches_det_route():
             b = from_generators(gens)
         except ValueError:
             continue
-        p1 = phi(a, real_view(b, 128))
+        p1 = canonical_angles(a, real_view(b, 128)).phi
         p2 = phi_via_det(a, b.lattice_basis)
         assert abs(p1 - p2) < 1e-25
 

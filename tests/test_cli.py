@@ -318,6 +318,17 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("scan", "--target", "r4", "--e", "2", "--hmax", "3", "--max-pairs", "-1"),
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--bogus"),
     ("scan", "--target", "r4", "--e", "x", "--hmax", "2"),
+    # a search bound below 1, which used to run with 50 (r4) or skip the search (r5)
+    ("witness", "r4", "--mod4", "--search-bound", "0"),
+    ("witness", "r5", "--search-bound", "0"),
+    # a search box above its ceiling, refused before it is allocated
+    ("witness", "r4", "--search-bound", "3000"),
+    ("witness", "r5", "--search-bound", "3000"),
+    ("goingup", "--target", "random:2", "--n", "6", "--seed", "3", "--gens", "1 0 0 0 0 0",
+     "--budget", "400"),
+    # an --n that contradicts the target's own n
+    ("scan", "--target", "r4", "--e", "2", "--j", "1", "--hmax", "3", "--n", "5"),
+    ("dirichlet", "--target", "gens:1 0 0; 0 1 0", "--n", "4", "--qmax", "5"),
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "subapprox.cli", *argv],
@@ -386,6 +397,63 @@ def test_directory_path_refused_before_the_sweep(argv, monkeypatch, tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "a-dir" in err and "is a directory" in err
     assert os.listdir(tmp_path) == ["a-dir"] and not os.listdir("a-dir")
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "r4", "--search-bound", "3000"),
+    ("witness", "r5", "--search-bound", "3000"),
+    ("goingup", "--target", "random:2", "--n", "6", "--seed", "3", "--gens", "1 0 0 0 0 0",
+     "--budget", "400"),
+])
+def test_oversized_search_box_refused_before_allocating(argv, capsys):
+    # (2b + 1)^3 = 2.2e11 cells, and 801^5 = 3.3e14 going-up candidates: the
+    # ceiling is checked before any array or candidate list is made
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than" in err and err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_search_box_ceilings():
+    from subapprox.dirichlet import MAX_CANDIDATES, going_up_search
+    from subapprox.grassmann import from_generators
+    from subapprox.witness import MAX_BOX_CELLS, r4_irrationality_certificate, witness_r4
+
+    # 215^3 cells fit under the ceiling, 217^3 do not
+    assert 215 ** 3 <= MAX_BOX_CELLS < 217 ** 3
+    assert r4_irrationality_certificate(107)["passed"]
+    with pytest.raises(ValueError, match="more than"):
+        r4_irrationality_certificate(108)
+    # a line in R^4 leaves a 3-dimensional coefficient box: 101^3 > 10^6
+    assert 99 ** 3 <= MAX_CANDIDATES < 101 ** 3
+    with pytest.raises(ValueError, match="more than"):
+        going_up_search(witness_r4(), from_generators([(3, 1, 4, 1)]), 1, budget=50)
+
+
+@pytest.mark.parametrize("argv,n", [
+    (("scan", "--target", "r4", "--e", "2", "--j", "1", "--hmax", "3"), 4),
+    (("scan", "--target", "r5", "--e", "2", "--j", "1", "--hmax", "3"), 5),
+    (("dirichlet", "--target", "gens:1 0 0; 0 1 0", "--qmax", "5"), 3),
+    (("goingup", "--target", "r4", "--gens", "1 0 0 0"), 4),
+])
+def test_n_that_contradicts_the_target_is_refused(argv, n, capsys):
+    # a named or `gens:` target fixes n; an --n that differs is refused, not
+    # ignored, and one that agrees changes nothing
+    assert main([*argv, "--n", str(n + 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: --n ") and err.count("\n") == 1
+    assert main(list(argv)) == 0
+    without = capsys.readouterr().out
+    assert main([*argv, "--n", str(n)]) == 0
+    assert capsys.readouterr().out == without
 
 
 def test_props_passes(capsys):

@@ -127,7 +127,7 @@ def test_enumeration_5_2():
 def test_enumeration_e3_round_trip():
     enum = enumerate_subspaces(4, 3, 2)
     assert len(enum) > 4
-    for b in enum.subspaces():
+    for b in map(enum.subspace_at, range(len(enum))):
         assert b.height_sq <= 4
         assert plucker_relations_check(b.plucker.coords, 4, 3)
     # hyperplanes in R^4 correspond to lines by duality: counts must agree

@@ -3,7 +3,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from mpmath import mp
 
 from subapprox.exact import (PluckerVec, clear_denominators, gram_det_sq, kernel_int,
                              normalize_plucker, subset_index, wedge_plucker)
@@ -14,6 +16,7 @@ from subapprox.grassmann import (
     plucker_relations,
     plucker_relations_check,
     real_view,
+    relation_values,
 )
 from subapprox.angles import canonical_angles
 
@@ -199,6 +202,62 @@ def test_relations_hold_for_random_wedges():
         except ValueError:
             continue
         assert plucker_relations_check(b.plucker.coords, n, e)
+
+
+def _rows_for_relations(rng, n, e):
+    """Plucker rows of (n, e): four wedges of random generators, which satisfy
+    every relation, then four random integer vectors, which mostly do not.
+    The wedges' coordinates are minors of a +-1, 0 matrix, at most 48 in
+    absolute value while e <= 5, so they fit int8 wherever relations exist."""
+    rows = []
+    while len(rows) < 4:
+        gens = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(e)]
+        try:
+            rows.append(list(wedge_plucker(gens)))
+        except ValueError:
+            continue
+    rows += [[rng.randint(-9, 9) for _ in range(math.comb(n, e))] for _ in range(4)]
+    return rows
+
+
+def _relation_columns(P, n, e):
+    """relation_values' blocks stacked, as one list of values per relation."""
+    return [list(col) for col in zip(*(row for block in relation_values(P, n, e)
+                                       for row in block.tolist()))]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 20])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_relation_values_over_int8_big_ints_and_mpfs(n, block_bytes, monkeypatch):
+    # relation_values against each relation summed term by term in Python
+    # ints, over narrow int8 rows, object rows beyond 2^63 and mpf rows, in
+    # blocks of one row and of many, and against plucker_relations_check,
+    # for 1 <= e <= n <= 7
+    import subapprox.grassmann as g
+
+    monkeypatch.setattr(g, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(n)
+    big = 2 ** 40  # a product of two scaled coordinates exceeds 2^80
+    for e in range(1, n + 1):
+        rows = [r for r in _rows_for_relations(rng, n, e) if max(map(abs, r)) <= 127]
+        want = [[sum(c * r[i] * r[j] for c, i, j in rel) for r in rows]
+                for rel in plucker_relations(n, e)]
+        assert _relation_columns(np.array(rows, dtype=np.int8), n, e) == want, (n, e)
+        scaled = np.array([[x * big for x in r] for r in rows], dtype=object)
+        wide = _relation_columns(scaled, n, e)
+        assert wide == [[w * big * big for w in ws] for ws in want], (n, e)
+        assert all(type(x) is int for ws in wide for x in ws)
+        with mp.workprec(64):
+            quarters = np.array([[mp.mpf(x) / 4 for x in r] for r in rows], dtype=object)
+            values = _relation_columns(quarters, n, e)
+            assert [[x * 16 for x in v] for v in values] == want, (n, e)
+        for k, r in enumerate(rows):
+            assert plucker_relations_check(r, n, e) == all(ws[k] == 0 for ws in want), (n, e, r)
+        if e in (1, n - 1, n):
+            assert want == []
+        else:
+            assert all(ws[k] == 0 for ws in want for k in range(4))  # the wedges
+            assert any(ws[k] != 0 for ws in want for k in range(4, len(rows)))
 
 
 def test_from_plucker_examples():

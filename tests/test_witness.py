@@ -19,10 +19,12 @@ from subapprox.witness import (
     r5_trivial_solution_search,
     target_plucker,
     witness_r4,
+    r4_vectors,
     witness_r5,
-    _r4_vectors,
     _r5_zetas,
 )
+
+from oracles import gram_residual
 
 # the benchmark's witness parameters (perfbench/workloads.py): no rational
 # plane meets these R^4 witnesses, and every R^5 one meets span(e1, e4 - e5)
@@ -47,7 +49,7 @@ def test_parse_param():
 
 
 def test_r4_vectors_are_orthogonal_norm_8():
-    v1, v2 = _r4_vectors("sqrt2", 128)
+    v1, v2 = r4_vectors("sqrt2", 128)
     with mp.workprec(128):
         ip = mp.fsum(a * b for a, b in zip(v1, v2))
         assert abs(ip) < 1e-36
@@ -104,7 +106,7 @@ def test_r4_det_identity_against_direct_determinant():
             b = from_generators(gens)
         except ValueError:
             continue
-        v1, v2 = _r4_vectors("sqrt2", 192)
+        v1, v2 = r4_vectors("sqrt2", 192)
         with mp.workprec(192):
             m = mp.matrix(4, 4)
             for i in range(4):
@@ -150,7 +152,7 @@ def test_r5_param_guard():
 def test_witness_r5_recovery():
     spec, sub = witness_r5("3/2", 128)
     assert sub.n == 5 and sub.dim == 3
-    assert float(sub.gram_residual()) < 1e-30
+    assert float(gram_residual(sub)) < 1e-30
     # the recovered subspace reproduces the Plucker direction
     with mp.workprec(128):
         got = target_plucker(sub)
@@ -302,7 +304,7 @@ def test_lower_bound_matches_phi_via_det():
     enum = enumerate_subspaces(4, 2, 2)
     rep = lower_bound_check(a, 2, 3.0, 2, enumeration=enum)
     best = None
-    for b in enum.subspaces():
+    for b in map(enum.subspace_at, range(len(enum))):
         with mp.workprec(128):
             v = phi_via_det(a, b.lattice_basis) * mp.mpf(b.height_sq) ** (mp.mpf(3) / 2)
         if best is None or v < best:
@@ -431,14 +433,35 @@ def test_narrow_rows_scan_and_bound_like_their_int64_copy(kind, n, e, hmax):
         assert (got.rational_target, got.scanned) == (want.rational_target, want.scanned)
 
 
+# the five (5,3) quadrics as p_a p_b - p_c p_d - p_e p_f, typed by hand from
+# the Grassmann-Plucker relations, 0-based coordinate indices: the oracle for
+# the relations read off the wedge table and for r5_relation_residuals
+_R5_QUADRICS = (
+    ((1, 4), (2, 3), (0, 5)),
+    ((1, 7), (2, 6), (0, 8)),
+    ((3, 7), (4, 6), (0, 9)),
+    ((3, 8), (5, 6), (1, 9)),
+    ((4, 8), (5, 7), (2, 9)),
+)
+
+
 def test_r5_relations_are_the_grassmann_plucker_relations():
-    # each hand-typed quadric p_a p_b - p_c p_d - p_e p_f is -1 times the
-    # matching (5, 3) relation read off the wedge table, term for term
+    # each hand-typed quadric is -1 times the matching (5, 3) relation read
+    # off the wedge table, term for term
     from subapprox.grassmann import plucker_relations
-    from subapprox.witness import _R5_RELATIONS
 
     rels = plucker_relations(5, 3)
-    assert len(rels) == len(_R5_RELATIONS)
-    for (ab, cd, ef), rel in zip(_R5_RELATIONS, rels):
+    assert len(rels) == len(_R5_QUADRICS)
+    for (ab, cd, ef), rel in zip(_R5_QUADRICS, rels):
         typed = sorted([(1, *ab), (-1, *cd), (-1, *ef)], key=lambda t: t[1:])
         assert typed == [(-c, i, j) for c, i, j in rel]
+    # at 4 prec every product and sum of prec-bit coordinates is exact, so the
+    # residuals equal the hand-typed quadrics bit for bit
+    for prec in (64, 128, 256):
+        for tok in R5_PARAMS:
+            coords = r5_plucker_coords(tok, prec)
+            got = r5_relation_residuals(coords, precision_bits=4 * prec)
+            with mp.workprec(4 * prec):
+                want = [coords[a] * coords[b] - coords[c] * coords[d] - coords[e] * coords[f]
+                        for (a, b), (c, d), (e, f) in _R5_QUADRICS]
+            assert [r._mpf_ for r in got] == [w._mpf_ for w in want], (tok, prec)
