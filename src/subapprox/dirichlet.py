@@ -174,7 +174,7 @@ def simultaneous_approx(x: Sequence, q_max: int, *,
             return max(abs(v - mp.mpf(pi) / q) for v, pi in zip(xv, p)), q, p
 
         out = []
-        for err, q, p in _decide(*_err_bounds(xv, qs), np.arange(len(qs)), exact):
+        for err, q, p in _decide([(*_err_bounds(xv, qs), np.arange(len(qs)))], exact):
             quality = err * mp.mpf(q) ** (1 + mp.mpf(1) / N)
             if quality <= 1:
                 out.append(DirichletApproximant(q, tuple(p), err, quality))
@@ -401,7 +401,7 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
         return score, keys[i], psi
 
     with mp.workprec(prec):
-        [best] = _decide(*_score_bounds(a, keys, heights, n, e + 1, j, weight, prec), [0], exact)
+        [best] = _decide([(*_score_bounds(a, keys, heights, n, e + 1, j, weight, prec), [0])], exact)
 
     c_sub = from_plucker(PluckerVec(n, e + 1, best[1]))
     eta_c = annihilator(ints(c_sub.plucker.coords), n, e + 1)

@@ -60,6 +60,9 @@ from .grassmann import RationalSubspace, from_plucker, refine_psi, relation_valu
 _SHARD_SIZE = 64
 # names the cache layout; a cache of another version is rebuilt, never read
 _CACHE_VERSION = "v3"
+# the working set of one block: of cache text written or read, of a scan's
+# float bounds, and of one batch of :func:`_float_psi`; no result depends on it
+_BLOCK_BYTES = 1 << 20
 
 
 class CacheCorruption(ValueError):
@@ -319,9 +322,6 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
 # first k shards of a truncated sweep.
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 1 << 14  # rows per block of text, so the text of all rows is never held at once
-
-
 def _token_table(bound: int) -> np.ndarray:
     """The bytes of `" %d" % v` for v = 0, ..., bound, -bound, ..., -1, one
     row each, right-aligned and padded on the left with zero bytes: row v
@@ -336,24 +336,26 @@ def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
     """Write the sorted rows of the first ``swept`` shards to a sibling temp
     file and move it over path, so a failed write leaves the old file whole.
 
-    Each block of rows becomes text by a gather from :func:`_token_table`,
-    between a prefix and a newline column, with the padding bytes dropped:
-    the bytes of `"%d %d :" + " %d" * C + "\n"` row by row."""
+    Each block of rows is gathered from :func:`_token_table`, between a
+    prefix and a newline column, with the padding bytes dropped: the bytes
+    of `"%d %d :" + " %d" * C + "\n"` row by row.  A block's padded text,
+    its tokens, its mask and the bytes kept fill about ``_BLOCK_BYTES``."""
     table = _token_table(max(int(rows.max(initial=0)), -int(rows.min(initial=0))))
     prefix = np.frombuffer(b"%d %d :" % (n, e), dtype=np.uint8)
     width = len(prefix) + rows.shape[1] * table.shape[1] + 1
+    step = max(1, _BLOCK_BYTES // (4 * width))
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(b"# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
                      % (_CACHE_VERSION.encode(), n, e, hmax_sq, nshards))
-            for lo in range(0, len(rows), _BLOCK_ROWS):
-                block = rows[lo:lo + _BLOCK_ROWS]
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
                 text = np.empty((len(block), width), dtype=np.uint8)
                 text[:, :len(prefix)] = prefix
                 text[:, len(prefix):-1] = np.take(table, block, axis=0).reshape(len(block), -1)
                 text[:, -1] = ord("\n")
-                fh.write(text[text != 0].tobytes())
+                fh.write(text[text != 0])
             fh.write(b"# end\n" if swept == nshards else b"# swept %d\n" % swept)
         os.replace(tmp, path)
     finally:
@@ -363,8 +365,9 @@ def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
 
 def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
     """Refuse rows, of any integer dtype, that no complete or partial sweep
-    writes.  Every coordinate is bounded before a square is taken, sums are
-    taken in int64, and no N x C integer temporary is made."""
+    writes.  Every coordinate is bounded before a square is taken, squared
+    heights are summed in a dtype that holds C of those squares, and no
+    N x C integer temporary is made."""
     if len(rows) == 0:
         return
     # |p_i| <= |p| <= isqrt(hmax_sq); no sweep reaches a coordinate whose
@@ -372,7 +375,8 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
     bound = math.isqrt(min(hmax_sq, np.iinfo(np.int64).max // rows.shape[1]))
     if int(rows.max()) > bound or int(rows.min()) < -bound:
         raise CacheCorruption("cached subspace out of height range in %s" % path)
-    h2 = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
+    dt = np.promote_types(rows.dtype, _signed_dtype(rows.shape[1] * bound * bound))
+    h2 = np.einsum("ij,ij->i", rows, rows, dtype=dt)
     if h2.max() > hmax_sq or h2.min() < 1:
         raise CacheCorruption("cached subspace out of height range in %s" % path)
     if any(v.any() for v in relation_values(rows, n, e)):
@@ -391,45 +395,71 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
 
 _HEADER = re.compile(rb"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)")
 _TRAILER = re.compile(rb"end|swept (\d+)")
+_LINE_BYTES = 256  # read for the header line, and from the end for the trailer
 
 
 def _load_cache(path, n, e, hmax_sq):
     """(shard count, shards swept, validated rows) of the cache at path, or
-    None when it holds another enumeration or is of another version.  The
-    bytes are read once, and one loadtxt call parses the counted rows from
-    one copy with the row prefixes stripped, straight into the row dtype of
-    hmax_sq: a coordinate outside it is a malformed row."""
+    None when it holds another enumeration or is of another version.
+
+    The header line and the trailer, in the last ``_LINE_BYTES``, are read
+    first.  The lines between them are counted in blocks of
+    ``_BLOCK_BYTES``, so the rows are allocated once, in the row dtype of
+    hmax_sq.  Then they are read again in blocks of ``_BLOCK_BYTES`` cut
+    after their last newline, and each block is parsed by one loadtxt call
+    straight from the bytes read, dropped, and validated together with the
+    row before it, which its first row must follow.  So a load holds the
+    rows and one block, never the whole file.  Every line must start with
+    `n e : ` and hold C(n, e) + 2 spaces, so a long row is refused, as is a
+    line longer than a block (a row takes under 1 KiB); a coordinate
+    outside the row dtype is a malformed row."""
+    ncols, dt = math.comb(n, e), _signed_dtype(math.isqrt(hmax_sq))
+    prefix = b"%d %d : " % (n, e)
     with open(path, "rb") as fh:
-        data = fh.read()
-    nl = data.find(b"\n") if b"\n" in data else len(data)  # the header's end
-    header = _HEADER.fullmatch(data[:nl].strip())
-    if header is None:
-        raise CacheCorruption("not a subapprox cache: %s" % path)
-    version, *fields = header.groups()
-    *key, nshards = map(int, fields)
-    if version.decode() != _CACHE_VERSION or key != [n, e, hmax_sq]:
-        return None
-    cut = data.rfind(b"\n# ", nl)  # the newline before the trailer
-    tail = _TRAILER.fullmatch(data[cut + 3:].strip()) if cut >= 0 else None
-    swept = int(tail[1] or nshards) if tail else None
-    if swept is None or swept > nshards:
-        raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
-                              % (path, nshards))
-    prefix, ncols, dt = b"\n%d %d : " % (n, e), math.comb(n, e), _signed_dtype(math.isqrt(hmax_sq))
-    count = data.count(prefix, nl, cut)
-    if data.count(b"\n", nl, cut) != count:
-        raise CacheCorruption("line in %s is not a `%d %d :` row" % (path, n, e))
-    try:
-        with io.BytesIO(data.replace(prefix, b"\n")) as fh:  # the prefix is nowhere else
-            del data
-            fh.seek(nl + 1)
-            rows = (np.loadtxt(fh, dtype=dt, comments=None, ndmin=2, max_rows=count)
-                    if count else np.zeros((0, ncols), dtype=dt))
-    except ValueError as err:
-        raise CacheCorruption("malformed row in %s: %s" % (path, err)) from None
-    if rows.shape != (count, ncols):
-        raise CacheCorruption("malformed row in %s: not %d integers" % (path, ncols))
-    _validate_rows(rows, n, e, hmax_sq, path)
+        header = _HEADER.fullmatch(fh.readline(_LINE_BYTES).strip())
+        if header is None:
+            raise CacheCorruption("not a subapprox cache: %s" % path)
+        version, *fields = header.groups()
+        *key, nshards = map(int, fields)
+        if version.decode() != _CACHE_VERSION or key != [n, e, hmax_sq]:
+            return None
+        start = fh.tell()
+        end = max(start - 1, fh.seek(0, os.SEEK_END) - _LINE_BYTES)  # at the header's newline or later
+        fh.seek(end)
+        tail = fh.read()
+        at = tail.rfind(b"\n# ")  # the newline before the trailer
+        trailer = _TRAILER.fullmatch(tail[at + 3:].strip()) if at >= 0 else None
+        swept = int(trailer[1] or nshards) if trailer else None
+        if swept is None or swept > nshards:
+            raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
+                                  % (path, nshards))
+        stop = end + at + 1
+        fh.seek(start)
+        count = sum(fh.read(min(_BLOCK_BYTES, stop - pos)).count(b"\n")
+                    for pos in range(start, stop, _BLOCK_BYTES))
+        rows, lo = np.empty((count, ncols), dtype=dt), 0
+        while start < stop:
+            fh.seek(start)
+            text = fh.read(min(_BLOCK_BYTES, stop - start))
+            cut = text.rfind(b"\n") + 1  # whole lines; the bytes after cut start the next block
+            if not cut:
+                raise CacheCorruption("malformed row in %s: longer than %d bytes" % (path, _BLOCK_BYTES))
+            k = text.count(b"\n", 0, cut)
+            if text.startswith(prefix) + text.count(b"\n" + prefix, 0, cut) != k:
+                raise CacheCorruption("line in %s is not a `%d %d :` row" % (path, n, e))
+            if text.count(b" ", 0, cut) != k * (ncols + 2):
+                raise CacheCorruption("malformed row in %s: not %d integers" % (path, ncols))
+            try:
+                rows[lo:lo + k] = np.loadtxt(io.BytesIO(text), dtype=dt, delimiter=" ",
+                                             usecols=range(3, 3 + ncols), comments=None,
+                                             ndmin=2, max_rows=k)
+            except ValueError as err:
+                raise CacheCorruption("malformed row in %s: %s" % (path, err)) from None
+            del text
+            _validate_rows(rows[max(lo - 1, 0):lo + k], n, e, hmax_sq, path)
+            start, lo = start + cut, lo + k
+    if lo != count:
+        raise CacheCorruption("cache %s changed while it was read" % path)
     return nshards, swept, rows
 
 
@@ -530,9 +560,6 @@ class ExponentEstimate:
     fit_residual: float
 
 
-# working set of one batch of :func:`_float_psi`; every row is computed on its
-# own, so the batch size changes no bit of the result
-_BATCH_BYTES = 1 << 20
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -582,7 +609,7 @@ def _float_psi(a: RealSubspace, etas, n: int, e: int, j: int):
     K = [x_i ^ eta] / |eta| has the singular values of P_B^perp on A, which
     are sin t_1, ..., sin t_t and d - t ones, and their product is
     s = |x_1 ^ (x_2 ^ ... (x_d ^ eta))| / |eta|.  Rows run in batches of
-    about ``_BATCH_BYTES``, and every value is computed column by column in
+    about ``_BLOCK_BYTES``, and every value is computed column by column in
     one fixed order, so no row's bits depend on the batch.
 
     * t = 1 (d = 1 or lines): psi_1 = s.
@@ -639,7 +666,7 @@ def _float_psi(a: RealSubspace, etas, n: int, e: int, j: int):
     e_x = 2 * _U
     e_k = e_x + (1 + (e + 1) * math.sqrt(n - e)) * _U
     psi, delta = np.empty(len(etas)), np.empty(len(etas))
-    batch = max(1, _BATCH_BYTES // (8 * (N + 3 * d * m + 16)))
+    batch = max(1, _BLOCK_BYTES // (8 * (N + 3 * d * m + 16)))
     for lo in range(0, len(etas), batch):
         rows = slice(lo, lo + batch)
         eta = np.ascontiguousarray(etas[rows].T, dtype=np.float64)  # one column per B
@@ -683,30 +710,40 @@ def _float_psi(a: RealSubspace, etas, n: int, e: int, j: int):
     return psi, delta
 
 
-def _decide(lo: np.ndarray, hi: np.ndarray, starts, exact) -> list:
+def _decide(blocks, exact) -> list:
     """The strictly decreasing run of group minima of values known in float64
     to lie in [lo, hi] row by row, decided in mp.
 
-    The groups begin at the rows ``starts`` (the first at 0).  Row i is
-    refined unless lo_i > hi_j for a row j of its group or an earlier one:
-    then j is certainly smaller.  ``exact(i)`` gives (value, key, *payload);
-    a group's least (value, key) joins the run iff its value is below the
-    run's last, and the run ends after a value of 0.  So the run is the one
-    over every row, and ties go to the smaller key.
+    ``blocks`` yields (lo, hi, starts) for consecutive runs of whole groups;
+    a block's groups begin at its rows ``starts`` (the first at 0), and rows
+    are counted over all blocks.  Row i is refined unless lo_i > hi_j for a
+    row j of its group or an earlier one: then j is certainly smaller.
+    ``exact(i)`` gives (value, key, *payload); a group's least (value, key)
+    joins the run iff its value is below the run's last, and the run ends
+    after a value of 0, drawing no further block.  So the run is the one
+    over every row, and ties go to the smaller key.  Only the least hi so
+    far and the run pass from block to block, so the run does not depend on
+    where the blocks are cut.
     """
-    starts = np.asarray(starts)
-    ends = np.append(starts[1:], len(hi))
-    bound = np.minimum.accumulate(np.minimum.reduceat(hi, starts))
-    run = []
-    # only the groups with a kept row, each sliced on its own: no row-length temporary
-    for g in np.flatnonzero(np.minimum.reduceat(lo, starts) <= bound).tolist():
-        s = int(starts[g])
-        kept = np.flatnonzero(lo[s:ends[g]] <= bound[g])
-        best = min((exact(s + i) for i in kept.tolist()), key=lambda r: r[:2])
-        if not run or best[0] < run[-1][0]:
-            run.append(best)
-            if best[0] == 0:
-                break
+    run, least, offset = [], None, 0
+    for lo, hi, starts in blocks:
+        starts = np.asarray(starts)
+        ends = np.append(starts[1:], len(hi))
+        group_hi = np.minimum.reduceat(hi, starts)
+        if least is not None:  # the least hi of the earlier blocks
+            group_hi[0] = min(group_hi[0], least)
+        bound = np.minimum.accumulate(group_hi)
+        least = bound[-1]
+        # only the groups with a kept row, each sliced on its own: no row-length temporary
+        for g in np.flatnonzero(np.minimum.reduceat(lo, starts) <= bound).tolist():
+            s = int(starts[g])
+            kept = np.flatnonzero(lo[s:ends[g]] <= bound[g])
+            best = min((exact(offset + s + i) for i in kept.tolist()), key=lambda r: r[:2])
+            if not run or best[0] < run[-1][0]:
+                run.append(best)
+                if best[0] == 0:
+                    return run
+        offset += len(hi)
     return run
 
 
@@ -717,9 +754,13 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
     B enters the sequence iff its psi_j beats every subspace of lower or
     equal height; exact ties keep the lexicographically smaller key.
     :func:`_decide` screens the height groups with the float psi and its
-    error bound and decides the kept rows at A's precision.  :func:`refine_psi`
-    returns a psi_j below the zero tolerance as 0, so a B that meets A ends
-    the scan as a rational hit.
+    error bound and decides the kept rows at A's precision.  The groups are
+    screened block by block, each block whole groups of about
+    ``_BLOCK_BYTES`` of float bounds (one group if it is larger), so a scan
+    holds the rows, their squared heights and one block of floats, and no
+    block after a rational hit is screened.  :func:`refine_psi` returns a
+    psi_j below the zero tolerance as 0, so a B that meets A ends the scan
+    as a rational hit.
     """
     if j < 1 or j > min(a.dim, e):
         raise ValueError("need 1 <= j <= min(dim A, e)")
@@ -734,18 +775,29 @@ def scan_target(a: RealSubspace, e: int, j: int, height_max, *,
         return result
 
     h2 = enum.heights_sq
-    starts = np.flatnonzero(np.r_[True, h2[1:] != h2[:-1]])  # one group per height
-    lo, delta = _float_psi(a, enum.pluckers, enum.n, enum.e, j)  # psi, made its lower end in place
-    hi = lo + delta
-    lo -= delta
-    del delta
+    size = max(1, _BLOCK_BYTES // 24)  # rows whose psi, delta and hi fill a block
+
+    def blocks():
+        lo = 0
+        while lo < len(h2):
+            hi = min(lo + size, len(h2))
+            if hi < len(h2):  # back to the start of hi's group, or on to the end of lo's
+                cut = int(np.searchsorted(h2, h2[hi]))
+                hi = cut if cut > lo else int(np.searchsorted(h2, h2[lo], side="right"))
+            low, delta = _float_psi(a, enum.pluckers[lo:hi], enum.n, enum.e, j)  # psi, made its lower end
+            high = low + delta
+            low -= delta
+            del delta
+            g = h2[lo:hi]
+            yield low, high, np.flatnonzero(np.r_[True, g[1:] != g[:-1]])  # one group per height
+            lo = hi
 
     def exact(i):
         psi, ph = refine_psi(a, enum.subspace_at(i), j)
         return psi, enum.coords_at(i), ph, i
 
     with mp.workprec(a.precision_bits):
-        run = _decide(lo, hi, starts, exact)
+        run = _decide(blocks(), exact)
         result.records = [ApproximationRecord(enum.key_at(i), mp.sqrt(mp.mpf(int(h2[i]))), psi, ph, j)
                           for psi, _, ph, i in run]
     result.rational_target = run[-1][0] == 0

@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
-from .enumeration import _U, Enumeration, _decide
+from .enumeration import _BLOCK_BYTES, _U, Enumeration, _decide
 from .exact import annihilator, hodge_twist, subsets
 from .grassmann import relation_values
 
@@ -286,10 +286,11 @@ class LowerBoundReport:
         return not self.rational_target and (self.claimed_c is None or self.c_min >= self.claimed_c)
 
 
-def _float_values(apl, enum: Enumeration, exponent: float):
+def _float_values(apl, rows: np.ndarray, n: int, e: int, exponent: float):
     """(v, delta): v = |<a, *eta>| H^(exponent - 1) = phi(A, B) H^exponent in
     float64 for A's mp unit Plucker vector ``apl`` and each row eta of
-    ``enum`` (dim A + e = n), and a bound on |v - v_mp| row by row.
+    ``rows``, (n, e) Plucker rows with dim A + e = n, and a bound on
+    |v - v_mp| row by row.
 
     With u = 2^-53, N = C(n, e), p = (exponent - 1) / 2, P the float H^2^p
     and first-order terms (Higham, ch. 2-3): rounding a and eta (exact below
@@ -305,18 +306,47 @@ def _float_values(apl, enum: Enumeration, exponent: float):
     subnormal v adds at most 2^-1075 <= u P), so an exponent that takes some
     H^(exponent - 1) out of that range raises ValueError.
     """
-    h2 = enum.heights_sq.astype(np.float64)
-    pairing = np.abs(hodge_twist(enum.pluckers, enum.n, enum.n - enum.e).astype(np.float64)
-                     @ np.array([float(x) for x in apl]))
+    h2 = np.einsum("ij,ij->i", rows, rows, dtype=np.int64).astype(np.float64)
+    pairing = np.abs(hodge_twist(rows, n, n - e).astype(np.float64) @ np.array([float(x) for x in apl]))
     p = (exponent - 1) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         power = h2 ** p
         values = pairing * power
     if not (np.isfinite(values).all() and power.min() >= np.finfo(np.float64).tiny):
         raise ValueError("H^(exponent - 1) leaves the float64 range at exponent %g" % exponent)
-    delta = 2 * _U * ((math.comb(enum.n, enum.e) + 2) * np.sqrt(h2) * power
+    delta = 2 * _U * ((math.comb(n, e) + 2) * np.sqrt(h2) * power
                       + (9 + abs(p) * np.log(h2)) * values)
     return values, delta
+
+
+def _screen_values(apl, enum: Enumeration, exponent: float):
+    """(values, kept, lo, hi): the :func:`_float_values` of every row of
+    ``enum``, and the rows whose lower end v - delta is at most the least
+    upper end v + delta over all rows, with their two ends.
+
+    The values are formed block by block, and only they are kept: a first
+    pass takes the least upper end, and a second forms again the blocks
+    whose least lower end is at most it.  Every block but the last holds a
+    multiple of 64 rows, so the BLAS product and numpy's loops treat each
+    row as they do in one product over all rows, and every bit is the same.
+    """
+    n, e, rows = enum.n, enum.e, enum.pluckers
+    step = max(1, _BLOCK_BYTES // (64 * 8 * math.comb(n, e))) * 64  # the float rows fill a block
+    values, lows, least = np.empty(len(rows)), [], np.inf
+    for lo in range(0, len(rows), step):
+        v, delta = _float_values(apl, rows[lo:lo + step], n, e, exponent)
+        values[lo:lo + len(v)] = v
+        least = min(least, (v + delta).min())
+        lows.append((v - delta).min())
+    kept, low, high = [], [], []
+    for lo, block_low in zip(range(0, len(rows), step), lows):
+        if block_low <= least:
+            v, delta = _float_values(apl, rows[lo:lo + step], n, e, exponent)
+            keep = np.flatnonzero(v - delta <= least)
+            kept.append(keep + lo)
+            low.append(v[keep] - delta[keep])
+            high.append(v[keep] + delta[keep])
+    return values, np.concatenate(kept), np.concatenate(low), np.concatenate(high)
 
 
 def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
@@ -327,11 +357,12 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
 
     The minimum is an empirical stand-in for the constant in the decay
     bound, never the true infimum; a `claimed_c` is compared with it in mp.
-    :func:`_decide` screens the rows of :func:`_float_values` as one group
-    and picks the least mp value, exact ties going to the lexicographically
-    smaller key; A meets a rational subspace iff that B's pairing is below
-    the zero tolerance.  A non-finite exponent or claimed_c raises
-    ValueError.
+    :func:`_decide` screens the float values as one group and picks the
+    least mp value, exact ties going to the lexicographically smaller key;
+    the rows :func:`_screen_values` keeps hold the least upper end, so it
+    refines all of them, the rows it would keep over every row.  A meets a
+    rational subspace iff that B's pairing is below the zero tolerance.  A
+    non-finite exponent or claimed_c raises ValueError.
     """
     n, d = witness.n, witness.dim
     if d + e != n or (enumeration.n, enumeration.e) != (n, e):
@@ -342,16 +373,18 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
     if len(enum) == 0:
         raise ValueError("empty enumeration")
     apl = target_plucker(witness)
-    values, delta = _float_values(apl, enum, exponent)
+    values, kept, lo, hi = _screen_values(apl, enum, exponent)
 
     with mp.workprec(witness.precision_bits):
         p = (mp.mpf(exponent) - 1) / 2
 
-        def exact(i):
+        def exact(k):
+            i = int(kept[k])
+            coords = enum.coords_at(i)
             pair = mp.fsum(x * t for x, t in zip(apl, hodge_twist(enum.pluckers[i], n, d).tolist()))
-            return abs(pair) * mp.mpf(int(enum.heights_sq[i])) ** p, enum.coords_at(i), pair, i
+            return abs(pair) * mp.mpf(sum(c * c for c in coords)) ** p, coords, pair, i
 
-        [(c_min, _, pair, arg)] = _decide(values - delta, values + delta, [0], exact)
+        [(c_min, _, pair, arg)] = _decide([(lo, hi, [0])], exact)
         rational = abs(pair) < zero_tol(witness.precision_bits)
 
     return LowerBoundReport(
@@ -359,7 +392,8 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
         count=len(enum),
         c_min=c_min,
         argmin_key=enum.key_at(arg),
-        quantiles={q: float(np.quantile(values, q)) for q in (0.0, 0.01, 0.1, 0.5, 1.0)},
+        quantiles={q: float(np.quantile(values, q, overwrite_input=True))  # no copy of the values
+                   for q in (0.0, 0.01, 0.1, 0.5, 1.0)},
         truncated=enum.truncated,
         rational_target=bool(rational),
         claimed_c=claimed_c,

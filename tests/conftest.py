@@ -28,6 +28,6 @@ def screened():
     it calls ``exact`` on, with exact values that never end the run."""
     def rows(lo, hi, starts):
         called = []
-        _decide(lo, hi, starts, lambda i: (called.append(i) or 1, i))
+        _decide([(lo, hi, starts)], lambda i: (called.append(i) or 1, i))
         return called
     return rows

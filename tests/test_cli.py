@@ -14,6 +14,11 @@ def run_cli(*argv, capsys=None):
     return code
 
 
+# seconds a child CLI may run: a case that regresses to an unbounded run fails
+# its test instead of hanging the suite
+_CHILD_TIMEOUT = 60
+
+
 def _env_with_src():
     """The environment with this package's source directory on PYTHONPATH,
     for a child interpreter."""
@@ -332,7 +337,8 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
 ])
 def test_bad_input_exits_3_with_one_error_line(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "subapprox.cli", *argv],
-                          capture_output=True, text=True, env=_env_with_src(), cwd=tmp_path)
+                          capture_output=True, text=True, env=_env_with_src(), cwd=tmp_path,
+                          timeout=_CHILD_TIMEOUT)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(("error: ", "parse error: ")) and proc.stderr.count("\n") == 1
@@ -474,11 +480,12 @@ def test_props_passes_at_any_precision(prec, capsys):
 def test_cli_import_loads_no_thread_pool():
     # the enumeration runs serially, so the CLI loads no concurrent.futures
     code = "import sys, subapprox.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env_with_src())
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env_with_src(),
+                          timeout=_CHILD_TIMEOUT)
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "subapprox.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=_CHILD_TIMEOUT)
     assert proc.returncode == 0

@@ -634,7 +634,7 @@ def test_going_up_screen_is_not_refused_like_a_large_scan(monkeypatch):
     a = rnd_subspace(3, 5, 2)
     b = from_generators([(2, -1, 3, 0, 1)])
     want = going_up_search(a, b, 1, budget=1)
-    monkeypatch.setattr(enumeration, "_BATCH_BYTES", 3000)
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", 3000)
     got = going_up_search(a, b, 1, budget=1)
     assert got.candidates > 7
     assert (got.c.key, got.psi_after) == (want.c.key, want.psi_after)

@@ -386,7 +386,7 @@ def test_cache_io_matches_per_row_oracles(tmp_path, monkeypatch, n, e, hmax, max
     # (5, 3) takes the Hodge-dual route
     import subapprox.enumeration as enumeration
 
-    monkeypatch.setattr(enumeration, "_BLOCK_ROWS", 100)  # several blocks
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", 2000)  # several blocks of text
     paths = {}
     for name, writer in (("bulk", enumeration._write_cache), ("per_row", _write_cache_per_row)):
         monkeypatch.setattr(enumeration, "_write_cache", writer)
@@ -415,7 +415,7 @@ def _insert_after(lines, row, new):
     return lines[:i] + [new] + lines[i:]
 
 
-@pytest.mark.parametrize("corrupt", [
+_CORRUPTIONS = [
     lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 0 0 0"),  # ragged
     lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 x 0 0 1"),  # not an integer
     lambda lines: _corrupt_first_row(lines, "4 2 : 1 0 0 0 0 1 0"),  # a column too many
@@ -431,9 +431,14 @@ def _insert_after(lines, row, new):
     # a coordinate of 2^32, whose int64 square wraps to 0: height 1 if squared first
     lambda lines: _insert_after(lines, "4 2 : 1 0 0 0 0 0", "4 2 : 1 0 0 0 4294967296 0"),
     lambda lines: _corrupt_first_row(lines, "4 2 : 0 0 0 0 0 -1"),  # first nonzero negative
-], ids=["ragged", "non_integer", "long_row", "other_dimension", "no_prefix", "no_trailer",
-        "end_inside_rows", "end_before_last_shard", "rows_out_of_order", "repeated_row",
-        "no_header", "short_header", "coordinate_2_pow_32", "negated_row"])
+    lambda lines: lines[:5] + [lines[5] + " 0"] + lines[6:],  # a column too many on a valid row
+]
+_CORRUPTION_IDS = ["ragged", "non_integer", "long_row", "other_dimension", "no_prefix", "no_trailer",
+                   "end_inside_rows", "end_before_last_shard", "rows_out_of_order", "repeated_row",
+                   "no_header", "short_header", "coordinate_2_pow_32", "negated_row", "extra_column"]
+
+
+@pytest.mark.parametrize("corrupt", _CORRUPTIONS, ids=_CORRUPTION_IDS)
 def test_corrupt_cache_raises_and_exits_3(tmp_path, capsys, corrupt):
     from subapprox.cli import main
 
@@ -448,6 +453,83 @@ def test_corrupt_cache_raises_and_exits_3(tmp_path, capsys, corrupt):
     assert main(["scan", "--target", "r4", "--e", "2", "--hmax", "8", "--cache", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+
+
+def _rows_a_block(monkeypatch, path, rows):
+    """Blocks of text that hold ``rows`` of the longest row of the cache at
+    path: one row, or a few."""
+    import subapprox.enumeration as enumeration
+
+    with open(path, "rb") as fh:
+        longest = max(len(line) for line in fh if not line.startswith(b"#"))
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", rows * longest)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("n, e, hmax, max_pairs", [(4, 2, 8, None), (5, 3, 3, None), (4, 2, 8, 2000)],
+                         ids=["complete", "hodge_dual", "truncated"])
+def test_load_cache_is_the_same_at_every_block_size(tmp_path, monkeypatch, rows, n, e, hmax, max_pairs):
+    # a complete cache, a Hodge-dual one and a truncated `# swept k` one load
+    # the per-line reader's rows, however the text is cut into blocks
+    path = str(tmp_path / "c.cache")
+    assert enumerate_subspaces(n, e, hmax, max_pairs=max_pairs, cache_path=path).truncated == \
+        (max_pairs is not None)
+    _rows_a_block(monkeypatch, path, rows)
+    _assert_loads_like_per_line(path, n, e, hmax * hmax)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("corrupt", _CORRUPTIONS, ids=_CORRUPTION_IDS)
+def test_corrupt_cache_raises_at_every_block_size(tmp_path, monkeypatch, corrupt, rows):
+    from subapprox.enumeration import _load_cache
+
+    path = str(tmp_path / "c42.cache")
+    enumerate_subspaces(4, 2, 8, cache_path=path)
+    lines = open(path).read().splitlines()
+    open(path, "w").write("\n".join(corrupt(lines)) + "\n")
+    _rows_a_block(monkeypatch, path, rows)
+    with pytest.raises(CacheCorruption, match=re.escape(path)):
+        _load_cache(path, 4, 2, 64)
+
+
+def test_line_longer_than_a_block_raises(tmp_path, monkeypatch):
+    # a block smaller than a row holds no whole line: the cache is refused
+    import subapprox.enumeration as enumeration
+
+    path = str(tmp_path / "c42.cache")
+    enumerate_subspaces(4, 2, 8, cache_path=path)
+    _rows_a_block(monkeypatch, path, 1)
+    enumeration._load_cache(path, 4, 2, 64)
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", 8)
+    with pytest.raises(CacheCorruption, match=re.escape(path)):
+        enumeration._load_cache(path, 4, 2, 64)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda row: row.rsplit(" ", 1)[0],
+    lambda row: row.rsplit(" ", 1)[0] + " x",
+    lambda row: row + " 0",
+    lambda row: "5" + row[1:] + " 0 0 0 0",
+    lambda row: "4 2 : " + " ".join(str(-int(x)) for x in row.split()[3:]),
+    lambda row: row.rsplit(" ", 1)[0] + " 4294967296",
+], ids=["ragged", "non_integer", "extra_column", "other_dimension", "negated_row", "coordinate_2_pow_32"])
+def test_bad_row_across_a_block_boundary_raises(tmp_path, monkeypatch, corrupt):
+    # the first block read ends inside a bad row in the middle of the rows,
+    # which the second block reads again from its start; with the good row
+    # in its place the same blocks load every row
+    import subapprox.enumeration as enumeration
+
+    path = str(tmp_path / "c42.cache")
+    enumerate_subspaces(4, 2, 8, cache_path=path)
+    header, *lines = open(path).read().splitlines()
+    k = len(lines) // 2
+    bad = corrupt(lines[k])
+    first = sum(len(line) + 1 for line in lines[:k])  # bytes of the rows before row k
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", first + len(bad) // 2)
+    _assert_loads_like_per_line(path, 4, 2, 64)
+    open(path, "w").write("\n".join([header] + lines[:k] + [bad] + lines[k + 1:]) + "\n")
+    with pytest.raises(CacheCorruption, match=re.escape(path)):
+        enumeration._load_cache(path, 4, 2, 64)
 
 
 @pytest.mark.parametrize("failure", ["midway", "replace"])
@@ -480,7 +562,7 @@ def test_failed_write_leaves_the_previous_cache(tmp_path, monkeypatch, failure):
         raise OSError("disk full")
 
     if failure == "midway":
-        monkeypatch.setattr(enumeration, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", 2000)
         monkeypatch.setattr(enumeration, "open", open_failing, raising=False)
     else:
         monkeypatch.setattr(enumeration.os, "replace", fail)
@@ -551,12 +633,13 @@ def test_validate_rows_compares_narrow_rows_without_wrapping():
 
 
 def test_memory_grows_with_the_output(tmp_path):
-    # a cold build holds each shard's rows deduplicated and narrow, and a load
-    # holds the file's bytes once beside the rows it parses; both peaks are
-    # stated in bytes of the rows as int64, which no step copies them into
+    # a cold build holds each shard's rows deduplicated and narrow, its peak
+    # stated in bytes of the rows as int64, which no step copies them into;
+    # a load holds the narrow rows it parses and one block of text or of
+    # validation at a time, whose checks run in blocks of their own
     import tracemalloc
 
-    from subapprox.enumeration import _load_cache
+    from subapprox.enumeration import _BLOCK_BYTES, _load_cache
 
     path = str(tmp_path / "c42.cache")
     tracemalloc.start()
@@ -572,7 +655,7 @@ def test_memory_grows_with_the_output(tmp_path):
     assert np.array_equal(loaded[2], enum.pluckers)
     int64_bytes = len(enum) * math.comb(4, 2) * 8
     assert build <= int64_bytes
-    assert load <= 1.25 * int64_bytes
+    assert load <= enum.pluckers.nbytes + 2 * _BLOCK_BYTES
 
 
 def test_cold_scan_memory_stays_below_its_int64_rows(tmp_path, capsys):
@@ -771,6 +854,47 @@ def test_scan_matches_exhaustive_oracle(name, n, e, h, js):
         assert res.rational_target == (name == "rational")
 
 
+@pytest.mark.parametrize("block_bytes", [1, 120])
+def test_scan_is_the_same_at_every_block_size(monkeypatch, block_bytes):
+    # blocks of one row, so each is one whole height group, and of five rows,
+    # cut back to whole groups, refine the rows the default blocks refine, in
+    # the same order, and give the same records, on every route of the float
+    # screen; a rational hit ends the scan before later blocks are screened
+    import subapprox.enumeration as enumeration
+
+    screened, refined = [], []
+    float_psi, refine_psi = enumeration._float_psi, enumeration.refine_psi
+
+    def counting_float_psi(a, etas, *args):
+        screened.append(len(etas))
+        return float_psi(a, etas, *args)
+
+    def recording_refine_psi(a, b, j):
+        refined.append(b.plucker.coords)
+        return refine_psi(a, b, j)
+
+    monkeypatch.setattr(enumeration, "refine_psi", recording_refine_psi)
+    cases = []
+    for name, n, e, h, js in [("symmetric", 4, 2, 6, (1, 2)), ("rational", 4, 2, 6, (1,)),
+                              ("random", 5, 3, 2, (1, 2)), ("random-line", 5, 2, 3, (1,)),
+                              ("random-3-space", 5, 2, 3, (1, 2))]:
+        a, enum = _oracle_target(name, n), enumerate_subspaces(n, e, h)
+        for j in js:
+            refined.clear()
+            cases.append((a, e, j, h, enum, scan_target(a, e, j, h, enumeration=enum), refined[:]))
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(enumeration, "_float_psi", counting_float_psi)
+    for a, e, j, h, enum, want, want_refined in cases:
+        screened.clear()
+        refined.clear()
+        got = scan_target(a, e, j, h, enumeration=enum)
+        assert refined == want_refined
+        assert got.records and got.records == want.records
+        assert (got.rational_target, got.scanned, got.truncated) == \
+            (want.rational_target, want.scanned, want.truncated)
+        assert (sum(screened) < len(enum)) == got.rational_target
+
+
 def _rational(rng, rows):
     """from_generators(rows()), drawn again while the rows are dependent."""
     while True:
@@ -960,7 +1084,7 @@ def test_decide_is_the_unscreened_run_of_group_minima():
             called.append(i)
             return values[i], keys[i], i
 
-        got = _decide(lo, hi, starts, exact)
+        got = _decide([(lo, hi, starts)], exact)
         assert got == _run_of_group_minima(values, keys, starts), seed
         if got[-1][0] == 0:  # no group after the one that reached 0 is refined
             assert group[max(called)] == group[got[-1][2]], seed
@@ -1008,7 +1132,7 @@ def test_float_psi_is_independent_of_the_batch(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(enumeration, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", 1)
     for a, etas, n, e, j, (psi, delta) in cases:
         got_psi, got_delta = enumeration._float_psi(a, etas, n, e, j)
         assert np.array_equal(got_psi, psi) and np.array_equal(got_delta, delta), (n, e, a.dim, j)

@@ -11,6 +11,7 @@ from subapprox.exact import hodge_twist
 from subapprox.grassmann import from_generators, real_view
 from subapprox.witness import (
     _float_values,
+    _screen_values,
     lower_bound_check,
     parse_param,
     r4_irrationality_certificate,
@@ -347,7 +348,7 @@ def _exact_ratios(a, enum):
     dyadic rational, so v, v_mp and delta / 2 are compared as integers
     scaled by one power of two."""
     apl = target_plucker(a)
-    values, delta = _float_values(apl, enum, 3.0)
+    values, delta = _float_values(apl, enum.pluckers, enum.n, enum.e, 3.0)
     low = min(x.man_exp[1] for x in apl)
     scaled_a = np.array([int(mp.ldexp(x, -low)) for x in apl], dtype=object)
     twisted = hodge_twist(enum.pluckers, enum.n, a.dim).astype(object)
@@ -367,7 +368,7 @@ def _mp_ratios(a, enum, exponent):
     """|v - v_mp| / (delta / 2) for every row of _float_values, with v_mp at
     256 bits."""
     apl = target_plucker(a)
-    values, delta = _float_values(apl, enum, exponent)
+    values, delta = _float_values(apl, enum.pluckers, enum.n, enum.e, exponent)
     twisted = hodge_twist(enum.pluckers, enum.n, a.dim).tolist()
     h2 = enum.heights_sq.tolist()
     with mp.workprec(256):
@@ -400,6 +401,76 @@ def test_lower_bound_screen_bound_is_sound(enum_4_2_25, enum_5_2_10, capsys):
               + ", ".join("%s: %.3g" % kv for kv in sorted(worst.items())))
 
 
+# block byte budgets of the lower bound's float rows: 64 rows, the fewest, and
+# 128 (4, 2) or 64 (5, 2) rows; None keeps the default
+_LB_BLOCKS = [1, 64 * 8 * 6 * 2, None]
+
+
+@pytest.mark.parametrize("block_bytes", _LB_BLOCKS)
+@pytest.mark.parametrize("kind, hmax", [("r4", 12), ("r5", 5)])
+def test_screen_values_are_the_one_shot_values_bit_for_bit(enum_4_2_25, enum_5_2_10, monkeypatch,
+                                                           kind, hmax, block_bytes):
+    # the values formed block by block, the rows kept and their ends equal
+    # those of one product over all rows, bit for bit, at an integer, a
+    # negative and a half-integer exponent
+    import subapprox.witness as witness
+
+    a = witness_r4("sqrt2") if kind == "r4" else witness_r5("sqrt3+1/4")[1]
+    enum = (enum_4_2_25 if kind == "r4" else enum_5_2_10).restrict(hmax)
+    apl = target_plucker(a)
+    if block_bytes is not None:
+        monkeypatch.setattr(witness, "_BLOCK_BYTES", block_bytes)
+    for exponent in (3.0, -20.0, 6.5):
+        v, delta = _float_values(apl, enum.pluckers, enum.n, enum.e, exponent)
+        kept = np.flatnonzero(v - delta <= (v + delta).min())
+        got = _screen_values(apl, enum, exponent)
+        want = v, kept, (v - delta)[kept], (v + delta)[kept]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (kind, exponent)
+
+
+@pytest.mark.parametrize("block_bytes", _LB_BLOCKS[:2])
+def test_lower_bound_is_the_same_at_every_block_size(monkeypatch, block_bytes):
+    # two R^4 witnesses, which meet no rational plane, and two R^5 ones,
+    # rational hits among many exact zero pairings, give the default blocks'
+    # report
+    import subapprox.witness as witness
+
+    cases = [(witness_r4("sqrt2"), 8, 3.0), (witness_r4("sqrt5-1"), 8, -20.0),
+             (witness_r5("5/2")[1], 5, 3.0), (witness_r5("sqrt3+1/4")[1], 4, 6.5)]
+    want = []
+    for a, hmax, exponent in cases:
+        enum = enumerate_subspaces(a.n, a.n - a.dim, hmax)
+        want.append(lower_bound_check(a, a.n - a.dim, exponent, hmax, enumeration=enum))
+    monkeypatch.setattr(witness, "_BLOCK_BYTES", block_bytes)
+    for (a, hmax, exponent), w in zip(cases, want):
+        enum = enumerate_subspaces(a.n, a.n - a.dim, hmax)
+        assert lower_bound_check(a, a.n - a.dim, exponent, hmax, enumeration=enum) == w
+    assert [w.rational_target for w in want] == [False, False, True, True]
+
+
+def test_warm_lower_bound_memory_is_the_rows_and_one_value_a_row(tmp_path):
+    # a (4,2,12) lower bound from its cache holds the narrow rows, one float64
+    # value a row for the quantiles, and blocks: the load's text or checks,
+    # or the float rows of a block and their values, delta and ends
+    import tracemalloc
+
+    from subapprox.enumeration import _BLOCK_BYTES
+
+    path = str(tmp_path / "c42.cache")
+    enumerate_subspaces(4, 2, 12, cache_path=path)
+    a = witness_r4("sqrt2")
+    tracemalloc.start()
+    try:
+        enum = enumerate_subspaces(4, 2, 12, cache_path=path)
+        rep = lower_bound_check(a, 2, 3.0, 12, enumeration=enum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count == len(enum) == 120986
+    assert peak <= enum.pluckers.nbytes + 8 * len(enum) + 2 * _BLOCK_BYTES
+
+
 @pytest.mark.parametrize("exponent, claimed_c", [(float("nan"), None), (float("inf"), None),
                                                   (3.0, float("nan")), (1e6, None)])
 def test_lower_bound_refuses_values_outside_float64(exponent, claimed_c):
@@ -420,7 +491,8 @@ def test_narrow_rows_scan_and_bound_like_their_int64_copy(kind, n, e, hmax):
     assert narrow.pluckers.dtype == np.int8
     a = witness_r4("sqrt2") if kind == "r4" else witness_r5("sqrt3+1/4")[1]
     apl = target_plucker(a)
-    for got, want in zip(_float_values(apl, narrow, 3.0), _float_values(apl, wide, 3.0)):
+    for got, want in zip(_float_values(apl, narrow.pluckers, n, e, 3.0),
+                         _float_values(apl, wide.pluckers, n, e, 3.0)):
         assert np.array_equal(got, want)
     got, want = (lower_bound_check(a, e, 3.0, hmax, enumeration=enum) for enum in (narrow, wide))
     assert (got.c_min, got.argmin_key, got.quantiles, got.rational_target) == \
