@@ -2,7 +2,7 @@
 
 Gram determinants, wedges, integer kernels, Hermite normal forms and
 unimodular completions are computed over Python's integers, so they are
-exact; the last three come from one integer row echelon, and rationals
+exact; all but the wedges come from one integer row echelon, and rationals
 enter only through :func:`clear_denominators`.  Every wedge x ^ eta of the
 package is read off :func:`wedge_terms` through :func:`annihilator`, and
 every Hodge star is :func:`hodge_twist`.  Both keep their input's dtype, so
@@ -85,41 +85,15 @@ def laplace_sign(subset: Sequence[int]) -> int:
     return -1 if (sum(subset) + e + e * (e + 1) // 2) % 2 else 1
 
 
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(map(int, r)) for r in rows]
-    k = len(m)
-    if any(len(r) != k for r in m):
-        raise ValueError("matrix not square")
-    if k == 0:
-        return 1
-    sign = 1
-    denom = 1
-    for c in range(k - 1):
-        pivot_row = next((r for r in range(c, k) if m[r][c] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        for r in range(c + 1, k):
-            for j in range(c + 1, k):
-                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // denom
-            m[r][c] = 0
-        denom = m[c][c]
-    return sign * m[-1][-1]
-
-
 def gram_det_sq(basis: Sequence[Sequence[int]]) -> int:
-    """The Gram determinant of e vectors in Z^n; the squared covolume of their lattice."""
+    """The Gram determinant of e vectors in Z^n, the squared covolume of
+    their lattice: the product of the positive pivots that :func:`_echelon`
+    leaves in the Gram matrix by unimodular row operations, 0 below full rank."""
     e = len(basis)
     if len(basis[0]) < e:
         raise ValueError("more vectors than coordinates: %d in Z^%d" % (e, len(basis[0])))
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    d = det_int(gram)
-    if d < 0:
-        raise ArithmeticError("negative Gram determinant %d" % d)
-    return d
+    return math.prod(gram[i][i] for i in range(e)) if _echelon(gram, e) == e else 0
 
 
 def wedge_plucker(basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -272,10 +246,11 @@ def complete_to_unimodular(basis: Sequence[Sequence[int]]) -> list[tuple[int, ..
     m = [[v[i] for v in basis] + [int(i == j) for j in range(n)] for i in range(n)]
     if _echelon(m, e) != e:
         raise ValueError("dependent basis vectors")
-    if abs(det_int([row[:e] for row in m[:e]])) != 1:
+    # R M = [T; 0], and T's pivots multiply to the index of the lattice in its
+    # saturation, so they are all 1, T is unimodular and the last n-e columns
+    # of R^-1 complete the basis.  R is unimodular, so the HNF of [R | I] is [I | R^-1].
+    if any(m[i][i] != 1 for i in range(e)):
         raise ValueError("basis is not saturated")
-    # R M = [T; 0] with T unimodular, so the last n-e columns of R^-1 complete
-    # the basis.  R is unimodular, so the HNF of [R | I] is [I | R^-1].
     inv = hnf_rows([row[e:] + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
     return [tuple(inv[i][n + j] for i in range(n)) for j in range(e, n)]
 

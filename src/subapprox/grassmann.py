@@ -100,7 +100,9 @@ def plucker_relations(n: int, e: int) -> tuple[tuple[tuple[int, int, int], ...],
     return tuple(rels)
 
 
-_BLOCK_BYTES = 1 << 20  # term products held at once by relation_values
+# the package's working set of one block: of relation_values' products, cache
+# text, float bounds or one _float_psi batch; no result depends on it
+_BLOCK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=None)

@@ -23,9 +23,9 @@ import numpy as np
 from mpmath import mp
 
 from .angles import PrecisionError, RealSubspace, _to_mpf, zero_tol
-from .enumeration import _BLOCK_BYTES, _U, Enumeration, _decide
+from .enumeration import _U, Enumeration, _decide
 from .exact import annihilator, hodge_twist, subsets
-from .grassmann import relation_values
+from .grassmann import _BLOCK_BYTES, relation_values
 
 MAX_BOX_CELLS = 10 ** 7  # the largest (2b + 1)^3 search box; the R^5 search holds ~17 bytes a cell
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
@@ -324,29 +324,28 @@ def _screen_values(apl, enum: Enumeration, exponent: float):
     ``enum``, and the rows whose lower end v - delta is at most the least
     upper end v + delta over all rows, with their two ends.
 
-    The values are formed block by block, and only they are kept: a first
-    pass takes the least upper end, and a second forms again the blocks
-    whose least lower end is at most it.  Every block but the last holds a
-    multiple of 64 rows, so the BLAS product and numpy's loops treat each
-    row as they do in one product over all rows, and every bit is the same.
+    One pass forms the values block by block and keeps the rows whose lower
+    end is at most the least upper end so far; the final least is at most
+    every running one, so filtering the kept rows once against it leaves
+    the rows of the rule.  Every block but the last holds a multiple of 64
+    rows, so the BLAS product and numpy's loops treat each row as they do in
+    one product over all rows, and every bit is the same.
     """
     n, e, rows = enum.n, enum.e, enum.pluckers
     step = max(1, _BLOCK_BYTES // (64 * 8 * math.comb(n, e))) * 64  # the float rows fill a block
-    values, lows, least = np.empty(len(rows)), [], np.inf
+    values, least = np.empty(len(rows)), np.inf
+    kept, low, high = [], [], []
     for lo in range(0, len(rows), step):
         v, delta = _float_values(apl, rows[lo:lo + step], n, e, exponent)
         values[lo:lo + len(v)] = v
         least = min(least, (v + delta).min())
-        lows.append((v - delta).min())
-    kept, low, high = [], [], []
-    for lo, block_low in zip(range(0, len(rows), step), lows):
-        if block_low <= least:
-            v, delta = _float_values(apl, rows[lo:lo + step], n, e, exponent)
-            keep = np.flatnonzero(v - delta <= least)
-            kept.append(keep + lo)
-            low.append(v[keep] - delta[keep])
-            high.append(v[keep] + delta[keep])
-    return values, np.concatenate(kept), np.concatenate(low), np.concatenate(high)
+        keep = np.flatnonzero(v - delta <= least)
+        kept.append(keep + lo)
+        low.append(v[keep] - delta[keep])
+        high.append(v[keep] + delta[keep])
+    kept, low, high = map(np.concatenate, (kept, low, high))
+    keep = low <= least
+    return values, kept[keep], low[keep], high[keep]
 
 
 def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
@@ -387,13 +386,13 @@ def lower_bound_check(witness: RealSubspace, e: int, exponent: float,
         [(c_min, _, pair, arg)] = _decide([(lo, hi, [0])], exact)
         rational = abs(pair) < zero_tol(witness.precision_bits)
 
+    qs = (0.0, 0.01, 0.1, 0.5, 1.0)  # one partition, in place: no copy of the values
     return LowerBoundReport(
         exponent=float(exponent),
         count=len(enum),
         c_min=c_min,
         argmin_key=enum.key_at(arg),
-        quantiles={q: float(np.quantile(values, q, overwrite_input=True))  # no copy of the values
-                   for q in (0.0, 0.01, 0.1, 0.5, 1.0)},
+        quantiles=dict(zip(qs, np.quantile(values, qs, overwrite_input=True).tolist())),
         truncated=enum.truncated,
         rational_target=bool(rational),
         claimed_c=claimed_c,

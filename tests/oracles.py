@@ -1,6 +1,7 @@
-"""Test oracles that the package itself never calls: orthonormality and
-containment residuals of a :class:`RealSubspace`, and the direct-sum angle
-bound of criterion 8.  The tests import them as ``oracles``."""
+"""Test oracles that the package itself never calls: the signed Bareiss
+determinant, orthonormality and containment residuals of a
+:class:`RealSubspace`, and the direct-sum angle bound of criterion 8.  The
+tests import them as ``oracles``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,31 @@ from typing import Sequence
 from mpmath import mp
 
 from subapprox.angles import RealSubspace, _to_mpf, canonical_angles, principal_pairs
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    m = [list(map(int, r)) for r in rows]
+    k = len(m)
+    if any(len(r) != k for r in m):
+        raise ValueError("matrix not square")
+    if k == 0:
+        return 1
+    sign = 1
+    denom = 1
+    for c in range(k - 1):
+        pivot_row = next((r for r in range(c, k) if m[r][c] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            sign = -sign
+        for r in range(c + 1, k):
+            for j in range(c + 1, k):
+                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // denom
+            m[r][c] = 0
+        denom = m[c][c]
+    return sign * m[-1][-1]
 
 
 def gram_residual(sub: RealSubspace):

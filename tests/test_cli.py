@@ -410,10 +410,13 @@ def test_directory_path_refused_before_the_sweep(argv, monkeypatch, tmp_path, ca
     ("witness", "r5", "--search-bound", "3000"),
     ("goingup", "--target", "random:2", "--n", "6", "--seed", "3", "--gens", "1 0 0 0 0 0",
      "--budget", "400"),
+    ("scan", "--target", "r4", "--e", "2", "--j", "1", "--hmax", "100000"),
+    ("witness", "r4", "--lower-bound", "--hmax", "1e9"),
 ])
 def test_oversized_search_box_refused_before_allocating(argv, capsys):
-    # (2b + 1)^3 = 2.2e11 cells, and 801^5 = 3.3e14 going-up candidates: the
-    # ceiling is checked before any array or candidate list is made
+    # (2b + 1)^3 = 2.2e11 cells, 801^5 = 3.3e14 going-up candidates, and
+    # ~10^21 and ~10^37 planes: the ceiling is checked before any array,
+    # candidate list or integer ball is made
     import tracemalloc
 
     tracemalloc.start()

@@ -215,6 +215,33 @@ def test_e3_sweep_is_bounded_by_the_hermite_cap():
     assert enumerate_subspaces(6, 3, 2).pair_count == 66960
 
 
+@pytest.mark.parametrize("n, e, hmax, low, high", [
+    (4, 2, 12, 0.88, 1.0), (5, 2, 6, 0.88, 1.0), (4, 3, 6, 1.0, 1.05), (6, 3, 2, 0.6, 0.8)])
+def test_schmidt_estimate_is_near_the_counts(n, e, hmax, low, high):
+    from subapprox.enumeration import _log_schmidt_count
+
+    est = math.exp(_log_schmidt_count(n, min(e, n - e), hmax * hmax))
+    assert low <= len(enumerate_subspaces(n, e, hmax)) / est <= high
+
+
+def test_preflight_admits_16m_rows_and_refuses_more(monkeypatch):
+    # (4,2,40) and (6,2,10), and (6,4,10) through its Hodge dual, get as far
+    # as building their integer ball; a larger plane, line or e = 3 sweep is
+    # refused before it
+    import subapprox.enumeration as enumeration
+
+    def ball(n, cap_sq):
+        raise LookupError("the integer ball is built")
+
+    monkeypatch.setattr(enumeration, "_integer_ball", ball)
+    for n, e, hmax in ((4, 2, 40), (6, 2, 10), (6, 4, 10), (4, 1, 60), (6, 3, 6)):
+        with pytest.raises(LookupError):
+            enumerate_subspaces(n, e, hmax)
+    for n, e, hmax in ((4, 2, 50), (6, 2, 12), (4, 1, 70), (4, 3, 70), (6, 3, 13), (5, 2, 1e200)):
+        with pytest.raises(ValueError, match="more than MAX_ESTIMATED_ROWS"):
+            enumerate_subspaces(n, e, hmax)
+
+
 def _hodge_duals(enum):
     """Canonical coordinates of the Hodge duals of an enumeration's rows: the
     reversed Plucker vector twisted by the Laplace signs of the (n-e)-subsets."""

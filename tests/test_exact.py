@@ -8,7 +8,6 @@ from subapprox.exact import (
     annihilator,
     clear_denominators,
     complete_to_unimodular,
-    det_int,
     gram_det_sq,
     hnf_rows,
     kernel_int,
@@ -18,6 +17,7 @@ from subapprox.exact import (
     wedge_plucker,
 )
 from subapprox.grassmann import from_generators
+from oracles import det_int
 
 
 def test_gram_det_orthonormal_columns():
@@ -38,11 +38,22 @@ def test_gram_det_dimension_mismatch():
         gram_det_sq([(1, 0), (0, 1), (1, 1)])
 
 
-def test_gram_det_negative_determinant_raises(monkeypatch):
-    # the check survives python -O, unlike the assert it replaces
-    monkeypatch.setattr("subapprox.exact.det_int", lambda m: -1)
-    with pytest.raises(ArithmeticError):
-        gram_det_sq([(1, 0), (0, 1)])
+def test_gram_det_is_the_bareiss_determinant():
+    # the pivot product of the echeloned Gram matrix equals the signed
+    # Bareiss determinant of it, 0 for dependent vectors, on seeded bases
+    rng = random.Random(25)
+    dependent = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        e = rng.randint(1, n)
+        basis = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(e)]
+        if e >= 2 and rng.random() < 0.3:  # the last vector a combination of the others
+            basis[-1] = [2 * a - 3 * b for a, b in zip(basis[0], basis[-2])]
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+        want = det_int(gram)
+        dependent += want == 0
+        assert gram_det_sq(basis) == want
+    assert dependent >= 20
 
 
 def test_wedge_identity_minors():
@@ -187,6 +198,33 @@ def test_complete_to_unimodular():
         extra = complete_to_unimodular(basis)
         full = list(basis) + extra
         assert abs(det_int([[full[j][i] for j in range(n)] for i in range(n)])) == 1
+
+
+@pytest.mark.parametrize("index", [2, 3])
+def test_complete_to_unimodular_refuses_non_saturated_bases(index):
+    # a saturated basis with a later vector v replaced by index v + the first
+    # one, or the first scaled by index: a sublattice of that index, whose
+    # first pivot is 1 in the first case, so every pivot has to be checked
+    rng = random.Random(index)
+    refused = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        e = rng.randint(1, n - 1)
+        try:
+            basis = from_generators([tuple(rng.randint(-6, 6) for _ in range(n))
+                                     for _ in range(e)]).lattice_basis
+        except ValueError:
+            continue
+        complete_to_unimodular(basis)
+        k = rng.randrange(e)
+        sub = list(basis)
+        sub[k] = tuple(index * a + (b if k else 0) for a, b in zip(basis[k], basis[0]))
+        with pytest.raises(ValueError, match="not saturated"):
+            complete_to_unimodular(sub)
+        refused += 1
+    assert refused >= 20
+    with pytest.raises(ValueError, match="not saturated"):  # first pivot 1, second index
+        complete_to_unimodular([(1, 0, 0), (0, index, 0)])
 
 
 def test_clear_denominators():
