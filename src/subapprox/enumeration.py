@@ -9,9 +9,12 @@ found through the basis of their saturation.
 
 * Planes: only Lagrange-Gauss reduced pairs are swept, |v1| <= |v2| and
   2 |<v1, v2>| <= |v1|^2.  Every saturated rank-2 lattice has such a basis,
-  and H^2 = |v1|^2 |v2|^2 - <v1, v2>^2 >= 3/4 |v1|^2 |v2|^2 bounds the
-  sweep.  Each plane is emitted about once; only ties on the boundary of the
-  reduction conditions emit it twice.
+  and H^2 = |v1|^2 |v2|^2 - <v1, v2>^2 >= |v1|^2 (|v2|^2 - |v1|^2 / 4)
+  bounds the sweep, so |v2|^2 <= H^2.  A pair is wedged only once its
+  height, read off its dot product, is <= H.  A lattice with two reduced
+  bases has them on the boundary 2 |<v1, v2>| = |v1|^2, where a stated
+  tie rule keeps one, so each plane is emitted once (see
+  :func:`_sweep_shard`).
 * 3-subspaces (n >= 6): for e <= 3 the successive minima of a lattice are
   attained by a basis, so Minkowski's second theorem in Hermite form,
   lam_1^2 lam_2^2 lam_3^2 <= gamma_3^3 H^2 = 2 H^2, makes the sweep complete.
@@ -20,11 +23,12 @@ found through the basis of their saturation.
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
   signs.
 
-The shards are swept serially, in order, by one loop.
-Each shard's rows are deduplicated and sorted by (height^2, lexicographic
-key) as the shard finishes, and one final pass merges these sorted runs, so
-the result does not depend on which shard emitted a subspace, nor on how
-often, and memory grows with the output, not with the tuples swept.  Rows
+The shards are swept serially, in order, by one loop.  Lines and planes
+come out once each, so one final pass sorts their rows by (height^2,
+lexicographic key); an e = 3 shard's rows are deduplicated and sorted as
+the shard finishes, and the final pass merges these runs.  So the result
+does not depend on which shard emitted a subspace, nor on how often, and
+memory grows with the output, not with the tuples swept.  Rows
 are kept in the narrowest signed dtype that holds +-floor(height_max) from
 the sweep's height filter through the cache round trip to
 ``Enumeration.pluckers``, and every sum of rows names a dtype that holds
@@ -61,8 +65,8 @@ _SHARD_SIZE = 64
 # names the cache layout; a cache of another version is rebuilt, never read
 _CACHE_VERSION = "v3"
 # the most rows, by Schmidt's estimate, of an enumeration's integer ball or
-# output: (4,2,40) and (6,2,10), ~16M rows each and peaking near 0.5 and
-# 1 GB, are admitted, and a larger one is refused before the ball is built
+# output: (4,2,40) and (6,2,10), ~16M rows each and peaking near 490 and
+# 670 MB, are admitted, and a larger one is refused before the ball is built
 MAX_ESTIMATED_ROWS = 1 << 25
 
 
@@ -212,6 +216,30 @@ def _product_cap(e: int, hmax_sq: int) -> int:
     return 2 * hmax_sq
 
 
+def _plane_rows(V, n2, first, second, dot, hmax_sq, dt):
+    """The canonical rows, in dtype dt, of the planes of height <= hmax_sq
+    with a reduced basis (V[first], V[second]) from the slab, whose products
+    are ``dot``, and the number of pairs wedged.  The height |v1 ^ v2|^2 =
+    k1 k2 - <v1, v2>^2 and the tie rule of :func:`_sweep_shard` are decided
+    from the products, so only the pairs left are wedged and gcd-tested."""
+    k1 = n2[first]
+    d = dot.astype(np.int64)
+    keep = k1 * n2[second] - d * d <= hmax_sq
+    first, second, dot, k1 = first[keep], second[keep], dot[keep], k1[keep]
+    tie = np.flatnonzero(2 * np.abs(dot) == k1)
+    if len(tie):  # keep v2 iff it comes before w = canon(v2 - s v1), lexicographically
+        v2 = V[second[tie]]
+        diff = v2 - _canonical_sign_rows(v2 - np.sign(dot[tie])[:, None] * V[first[tie]])
+        keep = np.ones(len(first), dtype=bool)
+        keep[tie[diff[np.arange(len(tie)), np.argmax(diff != 0, axis=1)] > 0]] = False
+        first, second = first[keep], second[keep]
+    # (x ^ v1)_T = x[idx[0]] v1[src[0]] - x[idx[1]] v1[src[1]]: the term at position p has sign (-1)^p
+    idx, src = (c.reshape(-1, 2).T for c in wedge_terms(V.shape[1], 1)[1:4:2])
+    v1, v2 = V[first], V[second]
+    W = (v2[:, idx[0]] * v1[:, src[0]] - v2[:, idx[1]] * v1[:, src[1]]).astype(dt)
+    return _canonical_sign_rows(W[_row_gcd(W) == 1]), len(first)
+
+
 def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     """Canonical rows of the subspaces with a swept basis whose first vector
     is V[a], lo <= a < hi, and the number of e-tuples wedged.
@@ -222,24 +250,61 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     of one, is at most sqrt(prod_cap) in absolute value by Cauchy-Schwarz, so
     none wraps.  Norms are summed in int64, and the rows that pass the
     height filter are kept in the narrow row dtype.
+
+    Planes sweep the Lagrange-Gauss reduced pairs, k1 = |v1|^2 <= k2 =
+    |v2|^2 and 2 |<v1, v2>| <= k1 (the slab).  There H^2 = k1 k2 - <v1, v2>^2
+    >= k1 k2 - k1^2 / 4, so a plane of height <= H has k2 <= floor((4 H^2 +
+    k1^2) / (4 k1)), where v1's candidates stop.  That is at most H^2 (k1 =
+    1 gives floor(H^2 + 1/4), and k1 >= 2 has k1^2 <= 4 H^2 (k1 - 1)), and
+    k1 k2 <= H^2 + k1^2 / 4 <= 4/3 H^2 = prod_cap.  The pairs in the slab go
+    to :func:`_plane_rows` in blocks of about ``_BLOCK_BYTES``, which
+    wedges only those of height <= H.
+
+    A saturated plane lattice has one reduced basis up to signs, except on
+    the slab's boundary 2 |<v1, v2>| = k1.  There, with s = sign <v1, v2>,
+    v2 - s v1 is as long as v2 and on the boundary too (its product with v1
+    is -s k1 / 2), so (v1, v2 - s v1) reduces the same lattice; if also
+    k1 = k2, v1, v2 and v2 - s v1 are its three shortest vectors up to
+    signs, and each two of them reduce it.  So a boundary pair (v1, v2) is
+    kept iff v2 comes before w = canon(v2 - s v1) in V's (norm^2, lex)
+    order, that is, lexicographically, as |w| = |v2|.  w's own partner is
+    v2, so of (v1, v2) and (v1, w) one is kept; and of the three pairs of a
+    hexagonal lattice, with shortest vectors u < u' < u'' in V's order,
+    only (u, u') is kept, since the partner of each other pair comes before
+    its second vector.  Each plane is then emitted once, by the shard that
+    holds its v1.
     """
     n = V.shape[1]
     dt = _signed_dtype(math.isqrt(hmax_sq))
     out, pairs = [np.zeros((0, math.comb(n, e)), dtype=dt)], 0
+    if e == 2:
+        # a block's indices, products, vectors and wedge terms take about _BLOCK_BYTES
+        block = max(1, _BLOCK_BYTES // (16 * (n + math.comb(n, 2))))
+        firsts, seconds, dots, size = [], [], [], 0
+        for a in range(lo, hi):
+            k1 = int(n2[a])
+            stop = int(np.searchsorted(n2, (4 * hmax_sq + k1 * k1) // (4 * k1), side="right"))
+            dot = V[a + 1:stop] @ V[a]
+            x = np.flatnonzero(np.abs(dot) <= k1 // 2)  # the slab
+            firsts.append(np.full(len(x), a))
+            seconds.append(x + (a + 1))
+            dots.append(dot[x])
+            size += len(x)
+            if size >= block or a == hi - 1:
+                rows, p = _plane_rows(V, n2, *map(np.concatenate, (firsts, seconds, dots)), hmax_sq, dt)
+                out.append(rows)
+                pairs += p
+                firsts, seconds, dots, size = [], [], [], 0
+        return np.concatenate(out), pairs
     for a in range(lo, hi):
         v1, k1 = V[a], int(n2[a])
-        if e == 2:
-            prefixes = [(v1, a, k1)]
-        else:  # v3 is no shorter than v2, so k1 k2^2 <= prod_cap
-            stop = int(np.searchsorted(n2, math.isqrt(prod_cap // k1), side="right"))
-            minors = V[a + 1:stop] @ annihilator(v1, n, 1)
-            prefixes = [(minors[b - a - 1], b, k1 * int(n2[b])) for b in range(a + 1, stop)]
-        for w, last, prod in prefixes:
-            X = V[last + 1:int(np.searchsorted(n2, prod_cap // prod, side="right"))]
-            if e == 2:  # Lagrange-Gauss reduced
-                X = X[2 * np.abs(X @ v1) <= k1]
+        # v3 is no shorter than v2, so k1 k2^2 <= prod_cap
+        stop = int(np.searchsorted(n2, math.isqrt(prod_cap // k1), side="right"))
+        minors = V[a + 1:stop] @ annihilator(v1, n, 1)
+        for b in range(a + 1, stop):
+            X = V[b + 1:int(np.searchsorted(n2, prod_cap // (k1 * int(n2[b])), side="right"))]
             pairs += len(X)
-            W = X @ annihilator(w, n, e - 1)  # +-(v1 ^ ... ^ x); the sign is canonicalised
+            W = X @ annihilator(minors[b - a - 1], n, 2)  # +-(v1 ^ v2 ^ x); the sign is canonicalised
             W = W[np.einsum("ij,ij->i", W, W, dtype=np.int64) <= hmax_sq].astype(dt)
             out.append(W[_row_gcd(W) == 1])
     return _canonical_sign_rows(np.concatenate(out)), pairs
@@ -270,12 +335,20 @@ def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
     each returns (the canonical rows it emits in the narrow row dtype,
     tuples wedged).  Lines, hyperplanes and the whole space are one shard.
     An integer ball or output estimated above MAX_ESTIMATED_ROWS rows raises
-    ValueError before anything is allocated."""
+    ValueError before anything is allocated.
+
+    The integer ball holds every vector of a swept basis: norm^2 <= H^2 for
+    lines and for planes, whose k2 is at most H^2 (see :func:`_sweep_shard`),
+    and norm^2 <= prod_cap = 2 H^2 for e = 3.  The first vectors are those
+    with k1^f <= prod_cap (a reduced pair has k1^2 <= k1 k2 <= 4/3 H^2, so
+    k1 <= H^2).  The ball is sorted by (norm^2, lex), so they are its first
+    m rows at either radius, and the shards, m / _SHARD_SIZE of them, cut
+    them where the cache's `shards=` and `# swept <k>` say."""
     f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
     dt = _signed_dtype(math.isqrt(hmax_sq))
     if f == 0:
         return [lambda: (np.ones((1, 1), dtype=dt), 0)]
-    cap = hmax_sq if f == 1 else _product_cap(f, hmax_sq)  # the ball's norm^2
+    cap = hmax_sq if f < 3 else _product_cap(f, hmax_sq)  # the ball's norm^2
     ball, out = _log_schmidt_count(n, 1, cap), _log_schmidt_count(n, f, hmax_sq)
     if max(ball, out) > math.log(MAX_ESTIMATED_ROWS):
         raise ValueError("the (%d, %d) enumeration's integer ball and output are estimated at "
@@ -286,11 +359,12 @@ def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
             V = _integer_ball(n, hmax_sq)
             return V, len(V)
         return [lines]
+    prod_cap = _product_cap(f, hmax_sq)
     V = _integer_ball(n, cap)
     n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
-    V = V.astype(_signed_dtype(2 * cap))
-    m = int(np.count_nonzero(n2 ** f <= cap))  # candidates for the shortest basis vector
-    return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, cap, hmax_sq)
+    V = V.astype(_signed_dtype(2 * prod_cap))
+    m = int(np.count_nonzero(n2 ** f <= prod_cap))  # candidates for the shortest basis vector
+    return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, prod_cap, hmax_sq)
             for lo in range(0, m, _SHARD_SIZE)]
 
 
@@ -299,8 +373,10 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     """Every rational subspace of dimension e in R^n with height <= height_max.
 
     Needs min(e, n - e) <= 3.  The shards are swept one after another, in
-    order; each one's rows are Hodge-twisted when e > n - e, deduplicated and
-    sorted as it finishes, and one final pass merges these runs, so the
+    order, and each one's rows are Hodge-twisted when e > n - e.  A line or
+    plane sweep emits each subspace once, so its shards' rows are kept as
+    they come; an e = 3 shard's rows are deduplicated and sorted as it
+    finishes.  One final pass sorts all rows and drops repeats, so the
     result is sorted by (height^2, lexicographic key) and downstream
     consumers are independent of enumeration order.  ``max_pairs`` bounds
     the sweep: no shard starts once more than that many tuples have been
@@ -329,7 +405,7 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
         shard, p = jobs[swept]()
         if e > n - e:
             shard = _canonical_sign_rows(hodge_twist(shard, n, e))
-        runs.append(_unique_sorted(shard))
+        runs.append(_unique_sorted(shard) if min(e, n - e) == 3 else shard)  # e = 3 repeats rows
         del shard
         swept, pairs = swept + 1, pairs + p
         if max_pairs is not None and pairs > max_pairs:
@@ -337,7 +413,7 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     del jobs, cached  # the integer ball, held by the shards
     rows = np.concatenate(runs)
     del runs
-    rows = _unique_sorted(rows)  # merges the sorted runs
+    rows = _unique_sorted(rows)  # the one sort of lines and planes; merges e = 3 runs
     if cache_path is not None:
         _write_cache(cache_path, n, e, hmax_sq, nshards, swept, rows)
     return Enumeration(n, e, hmax_sq, rows, truncated=swept < nshards, pair_count=pairs)

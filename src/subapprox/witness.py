@@ -27,7 +27,7 @@ from .enumeration import _U, Enumeration, _decide
 from .exact import annihilator, hodge_twist, subsets
 from .grassmann import _BLOCK_BYTES, relation_values
 
-MAX_BOX_CELLS = 10 ** 7  # the largest (2b + 1)^3 search box; the R^5 search holds ~17 bytes a cell
+MAX_BOX_CELLS = 10 ** 7  # the largest (2b + 1)^3 search box
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
 
 
@@ -222,29 +222,61 @@ def r5_trivial_solution_search(bound: int = 30) -> dict:
     solution in the integer box |n_i| <= bound (integers suffice: the system
     is homogeneous of degree 2).
 
-    The first quadric is k a^2 + a l(b, c, d) + g(b, c, d) with l linear.
-    g + a l is evaluated once over the (b, c, d) box, at a = -bound, and
-    moved on by l in place; each a's zero set is where it equals -k a^2.
-    The other quadrics are evaluated only there."""
+    The first quadric is k a^2 + l a + g, with l = l(b, c, d) linear and
+    g = g(b, c, d) a quadratic form, whose coefficients are read off by
+    polarization.  With L and G the sums of the absolute coefficients of l
+    and g, |l| <= L bound, every partial sum of g's terms is at most
+    G bound^2 and |l^2 - 4 k g| <= (L^2 + 4 |k| G) bound^2, so l, g and the
+    discriminant are evaluated once over the (b, c, d) box, in blocks of
+    about ``_BLOCK_BYTES`` and in the narrowest dtype that holds
+    (L^2 + (4 |k| + 1) G) bound^2.  For k != 0 a cell's
+    roots are a = (-l +- s) / (2 k) where the discriminant is a square s^2
+    and 2 k divides -l +- s; for k = 0, a = -g / l where l divides g, and
+    every a where l = g = 0.  The other quadrics are evaluated only at the
+    roots with |a| <= bound, and the solutions are listed in (a, b, c, d)
+    order."""
     rng = _search_range(bound)
     box = (len(rng),) * 3
-    solutions = []
-    B, C, D = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
     first, *rest = _R5_SEARCH_QUADRICS
-    k = first(1, 0, 0, 0)
-    rem = np.broadcast_to(first(-bound, B, C, D), box) - k * bound * bound  # g + a l at a = -bound
-    lb, lc, ld = ((first(1, *u) - first(-1, *u)) // 2 for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    lin = lb * B + lc * C + ld * D
-    zero = np.empty(box, dtype=bool)
-    for a in rng.tolist():
-        b, c, d = (rng[i] for i in np.nonzero(np.equal(rem, -k * a * a, out=zero)))
-        rem += lin
-        ok = np.ones(len(b), dtype=bool)
-        for q in rest:
-            ok &= q(a, b, c, d) == 0
-        for bcd in zip(b[ok].tolist(), c[ok].tolist(), d[ok].tolist()):
-            if a or any(bcd):
-                solutions.append((a,) + bcd)
+    unit = np.eye(4, dtype=int).tolist()
+    sq = [first(*u) for u in unit]
+    coef = {(i, j): first(*np.add(unit[i], unit[j]).tolist()) - sq[i] - sq[j] if i < j else sq[i]
+            for i in range(4) for j in range(i, 4)}
+    k = coef.pop((0, 0))
+    lin = [coef.pop((0, j)) for j in (1, 2, 3)]
+    span = (sum(map(abs, lin)) ** 2 + (4 * abs(k) + 1) * sum(map(abs, coef.values()))) * bound * bound
+    grid = np.meshgrid(*[rng.astype(np.min_scalar_type(-span - 1))] * 3, indexing="ij", sparse=True)
+    step = max(1, _BLOCK_BYTES // (16 * len(rng) ** 2))  # values of b a block; ~16 bytes a cell
+    roots, cells = [], []
+    for lo in range(0, len(rng), step):
+        x = {1: grid[0][lo:lo + step], 2: grid[1], 3: grid[2]}
+        shape, offset = (len(x[1]),) + box[1:], lo * len(rng) ** 2
+        lv = np.broadcast_to(sum(c * x[j] for j, c in zip((1, 2, 3), lin)), shape)
+        gv = np.broadcast_to(sum(c * x[i] * x[j] for (i, j), c in coef.items()), shape)
+        if k:
+            disc = lv * lv - 4 * k * gv
+            at = np.flatnonzero(np.isin(disc, np.arange(math.isqrt(span) + 1) ** 2))
+            s = np.sqrt(disc.flat[at].astype(np.float64)).round().astype(np.int64)
+            at = np.concatenate([at, at[s > 0]])  # a double root once
+            num = -lv.flat[at].astype(np.int64) + np.concatenate([s, -s[s > 0]])
+            even = num % (2 * k) == 0
+            roots.append(num[even] // (2 * k))
+            cells.append(at[even] + offset)
+        else:
+            at = np.flatnonzero((lv != 0) & (gv % np.where(lv != 0, lv, 1) == 0))
+            every = np.flatnonzero((lv == 0) & (gv == 0))
+            roots += [-gv.flat[at].astype(np.int64) // lv.flat[at], np.repeat(rng, len(every))]
+            cells += [at + offset, np.tile(every, len(rng)) + offset]
+    a, cells = np.concatenate(roots), np.concatenate(cells)
+    keep = np.abs(a) <= bound
+    cand = (a[keep], *(rng[i] for i in np.unravel_index(cells[keep], box)))
+    ok = np.ones(len(cand[0]), dtype=bool)
+    for q in rest:
+        ok &= q(*cand) == 0
+    ok &= np.any(cand, axis=0)
+    cand = [v[ok] for v in cand]
+    order = np.lexsort(cand[::-1])
+    solutions = list(zip(*(v[order].tolist() for v in cand)))
     return {
         "kind": "r5-trivial-solutions",
         "bound": bound,

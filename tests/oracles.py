@@ -113,3 +113,32 @@ def direct_sum_angle_bound(f_parts: Sequence[RealSubspace],
             pinv_rows = max(pinv_rows, mp.sqrt(mp.fsum(x * x for x in row)))
         constant = mp.sqrt(2) * max(dims) * pinv_rows
     return DirectSumBound(lhs, rhs, constant, k)
+
+
+def r5_search_loop(quadrics, bound: int) -> list:
+    """The nonzero integer solutions of the four-variable quadric system in
+    the box |n_i| <= bound, in (a, b, c, d) order, by one pass over the
+    (b, c, d) box per value of a: the first quadric k a^2 + a l + g is
+    moved on by l in place, and the others are evaluated at its zeros."""
+    import numpy as np
+
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    box = (len(rng),) * 3
+    solutions = []
+    B, C, D = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
+    first, *rest = quadrics
+    k = first(1, 0, 0, 0)
+    rem = np.broadcast_to(first(-bound, B, C, D), box) - k * bound * bound  # g + a l at a = -bound
+    lb, lc, ld = ((first(1, *u) - first(-1, *u)) // 2 for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    lin = lb * B + lc * C + ld * D
+    zero = np.empty(box, dtype=bool)
+    for a in rng.tolist():
+        b, c, d = (rng[i] for i in np.nonzero(np.equal(rem, -k * a * a, out=zero)))
+        rem += lin
+        ok = np.ones(len(b), dtype=bool)
+        for q in rest:
+            ok &= q(a, b, c, d) == 0
+        for bcd in zip(b[ok].tolist(), c[ok].tolist(), d[ok].tolist()):
+            if a or any(bcd):
+                solutions.append((a,) + bcd)
+    return solutions

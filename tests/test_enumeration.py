@@ -196,7 +196,8 @@ def test_enumeration_e3_duality_with_planes():
     assert np.array_equal(np.sort(e53.heights_sq), np.sort(e52.heights_sq))
 
 
-@pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (5, 2, 3), (6, 2, 2), (6, 3, 1), (6, 3, 2)])
+@pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (4, 2, 6), (5, 2, 3), (5, 2, 4), (6, 2, 2), (6, 3, 1),
+                                         (6, 3, 2)])
 def test_sweep_matches_reference_sweep(n, e, hmax):
     # the reduced plane sweep and the e=3 sweep, row for row against the oracle
     from subapprox.enumeration import _unique_sorted
@@ -204,6 +205,44 @@ def test_sweep_matches_reference_sweep(n, e, hmax):
     fast = enumerate_subspaces(n, e, hmax)
     ref, _ = _enumerate_generic(n, e, hmax * hmax)
     assert np.array_equal(fast.pluckers, _unique_sorted(ref))
+
+
+def _shard_rows(n, e, hmax):
+    """Every row the shards of the (n, e, hmax) sweep emit, in shard order,
+    Hodge-twisted as :func:`enumerate_subspaces` twists them."""
+    from subapprox.enumeration import _canonical_sign_rows
+    from subapprox.exact import hodge_twist
+
+    rows = np.concatenate([job()[0] for job in _shard_jobs(n, e, hmax * hmax)])
+    return _canonical_sign_rows(hodge_twist(rows, n, e)) if e > n - e else rows
+
+
+@pytest.mark.parametrize("n, e, hmax", [(4, 2, 14), (5, 2, 6), (3, 2, 20), (5, 3, 3)])
+def test_plane_shards_emit_each_subspace_once(n, e, hmax):
+    # the tie rule keeps one reduced basis of each plane, so the rows the
+    # shards emit are the enumeration's, none repeated
+    rows = _shard_rows(n, e, hmax)
+    assert len(np.unique(rows, axis=0)) == len(rows) == len(enumerate_subspaces(n, e, hmax))
+
+
+@pytest.mark.parametrize("basis", [
+    [(1, 1, 0, 0), (1, 0, 1, 0)],  # hexagonal: three reduced bases, |v1| = |v2| = |v1 - v2|
+    [(1, 1, 0, 0), (1, 0, 1, 1)],  # 2 <v1, v2> = |v1|^2 < |v2|^2: two reduced bases
+])
+def test_boundary_plane_is_emitted_once(basis):
+    from subapprox.exact import normalize_plucker, wedge_plucker
+
+    key = normalize_plucker(wedge_plucker(basis), 4, 2).coords
+    rows = _shard_rows(4, 2, 3)
+    assert int(np.all(rows == np.array(key), axis=1).sum()) == 1
+
+
+def test_plane_sweep_wedges_about_one_pair_per_plane():
+    # the k2 stop and the height filter before the wedge; stopping at
+    # 4 H^2 / (3 k1) and filtering after the wedge took 480,260 pairs here
+    enum = enumerate_subspaces(4, 2, 14)
+    assert enum.pair_count == 258868 and len(enum) == 235946
+    assert enum.pair_count / len(enum) <= 1.15
 
 
 def test_e3_sweep_is_bounded_by_the_hermite_cap():
@@ -660,7 +699,7 @@ def test_validate_rows_compares_narrow_rows_without_wrapping():
 
 
 def test_memory_grows_with_the_output(tmp_path):
-    # a cold build holds each shard's rows deduplicated and narrow, its peak
+    # a cold build holds its shards' rows narrow, each plane once, its peak
     # stated in bytes of the rows as int64, which no step copies them into;
     # a load holds the narrow rows it parses and one block of text or of
     # validation at a time, whose checks run in blocks of their own
@@ -769,11 +808,13 @@ def test_cache_of_another_version_is_rebuilt(tmp_path, version):
 
 
 def test_dual_cache_resume_from_truncation(tmp_path):
+    # at height 4 the resumed second shard wedges 938 pairs; at height 3 it
+    # wedges none
     path, fresh = str(tmp_path / "c53.cache"), str(tmp_path / "fresh.cache")
-    assert enumerate_subspaces(5, 3, 3, max_pairs=100, cache_path=path).truncated
-    full = enumerate_subspaces(5, 3, 3, cache_path=path)
+    assert enumerate_subspaces(5, 3, 4, max_pairs=100, cache_path=path).truncated
+    full = enumerate_subspaces(5, 3, 4, cache_path=path)
     assert not full.truncated and full.pair_count > 0
-    assert np.array_equal(full.pluckers, enumerate_subspaces(5, 3, 3, cache_path=fresh).pluckers)
+    assert np.array_equal(full.pluckers, enumerate_subspaces(5, 3, 4, cache_path=fresh).pluckers)
     text = open(path).read()
     assert text == open(fresh).read() and text.endswith("\n# end\n")
     assert len([ln for ln in text.splitlines() if ln.startswith("5 3 :")]) == len(full)

@@ -25,7 +25,7 @@ from subapprox.witness import (
     _r5_zetas,
 )
 
-from oracles import gram_residual
+from oracles import gram_residual, r5_search_loop
 
 # the benchmark's witness parameters (perfbench/workloads.py): no rational
 # plane meets these R^4 witnesses, and every R^5 one meets span(e1, e4 - e5)
@@ -269,6 +269,31 @@ def test_r5_search_steps_a_first_quadric_with_a_linear_term(monkeypatch):
     assert any(a and b for a, b, _, _ in want)
     monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
     assert w.r5_trivial_solution_search(4)["nonzero_solutions"] == want
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_r5_search_matches_the_loop_oracle(bound):
+    import subapprox.witness as w
+
+    want = r5_search_loop(w._R5_SEARCH_QUADRICS, bound)
+    assert r5_trivial_solution_search(bound)["nonzero_solutions"] == want
+
+
+@pytest.mark.parametrize("system", [
+    # k = 1 and l = b: a single and a double root a = -b where c d = 0
+    (lambda a, b, c, d: a * a + a * b - c * d, lambda a, b, c, d: a * c - b * d),
+    # k = 2 and l = 3 b: a root only where 4 divides -3 b +- s
+    (lambda a, b, c, d: 2 * a * a + 3 * a * b - c * c + d * d, lambda a, b, c, d: a * d - b * c + c * c),
+    # k = 0 and l = -c: a = -g / l, and every a where l = g = 0
+    (lambda a, b, c, d: -a * c - b * d + c * d - d * d, lambda a, b, c, d: -a * c - c * c + c * d),
+])
+def test_r5_search_matches_the_loop_oracle_on_planted_systems(monkeypatch, system):
+    import subapprox.witness as w
+
+    want = r5_search_loop(system, 6)
+    assert any(a and system[0](1, b, c, d) != system[0](-1, b, c, d) for a, b, c, d in want)
+    monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
+    assert w.r5_trivial_solution_search(6)["nonzero_solutions"] == want
 
 
 def test_lower_bound_check_coordinate_planes():
