@@ -7,30 +7,30 @@ its wedge has gcd 1, i.e. it is a basis of a saturated lattice, so the wedge
 already is the primitive Plucker vector; lattices that are not saturated are
 found through the basis of their saturation.
 
-* Planes: only Lagrange-Gauss reduced pairs are swept, |v1| <= |v2| and
-  2 |<v1, v2>| <= |v1|^2.  Every saturated rank-2 lattice has such a basis,
-  and H^2 = |v1|^2 |v2|^2 - <v1, v2>^2 >= |v1|^2 (|v2|^2 - |v1|^2 / 4)
-  bounds the sweep, so |v2|^2 <= H^2.  A pair is wedged only once its
-  height, read off its dot product, is <= H.  A lattice with two reduced
-  bases has them on the boundary 2 |<v1, v2>| = |v1|^2, where a stated
-  tie rule keeps one, so each plane is emitted once (see
-  :func:`_sweep_shard`).
-* 3-subspaces (n >= 6): for e <= 3 the successive minima of a lattice are
-  attained by a basis, so Minkowski's second theorem in Hermite form,
-  lam_1^2 lam_2^2 lam_3^2 <= gamma_3^3 H^2 = 2 H^2, makes the sweep complete.
+* Planes, and 3-subspaces for n >= 6: only reduced bases are swept, whose
+  vectors attain the successive minima of their lattice; for e <= 3 some
+  basis of every lattice does.  So no v2 +- v1 is shorter than v2, the
+  Lagrange-Gauss slab 2 |<v1, v2>| <= |v1|^2, and no v3 + s v1 + t v2 is
+  shorter than v3 (see :func:`_sweep_shard`).  H^2 >= |v1|^2 (|v2|^2 -
+  |v1|^2 / 4) bounds the plane sweep, and Minkowski's second theorem in
+  Hermite form, lam_1^2 lam_2^2 lam_3^2 <= gamma_3^3 H^2 = 2 H^2, the
+  triple sweep; then every vector has norm^2 <= H^2, so lines, planes and
+  3-subspaces draw from one integer ball.  A tuple is wedged only once its
+  height, the Gram determinant of its dot products, is <= H.  A plane
+  lattice with two reduced bases has them on the boundary 2 |<v1, v2>| =
+  |v1|^2, where a stated tie rule keeps one, so each plane is emitted
+  once; a 3-subspace is emitted once for each of its reduced bases.
 * e > n - e: the Hodge star maps a saturated lattice to its orthogonal
   complement, which has the same height, so the (n, e) subspaces are the
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
   signs.
 
-The shards are swept serially, in order, by one loop.  Lines and planes
-come out once each, so one final pass sorts their rows by (height^2,
-lexicographic key); an e = 3 shard's rows are deduplicated and sorted as
-the shard finishes, and the final pass merges these runs.  So the result
-does not depend on which shard emitted a subspace, nor on how often, and
-memory grows with the output, not with the tuples swept.  Rows
+The shards are swept serially, in order, by one loop, and one final pass
+sorts all rows by (height^2, lexicographic key) and drops repeats.  So the
+result does not depend on which shard emitted a subspace, nor on how
+often, and memory grows with the output, not with the tuples swept.  Rows
 are kept in the narrowest signed dtype that holds +-floor(height_max) from
-the sweep's height filter through the cache round trip to
+the sweep's height test through the cache round trip to
 ``Enumeration.pluckers``, and every sum of rows names a dtype that holds
 it; no int64 copy of the rows is made.  Completeness for
 (n, e) = (4, 2) is cross-checked against an independent sweep of primitive
@@ -66,7 +66,9 @@ _SHARD_SIZE = 64
 _CACHE_VERSION = "v3"
 # the most rows, by Schmidt's estimate, of an enumeration's integer ball or
 # output: (4,2,40) and (6,2,10), ~16M rows each and peaking near 490 and
-# 670 MB, are admitted, and a larger one is refused before the ball is built
+# 670 MB, are admitted, and a larger one is refused before the ball is built.
+# For e = 3, (6,3,8) holds 6.9M rows and peaks near 770 MB, and (6,3,10) is
+# admitted at an estimate of 2.9e7 rows
 MAX_ESTIMATED_ROWS = 1 << 25
 
 
@@ -240,25 +242,78 @@ def _plane_rows(V, n2, first, second, dot, hmax_sq, dt):
     return _canonical_sign_rows(W[_row_gcd(W) == 1]), len(first)
 
 
+def _triple_rows(V, n2, first, second, dot, hmax_sq, dt):
+    """The canonical rows, in dtype dt, of the 3-subspaces of height <= hmax_sq
+    with a reduced basis (V[first], V[second], V[c]) whose first two vectors
+    are a pair from the slab, with products ``dot``, and the number of
+    triples wedged.  For each pair, the third vectors run up to the Hermite
+    cap; the conditions of :func:`_sweep_shard` and the height are decided
+    from the products, so only the triples left are wedged and gcd-tested."""
+    n, cap = V.shape[1], _product_cap(3, hmax_sq)
+    out, triples = [np.zeros((0, math.comb(n, 3)), dtype=dt)], 0
+    for a, b, d12 in zip(first.tolist(), second.tolist(), dot.tolist()):
+        k1, k2 = int(n2[a]), int(n2[b])
+        c = slice(b + 1, int(np.searchsorted(n2, cap // (k1 * k2), side="right")))
+        X, k3 = V[c], n2[c]
+        d13, d23 = (X @ V[[a, b]].T).astype(np.int64).T
+        keep = (2 * np.abs(d13) <= k1) & (2 * np.abs(d23) <= k2)
+        keep &= (2 * (np.abs(d13 + d12) - d23) <= k1 + k2) & (2 * (np.abs(d13 - d12) + d23) <= k1 + k2)
+        h2 = k1 * k2 * k3 + 2 * d12 * d13 * d23 - k1 * d23 * d23 - k2 * d13 * d13 - k3 * d12 * d12
+        X = X[keep & (h2 <= hmax_sq)]
+        triples += len(X)
+        W = (X @ annihilator(V[b] @ annihilator(V[a], n, 1), n, 2)).astype(dt)  # +-(v1 ^ v2 ^ x)
+        out.append(W[_row_gcd(W) == 1])
+    return _canonical_sign_rows(np.concatenate(out)), triples
+
+
 def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     """Canonical rows of the subspaces with a swept basis whose first vector
     is V[a], lo <= a < hi, and the number of e-tuples wedged.
 
-    Each later vector comes strictly later in V, so every set of vectors is
-    tried once; the last one is vectorised.  V's dtype holds +-2 prod_cap,
-    and every dot product, minor and wedge formed here, and every partial sum
-    of one, is at most sqrt(prod_cap) in absolute value by Cauchy-Schwarz, so
-    none wraps.  Norms are summed in int64, and the rows that pass the
-    height filter are kept in the narrow row dtype.
+    A line's basis is one vector of the ball, so its rows are V's own.  For
+    planes and 3-subspaces each later vector comes strictly later in V, so
+    every set of vectors is tried once; the last one is vectorised.  V's
+    dtype holds +-2 prod_cap, and every dot product, minor and wedge formed
+    here, and every partial sum of one, is at most sqrt(prod_cap) in
+    absolute value by Cauchy-Schwarz, so none wraps.  Norms and heights are
+    formed in int64, and the rows that pass the height test are kept in the
+    narrow row dtype.
 
-    Planes sweep the Lagrange-Gauss reduced pairs, k1 = |v1|^2 <= k2 =
-    |v2|^2 and 2 |<v1, v2>| <= k1 (the slab).  There H^2 = k1 k2 - <v1, v2>^2
-    >= k1 k2 - k1^2 / 4, so a plane of height <= H has k2 <= floor((4 H^2 +
-    k1^2) / (4 k1)), where v1's candidates stop.  That is at most H^2 (k1 =
-    1 gives floor(H^2 + 1/4), and k1 >= 2 has k1^2 <= 4 H^2 (k1 - 1)), and
-    k1 k2 <= H^2 + k1^2 / 4 <= 4/3 H^2 = prod_cap.  The pairs in the slab go
-    to :func:`_plane_rows` in blocks of about ``_BLOCK_BYTES``, which
-    wedges only those of height <= H.
+    The swept bases are reduced.  Let (v1, v2, v3) attain the successive
+    minima of its lattice, with k_i = |v_i|^2 and d_ij = <v_i, v_j>: for
+    e <= 3 such a basis exists.  A lattice vector outside span(v1, ...,
+    v_(i-1)) is at least lam_i long, and v2 +- v1 lies outside span(v1),
+    v3 + s v1 + t v2 (s, t in {-1, 0, 1}) outside span(v1, v2).  So none is
+    shorter than the vector it could replace, and expanding |v2 +- v1|^2 >=
+    k2 and |v3 + s v1 + t v2|^2 >= k3 gives
+
+    * 2 |d12| <= k1 (the slab);
+    * 2 |d13| <= k1 and 2 |d23| <= k2 (t = 0, s = 0);
+    * 2 (|d13 + d12| - d23) <= k1 + k2 and 2 (|d13 - d12| + d23) <= k1 + k2
+      (t = 1 and t = -1, with the worse s).
+
+    Reordering vectors of equal length, or flipping signs, keeps a basis
+    attaining the minima, and the conditions are invariant under a flip
+    (it swaps the last two or keeps them), so some such basis comes in V's
+    order and meets them: keeping only the tuples that meet them drops no
+    subspace.  The height is the Gram determinant, H^2 = k1 k2 - d12^2 for
+    planes and k1 k2 k3 + 2 d12 d13 d23 - k1 d23^2 - k2 d13^2 - k3 d12^2
+    for 3-subspaces, read off the products before the wedge.
+
+    * Planes: H^2 >= k1 k2 - k1^2 / 4, so a plane of height <= H has k2 <=
+      floor((4 H^2 + k1^2) / (4 k1)), where v1's candidates stop.  That is
+      at most H^2 (k1 = 1 gives floor(H^2 + 1/4), and k1 >= 2 has k1^2 <=
+      4 H^2 (k1 - 1)), and k1 k2 <= H^2 + k1^2 / 4 <= 4/3 H^2 = prod_cap.
+    * 3-subspaces: Minkowski's second theorem in Hermite form gives k1 k2 k3
+      <= gamma_3^3 H^2 = 2 H^2 = prod_cap, so v2 stops at k1 k2^2 <=
+      prod_cap and v3 at k1 k2 k3 <= prod_cap.  And k3 <= H^2: if k1 = k2 =
+      1, every |d_ij| <= 1/2 is 0, so H^2 = k3; otherwise k1 k2 >= 2 and
+      k3 <= prod_cap / (k1 k2) <= H^2.
+
+    So every vector of a swept basis lies in the ball of norm^2 <= H^2.
+    The pairs in the slab go, in blocks of about ``_BLOCK_BYTES``, to
+    :func:`_plane_rows` or to :func:`_triple_rows`, which decide the rest
+    from the products and wedge only the tuples of height <= H.
 
     A saturated plane lattice has one reduced basis up to signs, except on
     the slab's boundary 2 |<v1, v2>| = k1.  There, with s = sign <v1, v2>,
@@ -272,42 +327,30 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     hexagonal lattice, with shortest vectors u < u' < u'' in V's order,
     only (u, u') is kept, since the partner of each other pair comes before
     its second vector.  Each plane is then emitted once, by the shard that
-    holds its v1.
+    holds its v1.  A 3-subspace is emitted once for each of its reduced
+    triples in V's order, which differ only on the conditions' boundary;
+    the final sort of :func:`enumerate_subspaces` drops the repeats.
     """
+    if e == 1:
+        return V[lo:hi], hi - lo
     n = V.shape[1]
     dt = _signed_dtype(math.isqrt(hmax_sq))
-    out, pairs = [np.zeros((0, math.comb(n, e)), dtype=dt)], 0
-    if e == 2:
-        # a block's indices, products, vectors and wedge terms take about _BLOCK_BYTES
-        block = max(1, _BLOCK_BYTES // (16 * (n + math.comb(n, 2))))
-        firsts, seconds, dots, size = [], [], [], 0
-        for a in range(lo, hi):
-            k1 = int(n2[a])
-            stop = int(np.searchsorted(n2, (4 * hmax_sq + k1 * k1) // (4 * k1), side="right"))
-            dot = V[a + 1:stop] @ V[a]
-            x = np.flatnonzero(np.abs(dot) <= k1 // 2)  # the slab
-            firsts.append(np.full(len(x), a))
-            seconds.append(x + (a + 1))
-            dots.append(dot[x])
-            size += len(x)
-            if size >= block or a == hi - 1:
-                rows, p = _plane_rows(V, n2, *map(np.concatenate, (firsts, seconds, dots)), hmax_sq, dt)
-                out.append(rows)
-                pairs += p
-                firsts, seconds, dots, size = [], [], [], 0
-        return np.concatenate(out), pairs
+    rows_of = _plane_rows if e == 2 else _triple_rows
+    # a block's indices, products, vectors and wedge terms take about _BLOCK_BYTES
+    block = max(1, _BLOCK_BYTES // (16 * (n + math.comb(n, e))))
+    out, slab, size = [(np.zeros((0, math.comb(n, e)), dtype=dt), 0)], [], 0
     for a in range(lo, hi):
-        v1, k1 = V[a], int(n2[a])
-        # v3 is no shorter than v2, so k1 k2^2 <= prod_cap
-        stop = int(np.searchsorted(n2, math.isqrt(prod_cap // k1), side="right"))
-        minors = V[a + 1:stop] @ annihilator(v1, n, 1)
-        for b in range(a + 1, stop):
-            X = V[b + 1:int(np.searchsorted(n2, prod_cap // (k1 * int(n2[b])), side="right"))]
-            pairs += len(X)
-            W = X @ annihilator(minors[b - a - 1], n, 2)  # +-(v1 ^ v2 ^ x); the sign is canonicalised
-            W = W[np.einsum("ij,ij->i", W, W, dtype=np.int64) <= hmax_sq].astype(dt)
-            out.append(W[_row_gcd(W) == 1])
-    return _canonical_sign_rows(np.concatenate(out)), pairs
+        k1 = int(n2[a])
+        k2_max = (4 * hmax_sq + k1 * k1) // (4 * k1) if e == 2 else math.isqrt(prod_cap // k1)
+        dot = V[a + 1:int(np.searchsorted(n2, k2_max, side="right"))] @ V[a]
+        x = np.flatnonzero(np.abs(dot) <= k1 // 2)  # the slab
+        slab.append((np.full(len(x), a), x + (a + 1), dot[x]))
+        size += len(x)
+        if size >= block or a == hi - 1:
+            out.append(rows_of(V, n2, *map(np.concatenate, zip(*slab)), hmax_sq, dt))
+            slab, size = [], 0
+    rows, tuples = zip(*out)
+    return np.concatenate(rows), sum(tuples)
 
 
 def _log_schmidt_count(n: int, e: int, height_sq: int) -> float:
@@ -337,31 +380,27 @@ def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
     An integer ball or output estimated above MAX_ESTIMATED_ROWS rows raises
     ValueError before anything is allocated.
 
-    The integer ball holds every vector of a swept basis: norm^2 <= H^2 for
-    lines and for planes, whose k2 is at most H^2 (see :func:`_sweep_shard`),
-    and norm^2 <= prod_cap = 2 H^2 for e = 3.  The first vectors are those
-    with k1^f <= prod_cap (a reduced pair has k1^2 <= k1 k2 <= 4/3 H^2, so
-    k1 <= H^2).  The ball is sorted by (norm^2, lex), so they are its first
-    m rows at either radius, and the shards, m / _SHARD_SIZE of them, cut
-    them where the cache's `shards=` and `# swept <k>` say."""
+    The integer ball of norm^2 <= H^2 holds every vector of a swept basis,
+    for every f: a plane's k2 and a 3-subspace's k3 are at most H^2 (see
+    :func:`_sweep_shard`), and its rows are the lines.  The first vectors
+    of planes and 3-subspaces are those with k1^f <= prod_cap (a reduced
+    pair has k1^2 <= k1 k2 <= 4/3 H^2, a reduced triple k1^3 <= 2 H^2).  The ball is sorted by (norm^2, lex), so they are its first m
+    rows, and the shards, m / _SHARD_SIZE of them, cut them where the
+    cache's `shards=` and `# swept <k>` say."""
     f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
     dt = _signed_dtype(math.isqrt(hmax_sq))
     if f == 0:
         return [lambda: (np.ones((1, 1), dtype=dt), 0)]
-    cap = hmax_sq if f < 3 else _product_cap(f, hmax_sq)  # the ball's norm^2
-    ball, out = _log_schmidt_count(n, 1, cap), _log_schmidt_count(n, f, hmax_sq)
+    ball, out = _log_schmidt_count(n, 1, hmax_sq), _log_schmidt_count(n, f, hmax_sq)
     if max(ball, out) > math.log(MAX_ESTIMATED_ROWS):
         raise ValueError("the (%d, %d) enumeration's integer ball and output are estimated at "
                          "10^%.1f and 10^%.1f rows, more than MAX_ESTIMATED_ROWS = %d"
                          % (n, e, ball / math.log(10), out / math.log(10), MAX_ESTIMATED_ROWS))
-    if f == 1:
-        def lines():
-            V = _integer_ball(n, hmax_sq)
-            return V, len(V)
-        return [lines]
     prod_cap = _product_cap(f, hmax_sq)
-    V = _integer_ball(n, cap)
+    V = _integer_ball(n, hmax_sq)
     n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
+    if f == 1:  # the ball's own rows, in their own dtype
+        return [functools.partial(_sweep_shard, V, n2, 0, len(V), f, prod_cap, hmax_sq)]
     V = V.astype(_signed_dtype(2 * prod_cap))
     m = int(np.count_nonzero(n2 ** f <= prod_cap))  # candidates for the shortest basis vector
     return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, prod_cap, hmax_sq)
@@ -373,11 +412,10 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     """Every rational subspace of dimension e in R^n with height <= height_max.
 
     Needs min(e, n - e) <= 3.  The shards are swept one after another, in
-    order, and each one's rows are Hodge-twisted when e > n - e.  A line or
-    plane sweep emits each subspace once, so its shards' rows are kept as
-    they come; an e = 3 shard's rows are deduplicated and sorted as it
-    finishes.  One final pass sorts all rows and drops repeats, so the
-    result is sorted by (height^2, lexicographic key) and downstream
+    order, and each one's rows are Hodge-twisted when e > n - e and kept as
+    they come.  A line or plane comes once, a 3-subspace once for each of
+    its reduced bases; one final pass sorts all rows and drops repeats, so
+    the result is sorted by (height^2, lexicographic key) and downstream
     consumers are independent of enumeration order.  ``max_pairs`` bounds
     the sweep: no shard starts once more than that many tuples have been
     wedged, and a result with a shard left unswept carries
@@ -403,17 +441,14 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
         swept, runs = cached[1], [cached[2]]
     while swept < nshards:
         shard, p = jobs[swept]()
-        if e > n - e:
-            shard = _canonical_sign_rows(hodge_twist(shard, n, e))
-        runs.append(_unique_sorted(shard) if min(e, n - e) == 3 else shard)  # e = 3 repeats rows
-        del shard
+        runs.append(_canonical_sign_rows(hodge_twist(shard, n, e)) if e > n - e else shard)
         swept, pairs = swept + 1, pairs + p
         if max_pairs is not None and pairs > max_pairs:
             break
     del jobs, cached  # the integer ball, held by the shards
     rows = np.concatenate(runs)
     del runs
-    rows = _unique_sorted(rows)  # the one sort of lines and planes; merges e = 3 runs
+    rows = _unique_sorted(rows)  # the one sort, and the one dedup
     if cache_path is not None:
         _write_cache(cache_path, n, e, hmax_sq, nshards, swept, rows)
     return Enumeration(n, e, hmax_sq, rows, truncated=swept < nshards, pair_count=pairs)

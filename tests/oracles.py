@@ -1,16 +1,21 @@
 """Test oracles that the package itself never calls: the signed Bareiss
 determinant, orthonormality and containment residuals of a
-:class:`RealSubspace`, and the direct-sum angle bound of criterion 8.  The
-tests import them as ``oracles``."""
+:class:`RealSubspace`, the direct-sum angle bound of criterion 8, and a
+Hermite-capped sweep of 3-subspaces.  The tests import them as
+``oracles``."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 from mpmath import mp
 
 from subapprox.angles import RealSubspace, _to_mpf, canonical_angles, principal_pairs
+from subapprox.enumeration import _canonical_sign_rows, _integer_ball, _row_gcd, _unique_sorted
+from subapprox.exact import annihilator, hodge_twist
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -120,8 +125,6 @@ def r5_search_loop(quadrics, bound: int) -> list:
     the box |n_i| <= bound, in (a, b, c, d) order, by one pass over the
     (b, c, d) box per value of a: the first quadric k a^2 + a l + g is
     moved on by l in place, and the others are evaluated at its zeros."""
-    import numpy as np
-
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     box = (len(rng),) * 3
     solutions = []
@@ -142,3 +145,27 @@ def r5_search_loop(quadrics, bound: int) -> list:
             if a or any(bcd):
                 solutions.append((a,) + bcd)
     return solutions
+
+
+def hermite_triple_sweep(n: int, e: int, hmax_sq: int) -> np.ndarray:
+    """The (n, e) subspaces of height^2 <= hmax_sq, min(e, n - e) = 3, as
+    sorted distinct int64 rows, by a sweep that needs no reduction: every
+    increasing triple of primitive sign-canonical vectors of norm^2 <=
+    2 H^2 with |v1|^2 |v2|^2 |v3|^2 <= 2 H^2 (Minkowski's second theorem in
+    Hermite form) is wedged, and the heights are tested after the wedge.
+    The rows are Hodge-twisted when e > n - e."""
+    cap = 2 * hmax_sq
+    V = _integer_ball(n, cap).astype(np.int64)
+    n2 = np.einsum("ij,ij->i", V, V)
+    out = [np.zeros((0, math.comb(n, 3)), dtype=np.int64)]
+    for a in range(int(np.count_nonzero(n2 ** 3 <= cap))):
+        k1 = int(n2[a])
+        stop = int(np.searchsorted(n2, math.isqrt(cap // k1), side="right"))  # k1 k2^2 <= cap
+        minors = V[a + 1:stop] @ annihilator(V[a], n, 1)
+        for b in range(a + 1, stop):
+            X = V[b + 1:int(np.searchsorted(n2, cap // (k1 * int(n2[b])), side="right"))]
+            W = X @ annihilator(minors[b - a - 1], n, 2)  # +-(v1 ^ v2 ^ x)
+            W = W[np.einsum("ij,ij->i", W, W) <= hmax_sq]
+            out.append(W[_row_gcd(W) == 1])
+    rows = _canonical_sign_rows(np.concatenate(out))
+    return _unique_sorted(_canonical_sign_rows(hodge_twist(rows, n, e)) if e > n - e else rows)

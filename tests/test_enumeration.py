@@ -24,6 +24,7 @@ from subapprox.enumeration import (
 )
 from subapprox.exact import kernel_int, laplace_sign, subsets
 from subapprox.grassmann import from_generators, plucker_relations_check
+from oracles import hermite_triple_sweep
 
 
 def test_lines_in_plane_height_1():
@@ -179,12 +180,12 @@ def _enumerate_generic(n: int, e: int, hmax_sq: int):
 
 
 def test_enumeration_e3_matches_reference_sweep():
-    from subapprox.enumeration import _unique_sorted
-
-    for (n, hmax) in ((4, 3), (5, 2)):
-        fast = enumerate_subspaces(n, 3, hmax)
-        ref, _ = _enumerate_generic(n, 3, hmax * hmax)
-        assert np.array_equal(fast.pluckers, _unique_sorted(ref))
+    # the reduced-triple sweep, and its Hodge dual, row for row against the
+    # Hermite-capped sweep of every increasing triple (the pure-python
+    # oracle takes minutes here)
+    for n, e, hmax in ((6, 3, 3), (7, 3, 2), (7, 4, 2)):
+        fast = enumerate_subspaces(n, e, hmax)
+        assert np.array_equal(fast.pluckers, hermite_triple_sweep(n, e, hmax * hmax))
 
 
 def test_enumeration_e3_duality_with_planes():
@@ -197,9 +198,10 @@ def test_enumeration_e3_duality_with_planes():
 
 
 @pytest.mark.parametrize("n, e, hmax", [(4, 2, 4), (4, 2, 6), (5, 2, 3), (5, 2, 4), (6, 2, 2), (6, 3, 1),
-                                         (6, 3, 2)])
+                                         (6, 3, 2), (4, 3, 3), (5, 3, 2)])
 def test_sweep_matches_reference_sweep(n, e, hmax):
-    # the reduced plane sweep and the e=3 sweep, row for row against the oracle
+    # the reduced plane sweep, the reduced-triple sweep and the Hodge duals
+    # of line and plane sweeps, row for row against the oracle
     from subapprox.enumeration import _unique_sorted
 
     fast = enumerate_subspaces(n, e, hmax)
@@ -247,11 +249,33 @@ def test_plane_sweep_wedges_about_one_pair_per_plane():
 
 def test_e3_sweep_is_bounded_by_the_hermite_cap():
     # a basis attaining the successive minima has prod |v_i|^2 <= gamma_3^3 H^2
-    # = 2 H^2; Minkowski's volume form, 73/20 H^2, swept 432,120 triples here
+    # = 2 H^2; Minkowski's volume form, 73/20 H^2, swept 432,120 triples here,
+    # and wedging every increasing triple under the Hermite cap 66,960.  Only
+    # the reduced triples of height <= H are wedged and counted
     from subapprox.enumeration import _product_cap
 
     assert _product_cap(3, 4) == 8
-    assert enumerate_subspaces(6, 3, 2).pair_count == 66960
+    assert enumerate_subspaces(6, 3, 2).pair_count == 3940
+
+
+def test_e3_sweep_wedges_at_most_three_triples_per_subspace():
+    # wedging every increasing triple under the Hermite cap took 1,110,060
+    # triples here, 69 a subspace
+    enum = enumerate_subspaces(6, 3, 3)
+    assert len(enum) == 16000
+    assert enum.pair_count <= 3 * len(enum)
+
+
+@pytest.mark.parametrize("n, e, hmax", [(6, 3, 3), (7, 3, 2)])
+def test_e3_shards_emit_at_most_three_rows_per_subspace(n, e, hmax):
+    # a 3-subspace comes once for each of its reduced triples, which differ
+    # only on the boundary of the reduction conditions; the final sort drops
+    # the repeats
+    rows = _shard_rows(n, e, hmax)
+    enum = enumerate_subspaces(n, e, hmax)
+    assert len(np.unique(enum.pluckers, axis=0)) == len(enum)
+    assert len(np.unique(rows, axis=0)) == len(enum)
+    assert len(rows) <= 3 * len(enum)
 
 
 @pytest.mark.parametrize("n, e, hmax, low, high", [
