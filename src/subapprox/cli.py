@@ -510,8 +510,8 @@ def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind (an option argparse refuses,
     a ParseError, which is a ValueError, a PrecisionError, or an OSError such
     as an unwritable --out) is reported on one line and exits 3.  A --cache
-    or --out path that is a directory, or lies in a missing one, is refused
-    before any work."""
+    or --out path that is a directory, or lies in a missing or unwritable
+    one, is refused before any work."""
     args = build_parser().parse_args(argv)
     try:
         for flag in ("cache", "out"):
@@ -520,6 +520,8 @@ def main(argv=None) -> int:
                 raise ParseError("--%s %s: no such directory" % (flag, path))
             if path and os.path.isdir(path):
                 raise ParseError("--%s %s: is a directory" % (flag, path))
+            if path and not os.access(os.path.dirname(path) or ".", os.W_OK):
+                raise ParseError("--%s %s: directory not writable" % (flag, path))
         return args.func(args)
     except (ValueError, PrecisionError, OSError) as exc:
         sys.stderr.write("%s: %s\n" % ("parse error" if isinstance(exc, ParseError) else "error", exc))

@@ -145,13 +145,11 @@ def plucker_relations_check(coords: Sequence[int], n: int, e: int) -> bool:
 def from_plucker(v: PluckerVec) -> RationalSubspace:
     """Recover the rational subspace with Plucker vector v.
 
-    v must be decomposable (satisfy the Plucker relations).  The integer
-    kernel of x -> x ^ v is then the subspace's integer points, a saturated
-    lattice, returned as its HNF basis; the basis must wedge back to v.
-    """
+    The integer kernel of x -> x ^ v is e-dimensional iff v is decomposable,
+    and is then the subspace's integer points, a saturated lattice, returned
+    as its HNF basis; the basis must wedge back to v.  Any other rank raises
+    ValueError."""
     n, e = v.n, v.e
-    if not plucker_relations_check(v.coords, n, e):
-        raise ValueError("vector fails the Plucker relations: not decomposable")
     M = annihilator(np.array(v.coords, dtype=object), n, e)
     basis = tuple(kernel_int(M.T.tolist(), width=n))  # HNF-canonical
     if len(basis) != e:

@@ -27,7 +27,7 @@ from .enumeration import _U, Enumeration, _decide
 from .exact import annihilator, hodge_twist, subsets
 from .grassmann import _BLOCK_BYTES, relation_values
 
-MAX_BOX_CELLS = 10 ** 7  # the largest (2b + 1)^3 search box
+MAX_BOX_CELLS = 10 ** 7  # bounds b for both searches by the (2b + 1)^3 cells of the R^5 box
 _PARAM_RE = re.compile(r"^\s*(?:sqrt(\d+))?\s*([+-]?\s*\d+(?:/\d+|\.\d+)?)?\s*$")
 
 
@@ -90,19 +90,39 @@ def _search_range(bound: int) -> np.ndarray:
     return np.arange(-bound, bound + 1, dtype=np.int64)
 
 
+def _square_roots(q, bound: int):
+    """(at, a): the flat index of each entry of the integer array q that is
+    a square a^2 with |a| <= bound, once per root +-a (once for a = 0), and
+    that root.  Only an entry in [0, bound^2] can be one.  A square below
+    2^52 has an exact float64 square root, so np.sqrt, truncated, gives its
+    one candidate a, and a * a == q keeps every root and only roots."""
+    q = np.ravel(q)
+    at = np.flatnonzero((q >= 0) & (q <= bound * bound))
+    s = np.sqrt(q[at]).astype(np.int64)
+    root = s * s == q[at]
+    at, s = at[root], s[root]
+    return np.concatenate([at, at[s > 0]]), np.concatenate([s, -s[s > 0]])
+
+
+def _nonzero_sorted(cols) -> list:
+    """The rows of the equal-length integer columns cols (a, b, ...) other
+    than zero, as tuples of ints in lexicographic order."""
+    return sorted(row for row in zip(*(v.tolist() for v in cols)) if any(row))
+
+
 def r4_irrationality_certificate(search_bound: int = 50) -> dict:
     """Certificate that b^2 + c^2 = 7 a^2 has only the zero integer solution.
 
-    (a) exhaustive search over |a|, |b|, |c| <= search_bound;
+    (a) exhaustive search over |a|, |b|, |c| <= search_bound: a solution has
+        a = +-sqrt((b^2 + c^2) / 7), which :func:`_square_roots` finds over
+        the (b, c) square (-1 where 7 does not divide b^2 + c^2);
     (b) the mod-4 reduction table: every residue class solving
         b^2 + c^2 = 3 a^2 (mod 4) has a, b, c all even.
     """
     rng = _search_range(search_bound)
-    A, B, C = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
-    mask = (B * B + C * C == 7 * A * A)
-    sol = np.argwhere(np.broadcast_to(mask, (len(rng),) * 3))
-    solutions = [tuple(int(rng[i]) for i in row) for row in sol
-                 if any(rng[i] for i in row)]
+    q = rng[:, None] ** 2 + rng ** 2
+    at, a = _square_roots(np.where(q % 7 == 0, q // 7, -1), search_bound)
+    solutions = _nonzero_sorted((a, *(rng[i] for i in np.unravel_index(at, q.shape))))
 
     classes = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)
                if (b * b + c * c - 3 * a * a) % 4 == 0]
@@ -222,61 +242,29 @@ def r5_trivial_solution_search(bound: int = 30) -> dict:
     solution in the integer box |n_i| <= bound (integers suffice: the system
     is homogeneous of degree 2).
 
-    The first quadric is k a^2 + l a + g, with l = l(b, c, d) linear and
-    g = g(b, c, d) a quadratic form, whose coefficients are read off by
-    polarization.  With L and G the sums of the absolute coefficients of l
-    and g, |l| <= L bound, every partial sum of g's terms is at most
-    G bound^2 and |l^2 - 4 k g| <= (L^2 + 4 |k| G) bound^2, so l, g and the
-    discriminant are evaluated once over the (b, c, d) box, in blocks of
-    about ``_BLOCK_BYTES`` and in the narrowest dtype that holds
-    (L^2 + (4 |k| + 1) G) bound^2.  For k != 0 a cell's
-    roots are a = (-l +- s) / (2 k) where the discriminant is a square s^2
-    and 2 k divides -l +- s; for k = 0, a = -g / l where l divides g, and
-    every a where l = g = 0.  The other quadrics are evaluated only at the
-    roots with |a| <= bound, and the solutions are listed in (a, b, c, d)
-    order."""
+    a occurs in the first quadric only as a^2, so it is a^2 + g(b, c, d)
+    with g = first(0, b, c, d), and a solution needs -g = a^2, |a| <= bound.
+    g's coefficients sum to 7 in absolute value, so |g| <= 7 * 107^2 < 2^31
+    at the largest bound admitted: g is evaluated in int32 over the (b, c, d)
+    box, in blocks of about ``_BLOCK_BYTES``, and :func:`_square_roots` of -g
+    gives every root.  The other quadrics are evaluated only at the roots,
+    block by block."""
     rng = _search_range(bound)
     box = (len(rng),) * 3
     first, *rest = _R5_SEARCH_QUADRICS
-    unit = np.eye(4, dtype=int).tolist()
-    sq = [first(*u) for u in unit]
-    coef = {(i, j): first(*np.add(unit[i], unit[j]).tolist()) - sq[i] - sq[j] if i < j else sq[i]
-            for i in range(4) for j in range(i, 4)}
-    k = coef.pop((0, 0))
-    lin = [coef.pop((0, j)) for j in (1, 2, 3)]
-    span = (sum(map(abs, lin)) ** 2 + (4 * abs(k) + 1) * sum(map(abs, coef.values()))) * bound * bound
-    grid = np.meshgrid(*[rng.astype(np.min_scalar_type(-span - 1))] * 3, indexing="ij", sparse=True)
-    step = max(1, _BLOCK_BYTES // (16 * len(rng) ** 2))  # values of b a block; ~16 bytes a cell
-    roots, cells = [], []
+    b, c, d = np.meshgrid(*[rng.astype(np.int32)] * 3, indexing="ij", sparse=True)
+    step = max(1, _BLOCK_BYTES // (32 * len(rng) ** 2))  # values of b a block; ~32 bytes a cell
+    found = []
     for lo in range(0, len(rng), step):
-        x = {1: grid[0][lo:lo + step], 2: grid[1], 3: grid[2]}
-        shape, offset = (len(x[1]),) + box[1:], lo * len(rng) ** 2
-        lv = np.broadcast_to(sum(c * x[j] for j, c in zip((1, 2, 3), lin)), shape)
-        gv = np.broadcast_to(sum(c * x[i] * x[j] for (i, j), c in coef.items()), shape)
-        if k:
-            disc = lv * lv - 4 * k * gv
-            at = np.flatnonzero(np.isin(disc, np.arange(math.isqrt(span) + 1) ** 2))
-            s = np.sqrt(disc.flat[at].astype(np.float64)).round().astype(np.int64)
-            at = np.concatenate([at, at[s > 0]])  # a double root once
-            num = -lv.flat[at].astype(np.int64) + np.concatenate([s, -s[s > 0]])
-            even = num % (2 * k) == 0
-            roots.append(num[even] // (2 * k))
-            cells.append(at[even] + offset)
-        else:
-            at = np.flatnonzero((lv != 0) & (gv % np.where(lv != 0, lv, 1) == 0))
-            every = np.flatnonzero((lv == 0) & (gv == 0))
-            roots += [-gv.flat[at].astype(np.int64) // lv.flat[at], np.repeat(rng, len(every))]
-            cells += [at + offset, np.tile(every, len(rng)) + offset]
-    a, cells = np.concatenate(roots), np.concatenate(cells)
-    keep = np.abs(a) <= bound
-    cand = (a[keep], *(rng[i] for i in np.unravel_index(cells[keep], box)))
-    ok = np.ones(len(cand[0]), dtype=bool)
-    for q in rest:
-        ok &= q(*cand) == 0
-    ok &= np.any(cand, axis=0)
-    cand = [v[ok] for v in cand]
-    order = np.lexsort(cand[::-1])
-    solutions = list(zip(*(v[order].tolist() for v in cand)))
+        x = b[lo:lo + step]
+        g = np.broadcast_to(first(0, x, c, d), (len(x),) + box[1:])  # g may omit a variable
+        at, a = _square_roots(-g, bound)
+        cand = [a, *(rng[i] for i in np.unravel_index(at + lo * len(rng) ** 2, box))]
+        ok = np.ones(len(a), dtype=bool)
+        for q in rest:
+            ok &= q(*cand) == 0
+        found.append([v[ok] for v in cand])
+    solutions = _nonzero_sorted([np.concatenate(v) for v in zip(*found)])
     return {
         "kind": "r5-trivial-solutions",
         "bound": bound,

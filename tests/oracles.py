@@ -1,8 +1,8 @@
 """Test oracles that the package itself never calls: the signed Bareiss
 determinant, orthonormality and containment residuals of a
-:class:`RealSubspace`, the direct-sum angle bound of criterion 8, and a
-Hermite-capped sweep of 3-subspaces.  The tests import them as
-``oracles``."""
+:class:`RealSubspace`, the direct-sum angle bound of criterion 8, the R^4
+and R^5 witness searches over their whole boxes, and a Hermite-capped
+sweep of 3-subspaces.  The tests import them as ``oracles``."""
 
 from __future__ import annotations
 
@@ -118,6 +118,18 @@ def direct_sum_angle_bound(f_parts: Sequence[RealSubspace],
             pinv_rows = max(pinv_rows, mp.sqrt(mp.fsum(x * x for x in row)))
         constant = mp.sqrt(2) * max(dims) * pinv_rows
     return DirectSumBound(lhs, rhs, constant, k)
+
+
+def r4_search_cube(bound: int) -> list:
+    """The nonzero integer solutions of b^2 + c^2 = 7 a^2 with |a|, |b|,
+    |c| <= bound, in (a, b, c) order, from a mask over the whole
+    (2 bound + 1)^3 cube."""
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    A, B, C = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
+    mask = (B * B + C * C == 7 * A * A)
+    sol = np.argwhere(np.broadcast_to(mask, (len(rng),) * 3))
+    return [tuple(int(rng[i]) for i in row) for row in sol
+            if any(rng[i] for i in row)]
 
 
 def r5_search_loop(quadrics, bound: int) -> list:

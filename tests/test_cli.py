@@ -70,6 +70,17 @@ def test_height_nondecomposable_plucker(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("key,e", [
+    ("4 2 : 1 0 0 0 0 1", 2),  # e12 + e34
+    ("5 2 : 1 0 0 0 0 0 0 1 0 0", 2),  # e12 + e34
+    ("6 3 : 1" + " 0" * 18 + " 1", 3),  # e123 + e456
+])
+def test_height_nondecomposable_plucker_names_the_kernel_rank(key, e, capsys):
+    # x -> x ^ v has an e-dimensional kernel iff v is decomposable
+    assert main(["height", "--plucker", key]) == 3
+    assert capsys.readouterr().err == "error: vector is not decomposable (kernel rank 0 != %d)\n" % e
+
+
 def test_scan_rational_target(tmp_path, capsys):
     # the second target has Plucker minors with an exactly zero pivot column
     for target, hmax in (("gens:1 0 0 0; 0 1 0 0", "2"), ("gens:1 0 0 0; 0 1 0 1", "3")):
@@ -380,6 +391,35 @@ def test_missing_directory_refused_before_the_sweep(argv, monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and argv[-1] in err and ".tmp" not in err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "20", "--cache", "ro/c.cache"),
+    ("scan", "--target", "r4", "--e", "2", "--hmax", "20", "--out", "ro/scan.csv"),
+    ("witness", "r4", "--lower-bound", "--hmax", "20", "--cache", "ro/c.cache"),
+    ("witness", "r4", "--lower-bound", "--hmax", "20", "--out", "ro/lb.json"),
+])
+def test_unwritable_directory_refused_before_any_work(argv, monkeypatch, tmp_path, capsys):
+    # permission bits do not bind every user (root), so the directory is
+    # made unwritable by refusing os.access for it
+    from subapprox import cli
+
+    real_access = os.access
+
+    def access(path, mode, **kwargs):
+        return False if (path, mode) == ("ro", os.W_OK) else real_access(path, mode, **kwargs)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the enumeration started before the path was checked")
+
+    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr(cli, "enumerate_subspaces", no_work)
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("ro")
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err == "parse error: --%s %s: directory not writable\n" % (argv[-2][2:], argv[-1])
+    assert os.listdir(tmp_path) == ["ro"] and not os.listdir("ro")
 
 
 @pytest.mark.parametrize("argv", [

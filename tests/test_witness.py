@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,8 @@ from subapprox.enumeration import enumerate_subspaces
 from subapprox.exact import hodge_twist
 from subapprox.grassmann import from_generators, real_view
 from subapprox.witness import (
+    _R5_SEARCH_QUADRICS,
+    _square_roots,
     _float_values,
     _screen_values,
     lower_bound_check,
@@ -25,7 +28,7 @@ from subapprox.witness import (
     _r5_zetas,
 )
 
-from oracles import gram_residual, r5_search_loop
+from oracles import gram_residual, r4_search_cube, r5_search_loop
 
 # the benchmark's witness parameters (perfbench/workloads.py): no rational
 # plane meets these R^4 witnesses, and every R^5 one meets span(e1, e4 - e5)
@@ -231,8 +234,6 @@ def test_r5_witness_meets_a_small_rational_plane():
 def test_r5_search_catches_planted_solution(monkeypatch):
     # dropping one quadric from the system admits nonzero solutions, so the
     # search machinery itself is exercised
-    import itertools
-
     import subapprox.witness as w
 
     rng = np.arange(-6, 7, dtype=np.int64)
@@ -247,28 +248,13 @@ def test_r5_search_catches_planted_solution(monkeypatch):
             found = True
             break
     assert found
-    # and the search finds exactly the nonzero solutions of a plain loop, in order
-    system = w._R5_SEARCH_QUADRICS[1:]
+    # and with a^2 - b^2 planted in the first quadric's place, the search
+    # finds exactly the nonzero solutions of a plain loop, in order
+    system = (lambda a, b, c, d: a * a - b * b, *w._R5_SEARCH_QUADRICS[1:])
     want = [v for v in itertools.product(range(-6, 7), repeat=4)
             if any(v) and all(q(*v) == 0 for q in system)]
     monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
-    assert want and w.r5_trivial_solution_search(6)["nonzero_solutions"] == want
-
-
-def test_r5_search_steps_a_first_quadric_with_a_linear_term(monkeypatch):
-    # the search moves g + a l along a; a first quadric a^2 + a b - c d, whose
-    # l = b is not 0 at some of its solutions, checks that step against a
-    # plain loop
-    import itertools
-
-    import subapprox.witness as w
-
-    system = (lambda a, b, c, d: a * a + a * b - c * d, lambda a, b, c, d: a * c - b * d)
-    want = [v for v in itertools.product(range(-4, 5), repeat=4)
-            if any(v) and all(q(*v) == 0 for q in system)]
-    assert any(a and b for a, b, _, _ in want)
-    monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
-    assert w.r5_trivial_solution_search(4)["nonzero_solutions"] == want
+    assert len(want) == 24 and w.r5_trivial_solution_search(6)["nonzero_solutions"] == want
 
 
 @pytest.mark.parametrize("bound", range(1, 7))
@@ -279,21 +265,59 @@ def test_r5_search_matches_the_loop_oracle(bound):
     assert r5_trivial_solution_search(bound)["nonzero_solutions"] == want
 
 
-@pytest.mark.parametrize("system", [
-    # k = 1 and l = b: a single and a double root a = -b where c d = 0
-    (lambda a, b, c, d: a * a + a * b - c * d, lambda a, b, c, d: a * c - b * d),
-    # k = 2 and l = 3 b: a root only where 4 divides -3 b +- s
-    (lambda a, b, c, d: 2 * a * a + 3 * a * b - c * c + d * d, lambda a, b, c, d: a * d - b * c + c * c),
-    # k = 0 and l = -c: a = -g / l, and every a where l = g = 0
-    (lambda a, b, c, d: -a * c - b * d + c * d - d * d, lambda a, b, c, d: -a * c - c * c + c * d),
-])
-def test_r5_search_matches_the_loop_oracle_on_planted_systems(monkeypatch, system):
+_Q = _R5_SEARCH_QUADRICS
+PLANTED = [  # a system whose first quadric is a^2 + g, and its nonzero solutions at bound 6
+    ((lambda a, b, c, d: a * a - b * b, *_Q[1:]), 24),
+    ((lambda a, b, c, d: a * a - b * b + c * d, lambda a, b, c, d: a * c - b * d), 48),
+    ((lambda a, b, c, d: a * a - b * b - c * c + d * d - 2 * b * c, lambda a, b, c, d: a * d - b * c), 96),
+    ((_Q[0], lambda a, b, c, d: a - b), 56),
+    ((lambda a, b, c, d: a * a - c * c,), 4224),  # g omits b and d
+    ((lambda a, b, c, d: a * a,), 2196),  # g = 0: every root is a = 0
+]
+
+
+@pytest.mark.parametrize("system,count", PLANTED, ids=["system%d" % i for i in range(len(PLANTED))])
+def test_r5_search_matches_the_loop_oracle_on_planted_systems(monkeypatch, system, count):
     import subapprox.witness as w
 
     want = r5_search_loop(system, 6)
-    assert any(a and system[0](1, b, c, d) != system[0](-1, b, c, d) for a, b, c, d in want)
+    assert len(want) == count
+    assert any(v[0] for v in want) == (count != 2196)
     monkeypatch.setattr(w, "_R5_SEARCH_QUADRICS", system)
     assert w.r5_trivial_solution_search(6)["nonzero_solutions"] == want
+
+
+def test_r5_first_quadric_is_a_squared_plus_g():
+    # two quadratics that agree on {0, 1, 2}^4 are equal
+    first = _R5_SEARCH_QUADRICS[0]
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        assert first(a, b, c, d) == a * a + first(0, b, c, d)
+    # g's coefficients sum to 7 in absolute value, so |g| <= 7 * 107^2 fits
+    # int32 at the largest bound a search admits
+    unit = np.eye(3, dtype=int).tolist()
+    g = lambda x: first(0, *x)
+    coefs = [g(unit[i]) if i == j else g(np.add(unit[i], unit[j]).tolist()) - g(unit[i]) - g(unit[j])
+             for i in range(3) for j in range(i, 3)]
+    assert sum(map(abs, coefs)) == 7 and 7 * 107 ** 2 < 2 ** 31
+    assert r5_trivial_solution_search(107)["passed"]
+    with pytest.raises(ValueError, match="more than"):
+        r5_trivial_solution_search(108)
+
+
+def test_square_roots_of_planted_arrays():
+    q = np.array([[0, -1, -4], [2, 25, 26], [36, 9, 3]], dtype=np.int32)
+    at, a = _square_roots(q, 5)
+    # 0 once, 25 = 5^2 at the bound as +-5, 9 as +-3; not 36 = 6^2 above it
+    assert sorted(zip(at.tolist(), a.tolist())) == [(0, 0), (4, -5), (4, 5), (7, -3), (7, 3)]
+    big = 46340 ** 2  # the largest square below 2^31
+    at, a = _square_roots(np.array([big - 1, big, big + 1, -big], dtype=np.int32), 46340)
+    assert sorted(zip(at.tolist(), a.tolist())) == [(1, -46340), (1, 46340)]
+    assert _square_roots(np.array([big]), 46339)[0].size == 0
+
+
+def test_r4_search_matches_the_cube():
+    for bound in range(1, 61):
+        assert r4_irrationality_certificate(bound)["nonzero_solutions"] == r4_search_cube(bound)
 
 
 def test_lower_bound_check_coordinate_planes():
