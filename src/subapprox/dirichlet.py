@@ -365,9 +365,11 @@ def going_up_search(a: RealSubspace, b: RationalSubspace, j: int, budget: int = 
     vector to 0.  A psi below the zero tolerance 2^-(prec/2) is rounding noise
     and counts as 0, and a candidate with psi = 0 scores +inf when weight < 0.
     A box of more than MAX_CANDIDATES coefficient vectors, (2 budget + 1)^(n - e),
-    raises ValueError before any is made.
+    raises ValueError before any is made, as does a weight that is not finite.
     """
     n, e = b.n, b.e
+    if not math.isfinite(weight):
+        raise ValueError("weight must be finite, got %r" % weight)
     if e >= n - 1:
         raise ValueError("need dim B < n - 1")
     if not (1 <= j <= min(a.dim, e)):

@@ -63,7 +63,7 @@ from .grassmann import _BLOCK_BYTES, RationalSubspace, from_plucker, refine_psi,
 # names the same shards on every run
 _SHARD_SIZE = 64
 # names the cache layout; a cache of another version is rebuilt, never read
-_CACHE_VERSION = "v3"
+_CACHE_VERSION = "v4"
 # the most rows, by Schmidt's estimate, of an enumeration's integer ball or
 # output: (4,2,40) and (6,2,10), ~16M rows each and peaking near 490 and
 # 670 MB, are admitted, and a larger one is refused before the ball is built.
@@ -428,11 +428,9 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
         raise ValueError("enumeration supports min(e, n - e) <= 3 (desk scale)")
     hmax_sq = _height_cap_sq(height_max)
 
-    cached = None
-    if cache_path is not None and os.path.exists(cache_path):
-        cached = _load_cache(cache_path, n, e, hmax_sq)
-        if cached is not None and cached[1] == cached[0]:
-            return Enumeration(n, e, hmax_sq, cached[2])
+    cached = _load_cache(cache_path, n, e, hmax_sq) if cache_path and os.path.exists(cache_path) else None
+    if cached and cached[1] == cached[0]:
+        return Enumeration(n, e, hmax_sq, cached[2])
 
     jobs = _shard_jobs(n, e, hmax_sq)  # builds the integer ball, so only after a complete load
     nshards = len(jobs)
@@ -455,10 +453,10 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
 
 
 # ---------------------------------------------------------------------------
-# cache format: a header naming the enumeration and its shard count, one line
-# `n e : p_1 ... p_N` per subspace in the Enumeration's (height^2, lex) order,
-# and a trailer: `# end` once every shard is swept, `# swept <k>` after the
-# first k shards of a truncated sweep.
+# cache format: a header naming the enumeration, its shard count and its row
+# count, one line `n e : p_1 ... p_N` per subspace in the Enumeration's
+# (height^2, lex) order, and a trailer: `# end` once every shard is swept,
+# `# swept <k>` after the first k shards of a truncated sweep.
 # ---------------------------------------------------------------------------
 
 def _token_table(bound: int) -> np.ndarray:
@@ -486,8 +484,8 @@ def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
-                     % (_CACHE_VERSION.encode(), n, e, hmax_sq, nshards))
+            fh.write(b"# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d rows=%d\n"
+                     % (_CACHE_VERSION.encode(), n, e, hmax_sq, nshards, len(rows)))
             for lo in range(0, len(rows), step):
                 block = rows[lo:lo + step]
                 text = np.empty((len(block), width), dtype=np.uint8)
@@ -532,7 +530,8 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
         raise CacheCorruption("cached rows are not strictly increasing in (height, key) in %s" % path)
 
 
-_HEADER = re.compile(rb"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)")
+# rows= is optional so that a header of an older version, which has none, reaches the version check
+_HEADER = re.compile(rb"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)(?: rows=(\d+))?")
 _TRAILER = re.compile(rb"end|swept (\d+)")
 _LINE_BYTES = 256  # read for the header line, and from the end for the trailer
 
@@ -542,24 +541,29 @@ def _load_cache(path, n, e, hmax_sq):
     None when it holds another enumeration or is of another version.
 
     The header line and the trailer, in the last ``_LINE_BYTES``, are read
-    first.  The lines between them are counted in blocks of
-    ``_BLOCK_BYTES``, so the rows are allocated once, in the row dtype of
-    hmax_sq.  Then they are read again in blocks of ``_BLOCK_BYTES`` cut
-    after their last newline, and each block is parsed by one loadtxt call
-    straight from the bytes read, dropped, and validated together with the
-    row before it, which its first row must follow.  So a load holds the
-    rows and one block, never the whole file.  Every line must start with
-    `n e : ` and hold C(n, e) + 2 spaces, so a long row is refused, as is a
-    line longer than a block (a row takes under 1 KiB); a coordinate
-    outside the row dtype is a malformed row."""
+    first.  A row takes at least len(`n e : `) + 2 C(n, e) bytes, so the
+    header's row count N must fit in the bytes between them; then the rows
+    are allocated once, in the row dtype of hmax_sq, and a forged N is
+    refused before anything is allocated.  The rows are read once, in
+    blocks of ``_BLOCK_BYTES`` cut after their last newline; the bytes
+    after the cut start the next block.  Each block's k lines are parsed by
+    one loadtxt call straight from the bytes read, into the C(n, e) + 3
+    fields of a structured row, and the block is dropped and its rows
+    validated together with the row before it, which its first row must
+    follow.  So a load holds the rows and one block, never the whole file.
+    loadtxt refuses a line of another field count (a long or ragged row, a
+    tab or a doubled space) and a coordinate outside the row dtype; the
+    first three fields must read `n e :`, and the k lines must give k rows,
+    as loadtxt skips a blank one.  A line longer than a block (a row takes
+    under 1 KiB) is refused, and so is a cache whose rows are not N."""
     ncols, dt = math.comb(n, e), _signed_dtype(math.isqrt(hmax_sq))
-    prefix = b"%d %d : " % (n, e)
+    prefix = np.array((n, e, b":"), dtype=[("n", dt), ("e", dt), (":", "S2")])  # a row's first fields
     with open(path, "rb") as fh:
         header = _HEADER.fullmatch(fh.readline(_LINE_BYTES).strip())
         if header is None:
             raise CacheCorruption("not a subapprox cache: %s" % path)
         version, *fields = header.groups()
-        *key, nshards = map(int, fields)
+        *key, nshards, count = (int(f or -1) for f in fields)  # count -1: a header without rows=
         if version.decode() != _CACHE_VERSION or key != [n, e, hmax_sq]:
             return None
         start = fh.tell()
@@ -573,9 +577,9 @@ def _load_cache(path, n, e, hmax_sq):
             raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
                                   % (path, nshards))
         stop = end + at + 1
-        fh.seek(start)
-        count = sum(fh.read(min(_BLOCK_BYTES, stop - pos)).count(b"\n")
-                    for pos in range(start, stop, _BLOCK_BYTES))
+        lost = "cache %s does not hold the rows its header counts" % path
+        if not 0 <= count * (len(b"%d %d : " % (n, e)) + 2 * ncols) <= stop - start:
+            raise CacheCorruption(lost)
         rows, lo = np.empty((count, ncols), dtype=dt), 0
         while start < stop:
             fh.seek(start)
@@ -584,21 +588,21 @@ def _load_cache(path, n, e, hmax_sq):
             if not cut:
                 raise CacheCorruption("malformed row in %s: longer than %d bytes" % (path, _BLOCK_BYTES))
             k = text.count(b"\n", 0, cut)
-            if text.startswith(prefix) + text.count(b"\n" + prefix, 0, cut) != k:
-                raise CacheCorruption("line in %s is not a `%d %d :` row" % (path, n, e))
-            if text.count(b" ", 0, cut) != k * (ncols + 2):
-                raise CacheCorruption("malformed row in %s: not %d integers" % (path, ncols))
+            if lo + k > count:
+                raise CacheCorruption(lost)
             try:
-                rows[lo:lo + k] = np.loadtxt(io.BytesIO(text), dtype=dt, delimiter=" ",
-                                             usecols=range(3, 3 + ncols), comments=None,
-                                             ndmin=2, max_rows=k)
+                block = np.loadtxt(itertools.islice(io.BytesIO(text), k), delimiter=" ", comments=None,
+                                   dtype=[("prefix", prefix.dtype), ("p", dt, (ncols,))], ndmin=1)
             except ValueError as err:
                 raise CacheCorruption("malformed row in %s: %s" % (path, err)) from None
-            del text
+            if len(block) != k or np.any(block["prefix"] != prefix):
+                raise CacheCorruption("line in %s is not a `%d %d :` row" % (path, n, e))
+            rows[lo:lo + k] = block["p"]
+            del text, block
             _validate_rows(rows[max(lo - 1, 0):lo + k], n, e, hmax_sq, path)
             start, lo = start + cut, lo + k
     if lo != count:
-        raise CacheCorruption("cache %s changed while it was read" % path)
+        raise CacheCorruption(lost)
     return nshards, swept, rows
 
 

@@ -134,14 +134,6 @@ def relation_values(P: np.ndarray, n: int, e: int):
         yield prods.sum(axis=1)
 
 
-def plucker_relations_check(coords: Sequence[int], n: int, e: int) -> bool:
-    """True iff all quadratic Plucker relations vanish exactly."""
-    coords = [int(x) for x in coords]
-    if len(coords) != math.comb(n, e):
-        raise ValueError("expected %d coordinates" % math.comb(n, e))
-    return not any(v.any() for v in relation_values(np.array([coords], dtype=object), n, e))
-
-
 def from_plucker(v: PluckerVec) -> RationalSubspace:
     """Recover the rational subspace with Plucker vector v.
 

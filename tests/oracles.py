@@ -1,8 +1,9 @@
 """Test oracles that the package itself never calls: the signed Bareiss
-determinant, orthonormality and containment residuals of a
-:class:`RealSubspace`, the direct-sum angle bound of criterion 8, the R^4
-and R^5 witness searches over their whole boxes, and a Hermite-capped
-sweep of 3-subspaces.  The tests import them as ``oracles``."""
+determinant, an exact check of the Plucker relations at one vector,
+orthonormality and containment residuals of a :class:`RealSubspace`, the
+direct-sum angle bound of criterion 8, the R^4 and R^5 witness searches over
+their whole boxes, and a Hermite-capped sweep of 3-subspaces.  The tests
+import them as ``oracles``."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from mpmath import mp
 from subapprox.angles import RealSubspace, _to_mpf, canonical_angles, principal_pairs
 from subapprox.enumeration import _canonical_sign_rows, _integer_ball, _row_gcd, _unique_sorted
 from subapprox.exact import annihilator, hodge_twist
+from subapprox.grassmann import relation_values
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -41,6 +43,14 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
             m[r][c] = 0
         denom = m[c][c]
     return sign * m[-1][-1]
+
+
+def plucker_relations_check(coords: Sequence[int], n: int, e: int) -> bool:
+    """True iff all quadratic Plucker relations vanish exactly."""
+    coords = [int(x) for x in coords]
+    if len(coords) != math.comb(n, e):
+        raise ValueError("expected %d coordinates" % math.comb(n, e))
+    return not any(v.any() for v in relation_values(np.array([coords], dtype=object), n, e))
 
 
 def gram_residual(sub: RealSubspace):

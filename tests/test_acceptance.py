@@ -39,7 +39,7 @@ from subapprox.enumeration import (
     scan_target,
 )
 from subapprox.exact import gram_det_sq
-from subapprox.grassmann import from_generators, plucker_relations_check, real_view
+from subapprox.grassmann import from_generators, real_view
 from subapprox.witness import (
     lower_bound_check,
     r4_irrationality_certificate,
@@ -49,7 +49,7 @@ from subapprox.witness import (
     witness_r4,
 )
 
-from oracles import direct_sum_angle_bound
+from oracles import direct_sum_angle_bound, plucker_relations_check
 
 
 def _report(num, ok, detail):

@@ -322,6 +322,9 @@ def test_goingup_negative_weight_with_psi_zero(capsys):
     ("witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", "nan"),
     ("witness", "r4", "--lower-bound", "--hmax", "3", "--exponent", "inf"),
     ("witness", "r4", "--lower-bound", "--hmax", "3", "--claimed-c", "nan"),
+    # a going-up weight that is not finite
+    ("goingup", "--target", "random:2", "--n", "4", "--gens", "3 1 4 1", "--weight", "nan"),
+    ("goingup", "--target", "random:2", "--n", "4", "--gens", "3 1 4 1", "--weight", "inf"),
     # fewer than one worker
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "0"),
     ("scan", "--target", "r4", "--e", "2", "--hmax", "2", "--workers", "-4"),

@@ -23,8 +23,8 @@ from subapprox.enumeration import (
     ApproximationRecord,
 )
 from subapprox.exact import kernel_int, laplace_sign, subsets
-from subapprox.grassmann import from_generators, plucker_relations_check
-from oracles import hermite_triple_sweep
+from subapprox.grassmann import from_generators
+from oracles import hermite_triple_sweep, plucker_relations_check
 
 
 def test_lines_in_plane_height_1():
@@ -403,7 +403,7 @@ def test_cache_round_trip(tmp_path):
     e2 = enumerate_subspaces(4, 2, 6, cache_path=path)
     assert np.array_equal(e1.pluckers, e2.pluckers)
     header, *rows, trailer = open(path).read().splitlines()
-    assert re.fullmatch(r"# subapprox-cache v3 n=4 e=2 hmax_sq=36 shards=\d+", header)
+    assert re.fullmatch(r"# subapprox-cache v4 n=4 e=2 hmax_sq=36 shards=\d+ rows=%d" % len(e1), header)
     assert trailer == "# end"
     assert rows == [e1.key_at(i) for i in range(len(e1))]  # row for row, in order
 
@@ -427,8 +427,8 @@ def _write_cache_per_row(path, n, e, hmax_sq, nshards, swept, rows):
 
     prefix = "%d %d : " % (n, e)
     with open(path, "w") as fh:
-        fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d\n"
-                 % (_CACHE_VERSION, n, e, hmax_sq, nshards))
+        fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d rows=%d\n"
+                 % (_CACHE_VERSION, n, e, hmax_sq, nshards, len(rows)))
         fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in rows.tolist())
         fh.write("# end\n" if swept == nshards else "# swept %d\n" % swept)
 
@@ -447,6 +447,8 @@ def _load_cache_per_line(path, n, e, hmax_sq):
             (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
         return None
     nshards = int(parts["shards"])
+    if len(lines) != int(parts["rows"]):
+        raise CacheCorruption("cache %s does not hold the rows its header counts" % path)
     swept = nshards if trailer == "# end" else int(trailer.removeprefix("# swept "))
     rows = []
     for line in lines:
@@ -500,6 +502,11 @@ def _corrupt_first_row(lines, row):
     return lines[:i] + [row] + lines[i + 1:]
 
 
+def _header_rows(header, delta):
+    """The header with its rows= count moved by delta."""
+    return re.sub(r"rows=(\d+)", lambda m: "rows=%d" % (int(m[1]) + delta), header)
+
+
 def _insert_after(lines, row, new):
     i = lines.index(row) + 1
     return lines[:i] + [new] + lines[i:]
@@ -522,10 +529,21 @@ _CORRUPTIONS = [
     lambda lines: _insert_after(lines, "4 2 : 1 0 0 0 0 0", "4 2 : 1 0 0 0 4294967296 0"),
     lambda lines: _corrupt_first_row(lines, "4 2 : 0 0 0 0 0 -1"),  # first nonzero negative
     lambda lines: lines[:5] + [lines[5] + " 0"] + lines[6:],  # a column too many on a valid row
+    lambda lines: lines[:len(lines) // 2] + lines[len(lines) // 2 + 1:],  # a middle row lost, trailer intact
+    lambda lines: [_header_rows(lines[0], 1)] + lines[1:],  # rows= one more than the rows
+    lambda lines: [_header_rows(lines[0], -1)] + lines[1:],  # rows= one fewer than the rows
+    lambda lines: [re.sub(r"rows=\d+", "rows=1000000000000000", lines[0])] + lines[1:],  # forged
+    lambda lines: [re.sub(r" rows=\d+", "", lines[0])] + lines[1:],  # a v4 header without rows=
+    lambda lines: lines[:7] + ["5" + lines[7][1:]] + lines[8:],  # `5 2 : ` and six coordinates
+    lambda lines: lines[:7] + [lines[7].replace(" : ", " :: ")] + lines[8:],  # `4 2 :: ...`
+    lambda lines: lines[:7] + [lines[7][::-1].replace(" ", "\t", 1)[::-1]] + lines[8:],  # a tab for a space
+    lambda lines: lines[:7] + [""] + lines[8:],  # a blank line for a row
 ]
 _CORRUPTION_IDS = ["ragged", "non_integer", "long_row", "other_dimension", "no_prefix", "no_trailer",
                    "end_inside_rows", "end_before_last_shard", "rows_out_of_order", "repeated_row",
-                   "no_header", "short_header", "coordinate_2_pow_32", "negated_row", "extra_column"]
+                   "no_header", "short_header", "coordinate_2_pow_32", "negated_row", "extra_column",
+                   "lost_middle_row", "rows_one_more", "rows_one_fewer", "rows_forged", "no_rows_count",
+                   "other_n", "double_colon", "tab_for_space", "blank_for_row"]
 
 
 @pytest.mark.parametrize("corrupt", _CORRUPTIONS, ids=_CORRUPTION_IDS)
@@ -580,6 +598,31 @@ def test_corrupt_cache_raises_at_every_block_size(tmp_path, monkeypatch, corrupt
     _rows_a_block(monkeypatch, path, rows)
     with pytest.raises(CacheCorruption, match=re.escape(path)):
         _load_cache(path, 4, 2, 64)
+
+
+@pytest.mark.parametrize("extra", [1, 10 ** 15])
+def test_forged_row_count_is_refused_before_the_rows_are_allocated(tmp_path, extra):
+    # a row takes at least len("4 2 : ") + 2 * 6 = 18 bytes, so a header that
+    # counts more rows than the file's rows can hold is refused with nothing
+    # allocated for them: the traced peak stays far below those rows' bytes
+    import tracemalloc
+
+    from subapprox.enumeration import _load_cache
+
+    path = str(tmp_path / "c42.cache")
+    enumerate_subspaces(4, 2, 8, cache_path=path)
+    header, *lines, trailer = open(path).read().splitlines()
+    most = sum(len(line) + 1 for line in lines) // 18
+    header = re.sub(r"rows=\d+", "rows=%d" % (most + extra), header)
+    open(path, "w").write("\n".join([header] + lines + [trailer]) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheCorruption, match=re.escape(path)):
+            _load_cache(path, 4, 2, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 < most * 6
 
 
 def test_line_longer_than_a_block_raises(tmp_path, monkeypatch):
@@ -809,21 +852,26 @@ def test_partial_cache_of_another_layout_is_rebuilt(tmp_path, pattern, repl):
     assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
     header, *lines = open(path).read().splitlines()
     rows = [ln for ln in lines if not ln.startswith("#")][:3]
-    open(path, "w").write("\n".join([re.sub(pattern, repl, header)] + rows + ["# swept 1"]) + "\n")
+    header = re.sub(r"rows=\d+", "rows=3", re.sub(pattern, repl, header))
+    open(path, "w").write("\n".join([header] + rows + ["# swept 1"]) + "\n")
     full = enumerate_subspaces(4, 2, 8, cache_path=path)
     assert not full.truncated
     assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8).pluckers)
     assert open(path).read().strip().endswith("# end")
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
+@pytest.mark.parametrize("version", ["v1", "v2", "v3"])
 def test_cache_of_another_version_is_rebuilt(tmp_path, version):
     # a complete cache of an older layout (rows grouped by shard, each group
-    # closed by a marker) is swept again and overwritten, never read
+    # closed by a marker; a header without rows=) is swept again and
+    # overwritten, never read
+    from subapprox.enumeration import _CACHE_VERSION
+
     path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
     want = enumerate_subspaces(4, 2, 6, cache_path=fresh)
     header, *rows, trailer = open(fresh).read().splitlines()
-    old = [header.replace(" v3 ", " %s " % version)] + rows[::-1] + ["# shard 0 done", trailer]
+    header = re.sub(r" rows=\d+", "", header.replace(" %s " % _CACHE_VERSION, " %s " % version))
+    old = [header] + rows[::-1] + ["# shard 0 done", trailer]
     open(path, "w").write("\n".join(old) + "\n")
     rebuilt = enumerate_subspaces(4, 2, 6, cache_path=path)
     assert rebuilt.pair_count == want.pair_count > 0  # swept again, not read

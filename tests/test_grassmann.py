@@ -14,11 +14,12 @@ from subapprox.grassmann import (
     from_plucker,
     parse_key,
     plucker_relations,
-    plucker_relations_check,
     real_view,
     relation_values,
 )
 from subapprox.angles import canonical_angles
+
+from oracles import plucker_relations_check
 
 
 def test_from_generators_basics():
