@@ -1,8 +1,8 @@
 """Exhaustive-by-height enumeration of rational subspaces and record scans.
 
-One sharded core sweeps e-tuples of primitive, sign-canonical integer
-vectors, each vector strictly later than the one before in (norm^2,
-lexicographic) order, for e <= 3 and e <= n - e.  A tuple is kept only when
+One core sweeps e-tuples of primitive, sign-canonical integer vectors,
+each vector strictly later than the one before in (norm^2, lexicographic)
+order, for e <= 3 and e <= n - e.  A tuple is kept only when
 its wedge has gcd 1, i.e. it is a basis of a saturated lattice, so the wedge
 already is the primitive Plucker vector; lattices that are not saturated are
 found through the basis of their saturation.
@@ -11,7 +11,7 @@ found through the basis of their saturation.
   vectors attain the successive minima of their lattice; for e <= 3 some
   basis of every lattice does.  So no v2 +- v1 is shorter than v2, the
   Lagrange-Gauss slab 2 |<v1, v2>| <= |v1|^2, and no v3 + s v1 + t v2 is
-  shorter than v3 (see :func:`_sweep_shard`).  H^2 >= |v1|^2 (|v2|^2 -
+  shorter than v3 (see :func:`_sweep`).  H^2 >= |v1|^2 (|v2|^2 -
   |v1|^2 / 4) bounds the plane sweep, and Minkowski's second theorem in
   Hermite form, lam_1^2 lam_2^2 lam_3^2 <= gamma_3^3 H^2 = 2 H^2, the
   triple sweep; then every vector has norm^2 <= H^2, so lines, planes and
@@ -25,16 +25,17 @@ found through the basis of their saturation.
   (n, n - e) ones with every Plucker row reversed and twisted by Laplace
   signs.
 
-The shards are swept serially, in order, by one loop, and one final pass
-sorts all rows by (height^2, lexicographic key) and drops repeats.  So the
-result does not depend on which shard emitted a subspace, nor on how
-often, and memory grows with the output, not with the tuples swept.  Rows
-are kept in the narrowest signed dtype that holds +-floor(height_max) from
-the sweep's height test through the cache round trip to
-``Enumeration.pluckers``, and every sum of rows names a dtype that holds
-it; no int64 copy of the rows is made.  Completeness for
-(n, e) = (4, 2) is cross-checked against an independent sweep of primitive
-Plucker vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
+One loop sweeps the first vectors of the swept bases serially, in order,
+in blocks, and one final pass sorts all rows by (height^2, lexicographic
+key) and drops repeats.  So the result does not depend on which block
+emitted a subspace, nor on how often, and memory grows with the output,
+not with the tuples swept; a sweep cut after a block resumes at the next
+first vector.  Rows are kept in the narrowest signed dtype that holds
++-floor(height_max) from the sweep's height test through the cache round
+trip to ``Enumeration.pluckers``, and every sum of rows names a dtype that
+holds it; no int64 copy of the rows is made.  Completeness for (n, e) =
+(4, 2) is cross-checked against an independent sweep of primitive Plucker
+vectors on the quadric (see :func:`plucker_sweep_count_4_2`).
 
 Scanning a real target gives the strictly-improving (height, psi_j) records
 and a log-log fit of the exponent; :func:`_decide` makes every mp choice.
@@ -59,11 +60,8 @@ from .angles import RealSubspace
 from .exact import PluckerVec, annihilator, hodge_twist, wedge_terms
 from .grassmann import _BLOCK_BYTES, RationalSubspace, from_plucker, refine_psi, relation_values
 
-# first-vector candidates per shard; fixed, so a partial cache's `# swept <k>`
-# names the same shards on every run
-_SHARD_SIZE = 64
 # names the cache layout; a cache of another version is rebuilt, never read
-_CACHE_VERSION = "v4"
+_CACHE_VERSION = "v5"
 # the most rows, by Schmidt's estimate, of an enumeration's integer ball or
 # output: (4,2,40) and (6,2,10), ~16M rows each and peaking near 490 and
 # 670 MB, are admitted, and a larger one is refused before the ball is built.
@@ -145,7 +143,9 @@ def _integer_ball(n: int, cap_sq: int) -> np.ndarray:
             v[:, k] = lead
             v[:, k + 1:] = rest
             chunks.append(v[_row_gcd(v) == 1])
-    return _unique_sorted(np.concatenate(chunks))
+    V = np.concatenate(chunks)
+    del chunks  # not held through the sort
+    return _unique_sorted(V)
 
 
 def _canonical_sign_rows(W: np.ndarray) -> np.ndarray:
@@ -222,7 +222,7 @@ def _plane_rows(V, n2, first, second, dot, hmax_sq, dt):
     """The canonical rows, in dtype dt, of the planes of height <= hmax_sq
     with a reduced basis (V[first], V[second]) from the slab, whose products
     are ``dot``, and the number of pairs wedged.  The height |v1 ^ v2|^2 =
-    k1 k2 - <v1, v2>^2 and the tie rule of :func:`_sweep_shard` are decided
+    k1 k2 - <v1, v2>^2 and the tie rule of :func:`_sweep` are decided
     from the products, so only the pairs left are wedged and gcd-tested."""
     k1 = n2[first]
     d = dot.astype(np.int64)
@@ -247,7 +247,7 @@ def _triple_rows(V, n2, first, second, dot, hmax_sq, dt):
     with a reduced basis (V[first], V[second], V[c]) whose first two vectors
     are a pair from the slab, with products ``dot``, and the number of
     triples wedged.  For each pair, the third vectors run up to the Hermite
-    cap; the conditions of :func:`_sweep_shard` and the height are decided
+    cap; the conditions of :func:`_sweep` and the height are decided
     from the products, so only the triples left are wedged and gcd-tested."""
     n, cap = V.shape[1], _product_cap(3, hmax_sq)
     out, triples = [np.zeros((0, math.comb(n, 3)), dtype=dt)], 0
@@ -266,15 +266,26 @@ def _triple_rows(V, n2, first, second, dot, hmax_sq, dt):
     return _canonical_sign_rows(np.concatenate(out)), triples
 
 
-def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
-    """Canonical rows of the subspaces with a swept basis whose first vector
-    is V[a], lo <= a < hi, and the number of e-tuples wedged.
+def _sweep(V, n2, m, f, hmax_sq, start):
+    """Yields, block by block over the first vectors V[a], start <= a < m,
+    (the canonical rows of the f-subspaces with a swept basis whose first
+    vector is in the block, the number of f-tuples wedged, the index of the
+    next first vector), from the ball V, n2, m of :func:`_ball`.
 
-    A line's basis is one vector of the ball, so its rows are V's own.  For
-    planes and 3-subspaces each later vector comes strictly later in V, so
-    every set of vectors is tried once; the last one is vectorised.  V's
-    dtype holds +-2 prod_cap, and every dot product, minor and wedge formed
-    here, and every partial sum of one, is at most sqrt(prod_cap) in
+    A line's basis is one vector of the ball, so its rows are V's own; the
+    whole space's basis is the empty one, whose wedge is V's one row (1).
+    For planes and 3-subspaces each later vector comes strictly later in V,
+    so every set of vectors is tried once; the last one is vectorised.  A
+    block holds as many lines, or plane pairs from the slab, as take about
+    ``_BLOCK_BYTES`` with their indices, products, vectors and wedge terms
+    (a plane block closes after the first vector that fills it); a
+    3-subspace block closes after each first vector, as
+    :func:`_triple_rows` wedges pair by pair anyway.  So a block holds a
+    few percent of a desk-scale sweep's tuples, and each block's end is a
+    resume point.
+
+    V's dtype holds +-2 prod_cap, and every dot product, minor and wedge
+    formed here, and every partial sum of one, is at most sqrt(prod_cap) in
     absolute value by Cauchy-Schwarz, so none wraps.  Norms and heights are
     formed in int64, and the rows that pass the height test are kept in the
     narrow row dtype.
@@ -311,9 +322,9 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
       k3 <= prod_cap / (k1 k2) <= H^2.
 
     So every vector of a swept basis lies in the ball of norm^2 <= H^2.
-    The pairs in the slab go, in blocks of about ``_BLOCK_BYTES``, to
-    :func:`_plane_rows` or to :func:`_triple_rows`, which decide the rest
-    from the products and wedge only the tuples of height <= H.
+    A block's pairs in the slab go to :func:`_plane_rows` or to
+    :func:`_triple_rows`, which decide the rest from the products and wedge
+    only the tuples of height <= H.
 
     A saturated plane lattice has one reduced basis up to signs, except on
     the slab's boundary 2 |<v1, v2>| = k1.  There, with s = sign <v1, v2>,
@@ -326,31 +337,30 @@ def _sweep_shard(V, n2, lo, hi, e, prod_cap, hmax_sq):
     v2, so of (v1, v2) and (v1, w) one is kept; and of the three pairs of a
     hexagonal lattice, with shortest vectors u < u' < u'' in V's order,
     only (u, u') is kept, since the partner of each other pair comes before
-    its second vector.  Each plane is then emitted once, by the shard that
+    its second vector.  Each plane is then emitted once, in the block that
     holds its v1.  A 3-subspace is emitted once for each of its reduced
     triples in V's order, which differ only on the conditions' boundary;
     the final sort of :func:`enumerate_subspaces` drops the repeats.
     """
-    if e == 1:
-        return V[lo:hi], hi - lo
-    n = V.shape[1]
-    dt = _signed_dtype(math.isqrt(hmax_sq))
-    rows_of = _plane_rows if e == 2 else _triple_rows
-    # a block's indices, products, vectors and wedge terms take about _BLOCK_BYTES
-    block = max(1, _BLOCK_BYTES // (16 * (n + math.comb(n, e))))
-    out, slab, size = [(np.zeros((0, math.comb(n, e)), dtype=dt), 0)], [], 0
-    for a in range(lo, hi):
+    block = max(1, _BLOCK_BYTES // (16 * (V.shape[1] + math.comb(V.shape[1], f))))
+    if f <= 1:  # m = len(V)
+        for lo in range(start, m, block):
+            rows = V[lo:lo + block]
+            yield rows, f * len(rows), lo + len(rows)
+        return
+    dt, prod_cap = _signed_dtype(math.isqrt(hmax_sq)), _product_cap(f, hmax_sq)
+    rows_of = _plane_rows if f == 2 else _triple_rows
+    slab, size = [], 0
+    for a in range(start, m):
         k1 = int(n2[a])
-        k2_max = (4 * hmax_sq + k1 * k1) // (4 * k1) if e == 2 else math.isqrt(prod_cap // k1)
+        k2_max = (4 * hmax_sq + k1 * k1) // (4 * k1) if f == 2 else math.isqrt(prod_cap // k1)
         dot = V[a + 1:int(np.searchsorted(n2, k2_max, side="right"))] @ V[a]
         x = np.flatnonzero(np.abs(dot) <= k1 // 2)  # the slab
         slab.append((np.full(len(x), a), x + (a + 1), dot[x]))
         size += len(x)
-        if size >= block or a == hi - 1:
-            out.append(rows_of(V, n2, *map(np.concatenate, zip(*slab)), hmax_sq, dt))
+        if size >= block or f == 3 or a == m - 1:
+            yield *rows_of(V, n2, *map(np.concatenate, zip(*slab)), hmax_sq, dt), a + 1
             slab, size = [], 0
-    rows, tuples = zip(*out)
-    return np.concatenate(rows), sum(tuples)
 
 
 def _log_schmidt_count(n: int, e: int, height_sq: int) -> float:
@@ -373,54 +383,55 @@ def _log_schmidt_count(n: int, e: int, height_sq: int) -> float:
     return log_c + n / 2 * math.log(height_sq)
 
 
-def _shard_jobs(n: int, e: int, hmax_sq: int) -> list:
-    """One call per shard of the (n, min(e, n - e)) sweep, in shard order;
-    each returns (the canonical rows it emits in the narrow row dtype,
-    tuples wedged).  Lines, hyperplanes and the whole space are one shard.
-    An integer ball or output estimated above MAX_ESTIMATED_ROWS rows raises
-    ValueError before anything is allocated.
+def _ball(n: int, e: int, hmax_sq: int):
+    """(V, n2, m) for the (n, f) sweep, f = min(e, n - e): the vectors V of
+    every swept basis, in the narrowest dtype :func:`_sweep` needs, their
+    squared norms n2 (planes and 3-subspaces only) and the number m of
+    first vectors, V[:m].  An integer ball or output estimated above
+    MAX_ESTIMATED_ROWS rows raises ValueError before anything is allocated.
 
     The integer ball of norm^2 <= H^2 holds every vector of a swept basis,
-    for every f: a plane's k2 and a 3-subspace's k3 are at most H^2 (see
-    :func:`_sweep_shard`), and its rows are the lines.  The first vectors
-    of planes and 3-subspaces are those with k1^f <= prod_cap (a reduced
-    pair has k1^2 <= k1 k2 <= 4/3 H^2, a reduced triple k1^3 <= 2 H^2).  The ball is sorted by (norm^2, lex), so they are its first m
-    rows, and the shards, m / _SHARD_SIZE of them, cut them where the
-    cache's `shards=` and `# swept <k>` say."""
+    for every f >= 1: a plane's k2 and a 3-subspace's k3 are at most H^2
+    (see :func:`_sweep`), and its rows are the lines.  The first vectors of
+    planes and 3-subspaces are those with k1^f <= prod_cap (a reduced pair
+    has k1^2 <= k1 k2 <= 4/3 H^2, a reduced triple k1^3 <= 2 H^2).  The
+    ball is sorted by (norm^2, lex), so they are its first m rows, and a
+    partial cache's `# swept <k>` names the first k of them.  For f = 0,
+    V is the one row (1), the Plucker vector of the zero subspace."""
     f = min(e, n - e)  # the swept dimension; e > n - e is its Hodge dual
-    dt = _signed_dtype(math.isqrt(hmax_sq))
     if f == 0:
-        return [lambda: (np.ones((1, 1), dtype=dt), 0)]
+        return np.ones((1, 1), dtype=_signed_dtype(math.isqrt(hmax_sq))), None, 1
     ball, out = _log_schmidt_count(n, 1, hmax_sq), _log_schmidt_count(n, f, hmax_sq)
     if max(ball, out) > math.log(MAX_ESTIMATED_ROWS):
         raise ValueError("the (%d, %d) enumeration's integer ball and output are estimated at "
                          "10^%.1f and 10^%.1f rows, more than MAX_ESTIMATED_ROWS = %d"
                          % (n, e, ball / math.log(10), out / math.log(10), MAX_ESTIMATED_ROWS))
-    prod_cap = _product_cap(f, hmax_sq)
     V = _integer_ball(n, hmax_sq)
-    n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
     if f == 1:  # the ball's own rows, in their own dtype
-        return [functools.partial(_sweep_shard, V, n2, 0, len(V), f, prod_cap, hmax_sq)]
-    V = V.astype(_signed_dtype(2 * prod_cap))
+        return V, None, len(V)
+    prod_cap = _product_cap(f, hmax_sq)
+    n2 = np.einsum("ij,ij->i", V, V, dtype=np.int64)
     m = int(np.count_nonzero(n2 ** f <= prod_cap))  # candidates for the shortest basis vector
-    return [functools.partial(_sweep_shard, V, n2, lo, min(lo + _SHARD_SIZE, m), f, prod_cap, hmax_sq)
-            for lo in range(0, m, _SHARD_SIZE)]
+    return V.astype(_signed_dtype(2 * prod_cap)), n2, m
 
 
 def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = None,
                         max_pairs: int | None = None) -> Enumeration:
     """Every rational subspace of dimension e in R^n with height <= height_max.
 
-    Needs min(e, n - e) <= 3.  The shards are swept one after another, in
-    order, and each one's rows are Hodge-twisted when e > n - e and kept as
-    they come.  A line or plane comes once, a 3-subspace once for each of
-    its reduced bases; one final pass sorts all rows and drops repeats, so
-    the result is sorted by (height^2, lexicographic key) and downstream
-    consumers are independent of enumeration order.  ``max_pairs`` bounds
-    the sweep: no shard starts once more than that many tuples have been
-    wedged, and a result with a shard left unswept carries
-    ``truncated=True`` (never silent).  With ``cache_path`` a complete cache
-    is loaded, a partial one resumed after its last swept shard.
+    Needs min(e, n - e) <= 3.  The blocks of :func:`_sweep` are swept one
+    after another, in order, and each one's rows are Hodge-twisted when
+    e > n - e and kept as they come.  A line or plane comes once, a
+    3-subspace once for each of its reduced bases; one final pass sorts all
+    rows and drops repeats, so the result is sorted by (height^2,
+    lexicographic key) and downstream consumers are independent of
+    enumeration order.  The rows of a line sweep from the first line are a
+    prefix of the integer ball, already in that order and distinct, so they
+    skip that pass.  ``max_pairs`` bounds the sweep: no block starts once
+    more than that many tuples have been wedged, and a result with a first
+    vector left unswept carries ``truncated=True`` (never silent).  With
+    ``cache_path`` a complete cache is loaded, a partial one resumed after
+    its last swept first vector.
     """
     if not (1 <= e <= n):
         raise ValueError("need 1 <= e <= n")
@@ -429,34 +440,35 @@ def enumerate_subspaces(n: int, e: int, height_max, *, cache_path: str | None = 
     hmax_sq = _height_cap_sq(height_max)
 
     cached = _load_cache(cache_path, n, e, hmax_sq) if cache_path and os.path.exists(cache_path) else None
-    if cached and cached[1] == cached[0]:
-        return Enumeration(n, e, hmax_sq, cached[2])
+    swept, rows = cached or (0, None)
+    if swept is None:
+        return Enumeration(n, e, hmax_sq, rows)
 
-    jobs = _shard_jobs(n, e, hmax_sq)  # builds the integer ball, so only after a complete load
-    nshards = len(jobs)
-    swept, runs, pairs = 0, [], 0
-    if cached and cached[0] == nshards:
-        swept, runs = cached[1], [cached[2]]
-    while swept < nshards:
-        shard, p = jobs[swept]()
-        runs.append(_canonical_sign_rows(hodge_twist(shard, n, e)) if e > n - e else shard)
-        swept, pairs = swept + 1, pairs + p
+    V, n2, m = _ball(n, e, hmax_sq)  # only after a complete load
+    if swept >= m:  # a sweep through the last first vector writes `# end`
+        raise CacheCorruption("partial cache %s has swept %d first vectors of %d" % (cache_path, swept, m))
+    # a line sweep from the first line emits a prefix of the ball, sorted and distinct
+    runs, pairs, sort = ([rows], 0, True) if swept else ([], 0, e > 1)
+    for rows, p, swept in _sweep(V, n2, m, min(e, n - e), hmax_sq, swept):
+        runs.append(_canonical_sign_rows(hodge_twist(rows, n, e)) if e > n - e else rows)
+        pairs += p
         if max_pairs is not None and pairs > max_pairs:
             break
-    del jobs, cached  # the integer ball, held by the shards
+    del V, n2, cached
     rows = np.concatenate(runs)
     del runs
-    rows = _unique_sorted(rows)  # the one sort, and the one dedup
+    if sort:
+        rows = _unique_sorted(rows)  # the one sort, and the one dedup
     if cache_path is not None:
-        _write_cache(cache_path, n, e, hmax_sq, nshards, swept, rows)
-    return Enumeration(n, e, hmax_sq, rows, truncated=swept < nshards, pair_count=pairs)
+        _write_cache(cache_path, n, e, hmax_sq, swept if swept < m else None, rows)
+    return Enumeration(n, e, hmax_sq, rows, truncated=swept < m, pair_count=pairs)
 
 
 # ---------------------------------------------------------------------------
-# cache format: a header naming the enumeration, its shard count and its row
-# count, one line `n e : p_1 ... p_N` per subspace in the Enumeration's
-# (height^2, lex) order, and a trailer: `# end` once every shard is swept,
-# `# swept <k>` after the first k shards of a truncated sweep.
+# cache format: a header naming the enumeration and its row count, one line
+# `n e : p_1 ... p_N` per subspace in the Enumeration's (height^2, lex)
+# order, and a trailer: `# end` once every first vector is swept, `# swept
+# <k>` after the first k first vectors of a truncated sweep.
 # ---------------------------------------------------------------------------
 
 def _token_table(bound: int) -> np.ndarray:
@@ -469,9 +481,10 @@ def _token_table(bound: int) -> np.ndarray:
     return np.frombuffer(b"".join(t.rjust(w, b"\0") for t in tokens), dtype=np.uint8).reshape(-1, w)
 
 
-def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
-    """Write the sorted rows of the first ``swept`` shards to a sibling temp
-    file and move it over path, so a failed write leaves the old file whole.
+def _write_cache(path, n, e, hmax_sq, swept, rows):
+    """Write the sorted rows of a sweep, complete when ``swept`` is None and
+    else through its first ``swept`` first vectors, to a sibling temp file
+    and move it over path, so a failed write leaves the old file whole.
 
     Each block of rows is gathered from :func:`_token_table`, between a
     prefix and a newline column, with the padding bytes dropped: the bytes
@@ -484,8 +497,8 @@ def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d rows=%d\n"
-                     % (_CACHE_VERSION.encode(), n, e, hmax_sq, nshards, len(rows)))
+            fh.write(b"# subapprox-cache %s n=%d e=%d hmax_sq=%d rows=%d\n"
+                     % (_CACHE_VERSION.encode(), n, e, hmax_sq, len(rows)))
             for lo in range(0, len(rows), step):
                 block = rows[lo:lo + step]
                 text = np.empty((len(block), width), dtype=np.uint8)
@@ -493,7 +506,7 @@ def _write_cache(path, n, e, hmax_sq, nshards, swept, rows):
                 text[:, len(prefix):-1] = np.take(table, block, axis=0).reshape(len(block), -1)
                 text[:, -1] = ord("\n")
                 fh.write(text[text != 0])
-            fh.write(b"# end\n" if swept == nshards else b"# swept %d\n" % swept)
+            fh.write(b"# end\n" if swept is None else b"# swept %d\n" % swept)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -530,15 +543,17 @@ def _validate_rows(rows: np.ndarray, n, e, hmax_sq, path):
         raise CacheCorruption("cached rows are not strictly increasing in (height, key) in %s" % path)
 
 
-# rows= is optional so that a header of an older version, which has none, reaches the version check
-_HEADER = re.compile(rb"# subapprox-cache (v\d+) n=(\d+) e=(\d+) hmax_sq=(\d+) shards=(\d+)(?: rows=(\d+))?")
+# this version's header, or one of any other version (group 5), which is rebuilt, never read
+_HEADER = re.compile(rb"# subapprox-cache (?:%s n=(\d+) e=(\d+) hmax_sq=(\d+) rows=(\d+)|(v\d+) .*)"
+                     % _CACHE_VERSION.encode())
 _TRAILER = re.compile(rb"end|swept (\d+)")
 _LINE_BYTES = 256  # read for the header line, and from the end for the trailer
 
 
 def _load_cache(path, n, e, hmax_sq):
-    """(shard count, shards swept, validated rows) of the cache at path, or
-    None when it holds another enumeration or is of another version.
+    """(first vectors swept, validated rows) of the cache at path, the count
+    None for a complete one, or None when the cache holds another
+    enumeration or is of another version.
 
     The header line and the trailer, in the last ``_LINE_BYTES``, are read
     first.  A row takes at least len(`n e : `) + 2 C(n, e) bytes, so the
@@ -551,31 +566,31 @@ def _load_cache(path, n, e, hmax_sq):
     fields of a structured row, and the block is dropped and its rows
     validated together with the row before it, which its first row must
     follow.  So a load holds the rows and one block, never the whole file.
-    loadtxt refuses a line of another field count (a long or ragged row, a
-    tab or a doubled space) and a coordinate outside the row dtype; the
-    first three fields must read `n e :`, and the k lines must give k rows,
-    as loadtxt skips a blank one.  A line longer than a block (a row takes
-    under 1 KiB) is refused, and so is a cache whose rows are not N."""
+    A block holds only the bytes the writer writes (digits, space, `-`, `:`
+    and newline: no `+`, tab or carriage return, which loadtxt would read
+    as the same integers).  loadtxt refuses a line of another field count
+    (a long or ragged row, or a doubled space) and a coordinate outside the
+    row dtype; the first three fields must read `n e :`, and the k lines
+    must give k rows, as loadtxt skips a blank one.  A line longer than a
+    block (a row takes under 1 KiB) is refused, and so is a cache whose rows
+    are not N.  Whether k in `# swept <k>` names a first vector of the sweep
+    is checked by :func:`enumerate_subspaces`, which builds the ball."""
     ncols, dt = math.comb(n, e), _signed_dtype(math.isqrt(hmax_sq))
     prefix = np.array((n, e, b":"), dtype=[("n", dt), ("e", dt), (":", "S2")])  # a row's first fields
     with open(path, "rb") as fh:
         header = _HEADER.fullmatch(fh.readline(_LINE_BYTES).strip())
-        if header is None:
-            raise CacheCorruption("not a subapprox cache: %s" % path)
-        version, *fields = header.groups()
-        *key, nshards, count = (int(f or -1) for f in fields)  # count -1: a header without rows=
-        if version.decode() != _CACHE_VERSION or key != [n, e, hmax_sq]:
+        if header is None or header[5] == _CACHE_VERSION.encode():
+            raise CacheCorruption("not a subapprox cache header in %s" % path)
+        if header[5] or [int(f) for f in header.groups()[:3]] != [n, e, hmax_sq]:
             return None
-        start = fh.tell()
+        start, count = fh.tell(), int(header[4])
         end = max(start - 1, fh.seek(0, os.SEEK_END) - _LINE_BYTES)  # at the header's newline or later
         fh.seek(end)
         tail = fh.read()
         at = tail.rfind(b"\n# ")  # the newline before the trailer
         trailer = _TRAILER.fullmatch(tail[at + 3:].strip()) if at >= 0 else None
-        swept = int(trailer[1] or nshards) if trailer else None
-        if swept is None or swept > nshards:
-            raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`, k <= %d"
-                                  % (path, nshards))
+        if trailer is None:
+            raise CacheCorruption("cache %s does not end in `# end` or `# swept <k>`" % path)
         stop = end + at + 1
         lost = "cache %s does not hold the rows its header counts" % path
         if not 0 <= count * (len(b"%d %d : " % (n, e)) + 2 * ncols) <= stop - start:
@@ -590,6 +605,10 @@ def _load_cache(path, n, e, hmax_sq):
             k = text.count(b"\n", 0, cut)
             if lo + k > count:
                 raise CacheCorruption(lost)
+            # the bytes the writer writes, in 64 KiB slices: a copy of the block would double it
+            if any(text[i:i + (1 << 16)].translate(None, b"0123456789 -:\n")
+                   for i in range(0, len(text), 1 << 16)):
+                raise CacheCorruption("malformed row in %s: a byte the cache writer never writes" % path)
             try:
                 block = np.loadtxt(itertools.islice(io.BytesIO(text), k), delimiter=" ", comments=None,
                                    dtype=[("prefix", prefix.dtype), ("p", dt, (ncols,))], ndmin=1)
@@ -603,7 +622,7 @@ def _load_cache(path, n, e, hmax_sq):
             start, lo = start + cut, lo + k
     if lo != count:
         raise CacheCorruption(lost)
-    return nshards, swept, rows
+    return None if trailer[1] is None else int(trailer[1]), rows
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def test_missing_directory_refused_before_the_sweep(argv, monkeypatch, tmp_path,
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep started before the path was checked")
 
-    monkeypatch.setattr(enumeration, "_shard_jobs", no_sweep)
+    monkeypatch.setattr(enumeration, "_ball", no_sweep)
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
@@ -439,7 +439,7 @@ def test_directory_path_refused_before_the_sweep(argv, monkeypatch, tmp_path, ca
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep started before the path was checked")
 
-    monkeypatch.setattr(enumeration, "_shard_jobs", no_sweep)
+    monkeypatch.setattr(enumeration, "_ball", no_sweep)
     monkeypatch.chdir(tmp_path)
     os.mkdir("a-dir")
     assert main(list(argv)) == 3

@@ -13,8 +13,10 @@ from subapprox.enumeration import (
     CacheCorruption,
     Enumeration,
     _decide,
+    _ball,
+    _integer_ball,
     _quadric_solutions_4_2,
-    _shard_jobs,
+    _sweep,
     _unique_sorted,
     enumerate_subspaces,
     estimate_exponent,
@@ -209,21 +211,28 @@ def test_sweep_matches_reference_sweep(n, e, hmax):
     assert np.array_equal(fast.pluckers, _unique_sorted(ref))
 
 
-def _shard_rows(n, e, hmax):
-    """Every row the shards of the (n, e, hmax) sweep emit, in shard order,
-    Hodge-twisted as :func:`enumerate_subspaces` twists them."""
+def _blocks(n, e, hmax):
+    """(rows, tuples wedged, next first vector) of each block of the
+    (n, e, hmax) sweep, in order, the rows Hodge-twisted as
+    :func:`enumerate_subspaces` twists them."""
     from subapprox.enumeration import _canonical_sign_rows
     from subapprox.exact import hodge_twist
 
-    rows = np.concatenate([job()[0] for job in _shard_jobs(n, e, hmax * hmax)])
-    return _canonical_sign_rows(hodge_twist(rows, n, e)) if e > n - e else rows
+    V, n2, m = _ball(n, e, hmax * hmax)
+    return [(_canonical_sign_rows(hodge_twist(rows, n, e)) if e > n - e else rows, p, k)
+            for rows, p, k in _sweep(V, n2, m, min(e, n - e), hmax * hmax, 0)]
+
+
+def _block_rows(n, e, hmax):
+    """Every row the blocks of the (n, e, hmax) sweep emit, in order."""
+    return np.concatenate([rows for rows, _, _ in _blocks(n, e, hmax)])
 
 
 @pytest.mark.parametrize("n, e, hmax", [(4, 2, 14), (5, 2, 6), (3, 2, 20), (5, 3, 3)])
 def test_plane_shards_emit_each_subspace_once(n, e, hmax):
     # the tie rule keeps one reduced basis of each plane, so the rows the
-    # shards emit are the enumeration's, none repeated
-    rows = _shard_rows(n, e, hmax)
+    # blocks of the sweep emit are the enumeration's, none repeated
+    rows = _block_rows(n, e, hmax)
     assert len(np.unique(rows, axis=0)) == len(rows) == len(enumerate_subspaces(n, e, hmax))
 
 
@@ -235,7 +244,7 @@ def test_boundary_plane_is_emitted_once(basis):
     from subapprox.exact import normalize_plucker, wedge_plucker
 
     key = normalize_plucker(wedge_plucker(basis), 4, 2).coords
-    rows = _shard_rows(4, 2, 3)
+    rows = _block_rows(4, 2, 3)
     assert int(np.all(rows == np.array(key), axis=1).sum()) == 1
 
 
@@ -271,7 +280,7 @@ def test_e3_shards_emit_at_most_three_rows_per_subspace(n, e, hmax):
     # a 3-subspace comes once for each of its reduced triples, which differ
     # only on the boundary of the reduction conditions; the final sort drops
     # the repeats
-    rows = _shard_rows(n, e, hmax)
+    rows = _block_rows(n, e, hmax)
     enum = enumerate_subspaces(n, e, hmax)
     assert len(np.unique(enum.pluckers, axis=0)) == len(enum)
     assert len(np.unique(rows, axis=0)) == len(enum)
@@ -336,7 +345,7 @@ def test_hyperplanes_are_complements_of_lines():
 
 
 def test_budget_spent_by_last_shard_is_not_truncation(tmp_path):
-    # truncated means some shard was left unswept, whatever the shard layout
+    # truncated means some first vector was left unswept, whatever the blocks
     full = enumerate_subspaces(4, 2, 6)
     path = str(tmp_path / "c42.cache")
     enum = enumerate_subspaces(4, 2, 6, max_pairs=full.pair_count - 1, cache_path=path)
@@ -345,50 +354,50 @@ def test_budget_spent_by_last_shard_is_not_truncation(tmp_path):
     assert open(path).read().strip().endswith("# end")
 
 
-def test_shards_start_until_the_budget_is_exceeded(tmp_path):
-    # no shard starts once more than max_pairs tuples have been wedged, so a
-    # budget that shard 0 meets exactly still sweeps shard 1
-    p0, p1 = (job()[1] for job in _shard_jobs(4, 2, 64)[:2])
-    for budget, trailer in ((p0 - 1, "# swept 1"), (p0, "# swept 2"), (p0 + p1, "# end")):
+def test_blocks_start_until_the_budget_is_exceeded(tmp_path):
+    # no block starts once more than max_pairs tuples have been wedged, so a
+    # budget that block 0 meets exactly still sweeps block 1; `# swept k`
+    # counts the first vectors of the blocks swept
+    (_, p0, k1), (_, p1, k2), (_, _, k3) = _blocks(4, 2, 8)[:3]
+    for budget, k in ((p0 - 1, k1), (p0, k2), (p0 + p1, k3)):
         path = str(tmp_path / ("c42-%d.cache" % budget))
-        enum = enumerate_subspaces(4, 2, 8, max_pairs=budget, cache_path=path)
-        assert enum.truncated == (trailer != "# end")
-        assert open(path).read().splitlines()[-1] == trailer
+        assert enumerate_subspaces(4, 2, 8, max_pairs=budget, cache_path=path).truncated
+        assert open(path).read().splitlines()[-1] == "# swept %d" % k
 
 
-def _shards_merged(order):
-    """The (4,2,8) enumeration with its shards swept in the given order, each
-    one's rows deduplicated and sorted, and the runs merged by one
-    :func:`_unique_sorted`."""
-    jobs = _shard_jobs(4, 2, 64)
-    runs = [_unique_sorted(jobs[i]()[0]) for i in order]
+def _blocks_merged(order):
+    """The (4,2,8) enumeration with the blocks of its sweep taken in the
+    given order, each one's rows deduplicated and sorted, and the runs
+    merged by one :func:`_unique_sorted`."""
+    blocks = _blocks(4, 2, 8)
+    runs = [_unique_sorted(blocks[i][0]) for i in order]
     return Enumeration(4, 2, 64, _unique_sorted(np.concatenate(runs)))
 
 
-# the (4,2,8) shards swept backwards and in a shuffled order
-_SHARD_ORDERS = ([2, 1, 0], random.Random(1).sample(range(3), 3))
+# the six (4,2,8) blocks taken backwards and in a shuffled order
+_BLOCK_ORDERS = (list(range(5, -1, -1)), random.Random(1).sample(range(6), 6))
 
 
-def test_workers_and_order_invariance():
-    # the rows do not depend on the order in which the shards are swept
+def test_rows_invariant_under_block_order():
+    # the rows do not depend on the order in which the blocks are emitted
     full = enumerate_subspaces(4, 2, 8)
-    assert len(_shard_jobs(4, 2, 64)) == 3
-    assert _SHARD_ORDERS[1] not in ([0, 1, 2], [2, 1, 0])
-    for order in _SHARD_ORDERS:
-        merged = _shards_merged(order)
+    assert len(_blocks(4, 2, 8)) == 6
+    assert _BLOCK_ORDERS[1] not in (list(range(6)), _BLOCK_ORDERS[0])
+    for order in _BLOCK_ORDERS:
+        merged = _blocks_merged(order)
         assert merged.pluckers.dtype == full.pluckers.dtype
         assert np.array_equal(merged.pluckers, full.pluckers)
 
 
-def test_scan_records_invariant_under_shard_order():
+def test_scan_records_invariant_under_block_order():
     # and neither do the scan records, bit for bit (mpf equality is exact)
     a = rnd_plane(42)
     full = enumerate_subspaces(4, 2, 8)
     for j in (1, 2):
         want = scan_target(a, 2, j, 8, enumeration=full)
         assert len(want.records) > 1
-        for order in _SHARD_ORDERS:
-            assert scan_target(a, 2, j, 8, enumeration=_shards_merged(order)) == want
+        for order in _BLOCK_ORDERS:
+            assert scan_target(a, 2, j, 8, enumeration=_blocks_merged(order)) == want
 
 
 def test_truncation_is_flagged():
@@ -403,7 +412,7 @@ def test_cache_round_trip(tmp_path):
     e2 = enumerate_subspaces(4, 2, 6, cache_path=path)
     assert np.array_equal(e1.pluckers, e2.pluckers)
     header, *rows, trailer = open(path).read().splitlines()
-    assert re.fullmatch(r"# subapprox-cache v4 n=4 e=2 hmax_sq=36 shards=\d+ rows=%d" % len(e1), header)
+    assert header == "# subapprox-cache v5 n=4 e=2 hmax_sq=36 rows=%d" % len(e1)
     assert trailer == "# end"
     assert rows == [e1.key_at(i) for i in range(len(e1))]  # row for row, in order
 
@@ -421,16 +430,16 @@ def test_cache_corruption_detected(tmp_path):
         enumerate_subspaces(4, 2, 4, cache_path=path)
 
 
-def _write_cache_per_row(path, n, e, hmax_sq, nshards, swept, rows):
+def _write_cache_per_row(path, n, e, hmax_sq, swept, rows):
     """A per-row cache writer: the bulk one's oracle."""
     from subapprox.enumeration import _CACHE_VERSION
 
     prefix = "%d %d : " % (n, e)
     with open(path, "w") as fh:
-        fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d shards=%d rows=%d\n"
-                 % (_CACHE_VERSION, n, e, hmax_sq, nshards, len(rows)))
+        fh.write("# subapprox-cache %s n=%d e=%d hmax_sq=%d rows=%d\n"
+                 % (_CACHE_VERSION, n, e, hmax_sq, len(rows)))
         fh.writelines(prefix + " ".join(map(str, r)) + "\n" for r in rows.tolist())
-        fh.write("# end\n" if swept == nshards else "# swept %d\n" % swept)
+        fh.write("# end\n" if swept is None else "# swept %d\n" % swept)
 
 
 def _load_cache_per_line(path, n, e, hmax_sq):
@@ -446,10 +455,9 @@ def _load_cache_per_line(path, n, e, hmax_sq):
     if header[2] != _CACHE_VERSION or \
             (int(parts["n"]), int(parts["e"]), int(parts["hmax_sq"])) != (n, e, hmax_sq):
         return None
-    nshards = int(parts["shards"])
     if len(lines) != int(parts["rows"]):
         raise CacheCorruption("cache %s does not hold the rows its header counts" % path)
-    swept = nshards if trailer == "# end" else int(trailer.removeprefix("# swept "))
+    swept = None if trailer == "# end" else int(trailer.removeprefix("# swept "))
     rows = []
     for line in lines:
         head, _, tail = line.partition(":")
@@ -458,16 +466,16 @@ def _load_cache_per_line(path, n, e, hmax_sq):
         rows.append([int(x) for x in tail.split()])
     P = np.array(rows, dtype=np.int64).reshape(len(rows), math.comb(n, e))
     _validate_rows(P, n, e, hmax_sq, path)
-    return nshards, swept, P
+    return swept, P
 
 
 def _assert_loads_like_per_line(path, n, e, hmax_sq):
     from subapprox.enumeration import _load_cache, _signed_dtype
 
     got, want = _load_cache(path, n, e, hmax_sq), _load_cache_per_line(path, n, e, hmax_sq)
-    assert got[:2] == want[:2]
+    assert got[0] == want[0]
     # the rows parse straight into the narrow row dtype, not int64
-    assert got[2].dtype == _signed_dtype(math.isqrt(hmax_sq)) and np.array_equal(got[2], want[2])
+    assert got[1].dtype == _signed_dtype(math.isqrt(hmax_sq)) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("n, e, hmax, max_pairs", [
@@ -493,7 +501,7 @@ def test_cache_io_matches_per_row_oracles(tmp_path, monkeypatch, n, e, hmax, max
     assert text == open(paths["per_row"], "rb").read()
     assert text.endswith(b"\n# end\n")
     _assert_loads_like_per_line(paths["bulk"], n, e, hmax * hmax)
-    rows = _load_cache_per_line(paths["bulk"], n, e, hmax * hmax)[2]
+    rows = _load_cache_per_line(paths["bulk"], n, e, hmax * hmax)[1]
     assert np.array_equal(rows, enumerate_subspaces(n, e, hmax).pluckers)
 
 
@@ -524,7 +532,7 @@ _CORRUPTIONS = [
     lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:],  # two rows of one height swapped
     lambda lines: lines[:2] + lines[1:],  # a row twice
     lambda lines: lines[1:],  # no header
-    lambda lines: [lines[0].split(" e=")[0]] + lines[1:],  # header without e, hmax_sq, shards
+    lambda lines: [lines[0].split(" e=")[0]] + lines[1:],  # header without e, hmax_sq, rows
     # a coordinate of 2^32, whose int64 square wraps to 0: height 1 if squared first
     lambda lines: _insert_after(lines, "4 2 : 1 0 0 0 0 0", "4 2 : 1 0 0 0 4294967296 0"),
     lambda lines: _corrupt_first_row(lines, "4 2 : 0 0 0 0 0 -1"),  # first nonzero negative
@@ -533,17 +541,22 @@ _CORRUPTIONS = [
     lambda lines: [_header_rows(lines[0], 1)] + lines[1:],  # rows= one more than the rows
     lambda lines: [_header_rows(lines[0], -1)] + lines[1:],  # rows= one fewer than the rows
     lambda lines: [re.sub(r"rows=\d+", "rows=1000000000000000", lines[0])] + lines[1:],  # forged
-    lambda lines: [re.sub(r" rows=\d+", "", lines[0])] + lines[1:],  # a v4 header without rows=
+    lambda lines: [re.sub(r" rows=\d+", "", lines[0])] + lines[1:],  # a v5 header without rows=
     lambda lines: lines[:7] + ["5" + lines[7][1:]] + lines[8:],  # `5 2 : ` and six coordinates
     lambda lines: lines[:7] + [lines[7].replace(" : ", " :: ")] + lines[8:],  # `4 2 :: ...`
     lambda lines: lines[:7] + [lines[7][::-1].replace(" ", "\t", 1)[::-1]] + lines[8:],  # a tab for a space
     lambda lines: lines[:7] + [""] + lines[8:],  # a blank line for a row
+    # bytes the writer never writes, which loadtxt reads as the same integers
+    lambda lines: lines[:7] + [lines[7].replace(" : ", " : +")] + lines[8:],  # `+0` or `+1`
+    lambda lines: lines[:7] + [lines[7] + "\t"] + lines[8:],  # a trailing tab
+    lambda lines: [line + "\r" for line in lines],  # `\r\n` line ends
 ]
 _CORRUPTION_IDS = ["ragged", "non_integer", "long_row", "other_dimension", "no_prefix", "no_trailer",
                    "end_inside_rows", "end_before_last_shard", "rows_out_of_order", "repeated_row",
                    "no_header", "short_header", "coordinate_2_pow_32", "negated_row", "extra_column",
                    "lost_middle_row", "rows_one_more", "rows_one_fewer", "rows_forged", "no_rows_count",
-                   "other_n", "double_colon", "tab_for_space", "blank_for_row"]
+                   "other_n", "double_colon", "tab_for_space", "blank_for_row", "plus_sign", "trailing_tab",
+                   "crlf"]
 
 
 @pytest.mark.parametrize("corrupt", _CORRUPTIONS, ids=_CORRUPTION_IDS)
@@ -704,7 +717,7 @@ def test_failed_write_leaves_the_previous_cache(tmp_path, monkeypatch, failure):
     monkeypatch.undo()
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["c42.cache"]
-    assert _load_cache(path, 4, 2, 64)[:2] == (3, 1)
+    assert _load_cache(path, 4, 2, 64)[0] == _blocks(4, 2, 8)[0][2]
     assert not enumerate_subspaces(4, 2, 8, cache_path=path).truncated
     enumerate_subspaces(4, 2, 8, cache_path=fresh)
     assert open(path, "rb").read() == open(fresh, "rb").read()
@@ -766,7 +779,7 @@ def test_validate_rows_compares_narrow_rows_without_wrapping():
 
 
 def test_memory_grows_with_the_output(tmp_path):
-    # a cold build holds its shards' rows narrow, each plane once, its peak
+    # a cold build holds its blocks' rows narrow, each plane once, its peak
     # stated in bytes of the rows as int64, which no step copies them into;
     # a load holds the narrow rows it parses and one block of text or of
     # validation at a time, whose checks run in blocks of their own
@@ -785,7 +798,7 @@ def test_memory_grows_with_the_output(tmp_path):
         load = tracemalloc.get_traced_memory()[1] - size
     finally:
         tracemalloc.stop()
-    assert np.array_equal(loaded[2], enum.pluckers)
+    assert np.array_equal(loaded[1], enum.pluckers)
     int64_bytes = len(enum) * math.comb(4, 2) * 8
     assert build <= int64_bytes
     assert load <= enum.pluckers.nbytes + 2 * _BLOCK_BYTES
@@ -815,7 +828,7 @@ def test_cache_resume_from_truncation(tmp_path):
     path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
     part = enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path)
     assert part.truncated
-    assert open(path).read().endswith("\n# swept 1\n")
+    assert open(path).read().endswith("\n# swept %d\n" % _blocks(4, 2, 8)[0][2])
     full = enumerate_subspaces(4, 2, 8, cache_path=path)
     assert not full.truncated and full.pair_count > 0
     assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8, cache_path=fresh).pluckers)
@@ -823,18 +836,19 @@ def test_cache_resume_from_truncation(tmp_path):
 
 
 def test_unfinished_shard_of_a_partial_cache_is_ignored_and_rebuilt(tmp_path):
-    # an interrupted resume leaves the rows of its unfinished shards in the
+    # an interrupted resume leaves the rows of its unfinished blocks in the
     # sibling temp file, its last line cut: they are not loaded, and the next
-    # resume sweeps those shards again and writes over the temp file
+    # resume sweeps those blocks again and writes over the temp file
     from subapprox.enumeration import _load_cache
 
     path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
     assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
     partial = open(path).read()
+    k = _blocks(4, 2, 8)[0][2]
     with open(path + ".tmp", "w") as fh:
-        fh.write(partial.replace("# swept 1\n", "") + "4 2 : 0 0 0 0 0 1\n5 2 : 0 0 0 1")
-    nshards, swept, rows = _load_cache(path, 4, 2, 64)
-    assert (nshards, swept) == (3, 1) and len(rows) == partial.count("\n4 2 : ")
+        fh.write(partial.replace("# swept %d\n" % k, "") + "4 2 : 0 0 0 0 0 1\n5 2 : 0 0 0 1")
+    swept, rows = _load_cache(path, 4, 2, 64)
+    assert swept == k and len(rows) == partial.count("\n4 2 : ")
     full = enumerate_subspaces(4, 2, 8, cache_path=path)
     assert not full.truncated and full.pair_count > 0
     assert np.array_equal(full.pluckers, enumerate_subspaces(4, 2, 8, cache_path=fresh).pluckers)
@@ -843,11 +857,12 @@ def test_unfinished_shard_of_a_partial_cache_is_ignored_and_rebuilt(tmp_path):
     assert np.array_equal(enumerate_subspaces(4, 2, 8, cache_path=path).pluckers, full.pluckers)
 
 
-@pytest.mark.parametrize("pattern, repl", [(r"shards=\d+", "shards=999"), (r" v\d+ ", " v1 ")])
+@pytest.mark.parametrize("pattern, repl", [
+    (r" v\d+ ", " v1 "), pytest.param(r" v\d+ (.*) rows=", r" v4 \1 shards=3 rows=", id="v4_with_shards")])
 def test_partial_cache_of_another_layout_is_rebuilt(tmp_path, pattern, repl):
-    # a partial cache with another shard count, or of another version (v1),
-    # holds other shards: resuming it would lose the rows left out of its
-    # first shard here
+    # a partial cache of another version (v1, or v4 with its count of
+    # 64-vector shards) counts other first vectors as swept: resuming it
+    # would lose the rows left out of its first ones here
     path = str(tmp_path / "c42.cache")
     assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
     header, *lines = open(path).read().splitlines()
@@ -860,18 +875,21 @@ def test_partial_cache_of_another_layout_is_rebuilt(tmp_path, pattern, repl):
     assert open(path).read().strip().endswith("# end")
 
 
-@pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+@pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4"])
 def test_cache_of_another_version_is_rebuilt(tmp_path, version):
-    # a complete cache of an older layout (rows grouped by shard, each group
-    # closed by a marker; a header without rows=) is swept again and
-    # overwritten, never read
+    # a complete cache of an older layout (v1-v3: rows grouped by shard, each
+    # group closed by a marker, a header without rows=; v4: a header with
+    # shards=) is swept again and overwritten, never read
     from subapprox.enumeration import _CACHE_VERSION
 
     path, fresh = str(tmp_path / "c42.cache"), str(tmp_path / "fresh.cache")
     want = enumerate_subspaces(4, 2, 6, cache_path=fresh)
     header, *rows, trailer = open(fresh).read().splitlines()
-    header = re.sub(r" rows=\d+", "", header.replace(" %s " % _CACHE_VERSION, " %s " % version))
-    old = [header] + rows[::-1] + ["# shard 0 done", trailer]
+    header = header.replace(" %s " % _CACHE_VERSION, " %s " % version)
+    if version == "v4":
+        old = [header.replace(" rows=", " shards=2 rows=")] + rows + [trailer]
+    else:
+        old = [re.sub(r" rows=\d+", "", header)] + rows[::-1] + ["# shard 0 done", trailer]
     open(path, "w").write("\n".join(old) + "\n")
     rebuilt = enumerate_subspaces(4, 2, 6, cache_path=path)
     assert rebuilt.pair_count == want.pair_count > 0  # swept again, not read
@@ -880,8 +898,9 @@ def test_cache_of_another_version_is_rebuilt(tmp_path, version):
 
 
 def test_dual_cache_resume_from_truncation(tmp_path):
-    # at height 4 the resumed second shard wedges 938 pairs; at height 3 it
-    # wedges none
+    # the (5,2,4) sweep under the Hodge dual runs in four blocks: the cut
+    # one sweeps the first 10 first vectors and wedges 4,052 pairs, and the
+    # resumed ones wedge 6,928; at height 3 the sweep is one block
     path, fresh = str(tmp_path / "c53.cache"), str(tmp_path / "fresh.cache")
     assert enumerate_subspaces(5, 3, 4, max_pairs=100, cache_path=path).truncated
     full = enumerate_subspaces(5, 3, 4, cache_path=path)
@@ -890,6 +909,83 @@ def test_dual_cache_resume_from_truncation(tmp_path):
     text = open(path).read()
     assert text == open(fresh).read() and text.endswith("\n# end\n")
     assert len([ln for ln in text.splitlines() if ln.startswith("5 3 :")]) == len(full)
+
+
+@pytest.mark.parametrize("n, e, hmax, block_bytes", [
+    (4, 2, 8, None), (5, 3, 4, None), (6, 3, 3, None), (4, 1, 6, 16 * 8 * 300)])
+def test_cut_and_resumed_at_every_resume_point(tmp_path, monkeypatch, n, e, hmax, block_bytes):
+    # a budget that the blocks through block i just exceed cuts the sweep
+    # after block i, whose next first vector `# swept k` names; resumed, the
+    # cache's bytes are the fresh one's.  A block that wedges no tuple
+    # cannot exceed a budget, so its end is no resume point.  The lines run
+    # in blocks of 300 here; the sweep's own blocks hold 8,192 lines in R^4
+    import subapprox.enumeration as enumeration
+
+    if block_bytes:
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block_bytes)
+    fresh = str(tmp_path / "fresh.cache")
+    enumerate_subspaces(n, e, hmax, cache_path=fresh)
+    want = open(fresh, "rb").read()
+    blocks, budget, cuts = _blocks(n, e, hmax), -1, 0
+    assert len(blocks) >= 4
+    for _, p, k in blocks[:-1]:
+        budget += p
+        if not p:
+            continue
+        path = str(tmp_path / ("cut-%d.cache" % k))
+        assert enumerate_subspaces(n, e, hmax, max_pairs=budget, cache_path=path).truncated
+        assert open(path, "rb").read().endswith(b"\n# swept %d\n" % k)
+        assert not enumerate_subspaces(n, e, hmax, cache_path=path).truncated
+        assert open(path, "rb").read() == want
+        cuts += 1
+    assert cuts == sum(1 for _, p, _ in blocks[:-1] if p) >= 3
+
+
+@pytest.mark.parametrize("n, e, hmax", [(4, 2, 14), (6, 3, 4), (4, 1, 14)])
+def test_resume_points_are_at_most_a_tenth_of_the_sweep_apart(n, e, hmax):
+    # a plane block closes at about _BLOCK_BYTES of slab pairs, a 3-subspace
+    # block after each first vector and a line block at 8,192 lines in R^4;
+    # 64-vector shards held 44%, 99.5% and 100% of these sweeps' tuples
+    tuples = [p for _, p, _ in _blocks(n, e, hmax)]
+    assert max(tuples) <= 0.1 * sum(tuples)
+
+
+@pytest.mark.parametrize("n, hmax", [(2, 130), (4, 14), (5, 6)])
+def test_lines_are_the_integer_ball_sorted_once(monkeypatch, n, hmax):
+    # a line sweep's rows are the ball's own rows, already in (norm^2, lex)
+    # order and distinct, so the ball's sort is the only one
+    import subapprox.enumeration as enumeration
+
+    sorted_rows = []
+    monkeypatch.setattr(enumeration, "_unique_sorted",
+                        lambda P: sorted_rows.append(len(P)) or _unique_sorted(P))
+    lines = enumerate_subspaces(n, 1, hmax)
+    assert sorted_rows == [len(lines)]
+    monkeypatch.undo()
+    assert np.array_equal(lines.pluckers, _integer_ball(n, hmax * hmax))
+
+
+@pytest.mark.parametrize("past", [0, 1, 10 ** 6])
+def test_partial_cache_swept_through_the_last_first_vector_raises(tmp_path, capsys, past):
+    # `# swept k` names the first k first vectors of a cut sweep, so k is
+    # below their number m (a sweep through all m writes `# end`); the
+    # loader reads k, and the sweep, which knows m, refuses it
+    from subapprox.cli import main
+    from subapprox.enumeration import _load_cache
+
+    path = str(tmp_path / "c42.cache")
+    assert enumerate_subspaces(4, 2, 8, max_pairs=2000, cache_path=path).truncated
+    m = _ball(4, 2, 64)[2]
+    text = re.sub(r"# swept \d+\n$", "# swept %d\n" % (m + past), open(path).read())
+    open(path, "w").write(text)
+    assert _load_cache(path, 4, 2, 64)[0] == m + past
+    with pytest.raises(CacheCorruption, match=re.escape(path)):
+        enumerate_subspaces(4, 2, 8, cache_path=path)
+    capsys.readouterr()
+    assert main(["scan", "--target", "r4", "--e", "2", "--hmax", "8", "--cache", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    assert open(path).read() == text
 
 
 def rnd_plane(seed, n=4, d=2, prec=128):
